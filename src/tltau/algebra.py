@@ -302,14 +302,22 @@ class FieldContext:
         return abs(r) <= self.tol * s
 
     def magnitude(self, x):
-        """Crude float magnitude for radius and shrink comparisons only."""
+        """Float magnitude for radius and shrink comparisons, free of
+        cancellation: a real a + b*sqrt(d) with a, b of opposite signs is
+        |a^2 - d b^2| / |a - b*sqrt(d)|, whose numerator is exact."""
         if isinstance(x, Fraction):
-            return abs(float(x)) if abs(x.numerator) < 10**300 else float("inf")
+            try:
+                return abs(float(x))
+            except OverflowError:
+                return float("inf")
         if isinstance(x, QuadraticNumber):
             root = math.sqrt(abs(x.d))
-            if x.d >= 0:
-                return abs(float(x.a) + float(x.b) * root)
-            return math.hypot(float(x.a), float(x.b) * root)
+            if x.d < 0:
+                return math.hypot(float(x.a), float(x.b) * root)
+            if x.a * x.b < 0:
+                norm = x.a * x.a - x.b * x.b * x.d
+                return abs(float(norm)) / abs(float(x.a) - float(x.b) * root)
+            return abs(float(x.a) + float(x.b) * root)
         return float(abs(x))
 
 
@@ -532,28 +540,40 @@ class LaurentSeries:
     def __neg__(self):
         return LaurentSeries(self.ctx, {e: -c for e, c in self.coeffs.items()}, self.trunc, self.var)
 
-    def _binop_trunc(self, other):
-        return min(self.trunc, other.trunc)
+    def _lift(self, c):
+        """A field scalar as an exactly known constant series."""
+        return LaurentSeries(self.ctx, {0: self.ctx.embed(c)}, max(self.trunc, 0), self.var)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        t = self._binop_trunc(other)
+            other = self._lift(other)
+        t = min(self.trunc, other.trunc)
         out = {e: c for e, c in self.coeffs.items() if e <= t}
         for e, c in other.coeffs.items():
             if e <= t:
                 out[e] = out.get(e, self.ctx.zero()) + c
         return LaurentSeries(self.ctx, out, t, self.var)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def scale(self, c):
         return LaurentSeries(
             self.ctx, {e: c * v for e, v in self.coeffs.items()}, self.trunc, self.var
         )
+
+    def __truediv__(self, other):
+        if isinstance(other, LaurentSeries):
+            return self * other.invert()
+        return self.scale(self.ctx.one() / other)
+
+    def __rtruediv__(self, other):
+        return self.invert().scale(other)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):

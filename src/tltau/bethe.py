@@ -1,11 +1,10 @@
 """On-shell root finding for the eigenvalue's pole-cancellation conditions.
 
 Lambda(v) has simple pole candidates at v = u_j from the dressing
-denominators.  The residue at v = u_j comes out in closed form,
+denominators.  `chain.lambda_residue` gives the residue at v = u_j from the
+eigenvalue formula itself; it carries the overall factor
 
-    res_j = -(u_j / 2) w(u_j^2 q^2) w(u_j^2) / w(u_j^2 q)^2
-            * [ w(1/q) w(u_j q)^(2N) prod_{m != j} a_m(u_j)
-              + w(q)   w(u_j)^(2N)   prod_{m != j} b_m(u_j) ],
+    -(u_j / 2) w(u_j^2 q^2) w(u_j^2) / w(u_j^2 q)^2,
 
 and a root vector is on shell exactly when every residue vanishes.  The
 solver runs damped Newton iteration on the residue vector in float mode
@@ -17,7 +16,7 @@ spurious).
 
 from mpmath import mp
 
-from .chain import PoleError, _ab_factors, w_eval, _vals
+from .chain import PoleError, lambda_residue, _vals
 
 
 class BetheSolution:
@@ -41,37 +40,6 @@ class BetheSolution:
             self.iterations,
             mp.nstr(self.max_residual(), 6) if self.residuals else "0",
         )
-
-
-def lambda_residue(p, u, j):
-    """Residue of Lambda at v = u_j, in any field mode."""
-    ctx = p.ctx
-    uu = _vals(u)
-    if not 0 <= j < len(uu):
-        raise ValueError("index j=%d outside the %d roots" % (j, len(uu)))
-    q = p.q
-    uj = uu[j]
-    if not uj:
-        raise PoleError("w(u_j)", "root is zero")
-    u2 = uj * uj
-    wu2q = w_eval(u2 * q)
-    if ctx.is_zero(wu2q):
-        raise PoleError("w(q*u_j^2)")
-    wu2 = u2 - 1 / u2
-    wu2q2 = w_eval(u2 * q * q)
-    pref = -(uj / 2) * wu2q2 * wu2 / (wu2q * wu2q)
-    pa = ctx.one()
-    pb = ctx.one()
-    for m, um in enumerate(uu):
-        if m == j:
-            continue
-        n1, n2, m1, m2, d1, d2 = _ab_factors(p, uj, um)
-        den = d1 * d2
-        pa = pa * n1 * n2 / den
-        pb = pb * m1 * m2 / den
-    termA = w_eval(1 / q) * w_eval(uj * q) ** (2 * p.N) * pa
-    termB = w_eval(q) * w_eval(uj) ** (2 * p.N) * pb
-    return pref * (termA + termB)
 
 
 def residue_vector(p, u):

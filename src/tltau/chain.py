@@ -3,25 +3,39 @@
 The building block is w(x) = x - 1/x.  The boundary data (spin s, boundary
 parameter Q) fixes the bulk parameter q through
 
-    sum_{k=-s}^{s} Q^{2k} = -(q + 1/q),
+    sum_{k=-s}^{s} Q^{2k} = -(q + 1/q).
 
-and the eigenvalue Lambda(v, u) of the transfer matrix on 2N sites with M
-Bethe roots u_1..u_M is
+The eigenvalue Lambda(v, u) of the transfer matrix on 2N sites with M Bethe
+roots u_1..u_M is even in v.  It is coded once, in y = v^2, with every factor
+multiplied through by y, which turns each into a polynomial in y with a
+nonzero constant term:
 
-    Lambda = -1/w(q v^2) * [ w(q^2 v^2) w(q v)^{2N} prod_j a_j(v)
-                             + w(v^2) w(v)^{2N} prod_j b_j(v) ],
-    a_j = w(v/(q u_j)) w(v u_j) / (w(v/u_j) w(q v u_j)),
-    b_j = w(q v/u_j) w(q^2 v u_j) / (w(v/u_j) w(q v u_j)).
+    Lambda = -y^(-N) [A prod_j n1_j/d_j + B prod_j n2_j/d_j] / W,
 
-Family 1 is F^(1)_i(v) = d Lambda / d u_i, family 2 is
-F^(2)_i(v) = 1/(w(v/u_i) w(q v u_i)).  The inner product of an on-shell state
-with a free one factorizes as a prefactor G(u, v) times the determinant ratio
-det F^(1)_i(v_j) / det F^(2)_i(v_j), and that ratio is the quotient of the
-two tau functions built downstream.
+    W    = q y^2 - 1/q                    = y w(q v^2),
+    A    = (q y + 1/q)(q y - 1/q)^(2N+1)  = y^(N+1) w(q^2 v^2) w(q v)^(2N),
+    B    = (y + 1)(y - 1)^(2N+1)          = y^(N+1) w(v^2) w(v)^(2N),
+    n1_j = y^2/q - sigma_j y + q          = y w(v/(q u_j)) w(v u_j),
+    n2_j = q^3 y^2 - sigma_j y + q^-3     = y w(q v/u_j) w(q^2 v u_j),
+    d_j  = q y^2 - sigma_j y + 1/q        = y w(v/u_j) w(q v u_j),
+    sigma_j = q u_j^2 + 1/(q u_j^2).
 
-Lambda is an even function of v, so everything evaluated at squared points
-y = v^2 is rational in y; the *_y evaluators below use the exact pairing
-w(v a) w(v b) = y ab - a/b - b/a + 1/(y ab) and never touch square roots.
+Family 1 is F^(1)_i = d Lambda / d u_i.  The root u_i enters only through
+sigma_i, so it is the same formula with n/d_i replaced by
+d(n/d_i)/d sigma_i = y (n - d_i)/d_i^2, times sigma_i' = 2(q u_i - 1/(q u_i^3)).
+Family 2 is F^(2)_i = y/d_i = 1/(w(v/u_i) w(q v u_i)).  The residue of Lambda
+at v = u_j replaces d_j by its y-derivative 2 q y - sigma_j, which is
+w(q u_j^2) at y = u_j^2, and divides by 2 u_j y^N.
+
+The formula only adds, multiplies and divides, so one code path serves every
+carrier: field scalars for pointwise values (the v-form entry points evaluate
+it at y = v*v) and truncated series in y for Taylor data.  On a series the
+truncation is exact: all denominators have nonzero constant terms, so y known
+through y^T gives y^N Lambda through y^T without padding.
+
+The inner product of an on-shell state with a free one factorizes as a
+prefactor G(u, v) times det F^(1)_i(v_j) / det F^(2)_i(v_j), and that ratio is
+the quotient of the two tau functions built downstream.
 """
 
 from __future__ import annotations
@@ -217,122 +231,167 @@ def validate_uv(p, u=None, v=None):
                 raise PoleError("w(q*v_i*u_j)", "i=%d j=%d" % (i, j))
 
 
-def _ab_factors(p, v, uj):
-    """Numerators and denominators of the j-th dressing factors at point v."""
+def _check_row(uu, i):
+    if not 0 <= i < len(uu):
+        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(uu)))
+
+
+def _sigma(q, uj):
+    u2 = uj * uj
+    return q * u2 + 1 / (q * u2)
+
+
+def _denominator(q, y, s):
+    """d_j = q y^2 - sigma_j y + 1/q."""
+    d = (y * q - s) * y + 1 / q
+    if not d:
+        raise PoleError("w(v/u_j)*w(q*v*u_j)", "y-form denominator")
+    return d
+
+
+def _shell(p, y):
+    """The root-independent factors W, A, B of the formula."""
     q = p.q
-    n1 = w_eval(v / (q * uj))
-    n2 = w_eval(v * uj)
-    m1 = w_eval(v * q / uj)
-    m2 = w_eval(v * q * q * uj)
-    d1 = v / uj - uj / v
-    if not d1:
-        raise PoleError("w(v/u_j)")
-    d2 = v * q * uj
-    d2 = d2 - 1 / d2 if d2 else d2
-    if not d2:
-        raise PoleError("w(q*v*u_j)")
-    return n1, n2, m1, m2, d1, d2
+    if not y:
+        raise PoleError("w(v)", "y is zero")
+    qy = y * q
+    W = qy * y - 1 / q
+    if not W:
+        raise PoleError("w(q*v^2)")
+    e = 2 * p.N + 1
+    return W, (qy + 1 / q) * (qy - 1 / q) ** e, (y + 1) * (y - 1) ** e
+
+
+def _cleared(p, y, uu, du=None, pole=None):
+    """y^N Lambda at y, a field scalar or a series in y (see the module doc).
+
+    du=i gives y^N d Lambda / d u_i instead; pole=j replaces d_j by its
+    y-derivative, for the residue at y = u_j^2.
+    """
+    q = p.q
+    q3 = q * q * q
+    den, A, B = _shell(p, y)
+    for j, uj in enumerate(uu):
+        s = _sigma(q, uj)
+        d = 2 * q * y - s if j == pole else _denominator(q, y, s)
+        n1 = (y / q - s) * y + q
+        n2 = (y * q3 - s) * y + 1 / q3
+        if j == du:
+            n1, n2, d = n1 - d, n2 - d, d * d
+        A, B, den = A * n1, B * n2, den * d
+    out = -(A + B) / den
+    if du is not None:
+        ui = uu[du]
+        out = out * y * (2 * (q * ui - 1 / (q * ui * ui * ui)))
+    return out
+
+
+def lambda_y(p, y, u):
+    """Lambda evaluated at v = sqrt(y); u may be empty."""
+    return _cleared(p, y, _vals(u)) / y**p.N
+
+
+def lambda_du_y(p, i, y, u):
+    """d Lambda / d u_i at v = sqrt(y)."""
+    uu = _vals(u)
+    _check_row(uu, i)
+    return _cleared(p, y, uu, du=i) / y**p.N
+
+
+def f2_eval_y(p, i, y, u):
+    """Family-2 value at v = sqrt(y): y / d_i = 1/(w(v/u_i) w(q v u_i))."""
+    uu = _vals(u)
+    _check_row(uu, i)
+    if not y:
+        raise PoleError("w(v)", "y is zero")
+    return y / _denominator(p.q, y, _sigma(p.q, uu[i]))
+
+
+def f_eval_y(p, family, i, y, u):
+    if family == 1:
+        return lambda_du_y(p, i, y, u)
+    if family == 2:
+        return f2_eval_y(p, i, y, u)
+    raise ValueError("family must be 1 or 2")
+
+
+def family_matrix_y(p, u, family, ypoints):
+    uu = _vals(u)
+    return [[f_eval_y(p, family, i, y, uu) for y in ypoints] for i in range(len(uu))]
+
+
+def kernel_y(p, u, ypoints):
+    """Determinant-ratio kernel evaluated at squared points y_j = v_j^2."""
+    uu = _vals(u)
+    ys = list(ypoints)
+    if len(uu) < 1 or len(ys) != len(uu):
+        raise ValueError("kernel_y needs len(u) = len(y) >= 1")
+    num = det(family_matrix_y(p, uu, 1, ys), p.ctx)
+    den = det(family_matrix_y(p, uu, 2, ys), p.ctx)
+    if p.ctx.is_zero(den):
+        raise PoleError("det(F2)", "singular denominator family")
+    return num / den
+
+
+def lambda_residue(p, u, j):
+    """Residue of Lambda at v = u_j, in any field mode."""
+    uu = _vals(u)
+    if not 0 <= j < len(uu):
+        raise ValueError("index j=%d outside the %d roots" % (j, len(uu)))
+    uj = uu[j]
+    if not uj:
+        raise PoleError("w(u_j)", "root is zero")
+    y = uj * uj
+    if p.ctx.is_zero(w_eval(y * p.q)):
+        raise PoleError("w(q*u_j^2)")
+    return _cleared(p, y, uu, pole=j) / (2 * uj * y**p.N)
+
+
+# -- the v-form: the y-form at y = v*v --------------------------------------
 
 
 def lambda_eval(p, v, u):
     """Transfer-matrix eigenvalue Lambda(v, u); u may be empty.
 
-    Poles w(q v^2), w(v/u_j), w(q v u_j) raise PoleError by name.
+    Poles w(v), w(q v^2) and the dressing denominators raise PoleError.
     """
-    ctx = p.ctx
-    q = p.q
-    uu = _vals(u)
-    if not v:
-        raise PoleError("w(v)", "v is zero")
-    wqv2 = w_eval(v * v * q)
-    if ctx.is_zero(wqv2):
-        raise PoleError("w(q*v^2)")
-    termA = w_eval(v * v * q * q) * w_eval(v * q) ** (2 * p.N)
-    wv2 = v * v - 1 / (v * v)
-    termB = wv2 * w_eval(v) ** (2 * p.N) if not ctx.is_zero(wv2) else ctx.zero()
-    prodA = ctx.one()
-    prodB = ctx.one()
-    for uj in uu:
-        n1, n2, m1, m2, d1, d2 = _ab_factors(p, v, uj)
-        den = d1 * d2
-        prodA = prodA * n1 * n2 / den
-        prodB = prodB * m1 * m2 / den
-    if ctx.is_zero(termB):
-        total = termA * prodA
-    else:
-        total = termA * prodA + termB * prodB
-    return -total / wqv2
+    return lambda_y(p, v * v, u)
 
 
 def lambda_du(p, i, v, u):
-    """d Lambda / d u_i at (v, u), by the analytic product rule.
-
-    Only the i-th dressing factor depends on u_i, so the derivative is the
-    same two-term sum with that factor differentiated in place.
-    """
-    ctx = p.ctx
-    q = p.q
-    uu = _vals(u)
-    if not 0 <= i < len(uu):
-        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(uu)))
-    if not v:
-        raise PoleError("w(v)", "v is zero")
-    wqv2 = w_eval(v * v * q)
-    if ctx.is_zero(wqv2):
-        raise PoleError("w(q*v^2)")
-    A = w_eval(v * v * q * q) * w_eval(v * q) ** (2 * p.N)
-    wv2 = v * v - 1 / (v * v)
-    B = wv2 * w_eval(v) ** (2 * p.N)
-    prodA = ctx.one()
-    prodB = ctx.one()
-    for j, uj in enumerate(uu):
-        if j == i:
-            continue
-        n1, n2, m1, m2, d1, d2 = _ab_factors(p, v, uj)
-        den = d1 * d2
-        prodA = prodA * n1 * n2 / den
-        prodB = prodB * m1 * m2 / den
-    ui = uu[i]
-    n1, n2, m1, m2, d1, d2 = _ab_factors(p, v, ui)
-    u2 = ui * ui
-    dn1 = -v / (q * u2) - q / v
-    dn2 = v + 1 / (v * u2)
-    dm1 = -v * q / u2 - 1 / (v * q)
-    dm2 = v * q * q + 1 / (v * q * q * u2)
-    dd1 = -v / u2 - 1 / v
-    dd2 = v * q + 1 / (v * q * u2)
-    den = d1 * d2
-    dden = dd1 * d2 + d1 * dd2
-    da = (dn1 * n2 + n1 * dn2) / den - n1 * n2 * dden / (den * den)
-    db = (dm1 * m2 + m1 * dm2) / den - m1 * m2 * dden / (den * den)
-    return -(A * prodA * da + B * prodB * db) / wqv2
+    """d Lambda / d u_i at (v, u)."""
+    return lambda_du_y(p, i, v * v, u)
 
 
 def f2_eval(p, i, v, u):
     """Family-2 value 1/(w(v/u_i) w(q v u_i))."""
-    uu = _vals(u)
-    if not 0 <= i < len(uu):
-        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(uu)))
-    ui = uu[i]
-    if not v:
-        raise PoleError("w(v)", "v is zero")
-    d1 = v / ui - ui / v
-    if not d1:
-        raise PoleError("w(v/u_j)")
-    d2v = v * p.q * ui
-    d2 = d2v - 1 / d2v
-    if not d2:
-        raise PoleError("w(q*v*u_j)")
-    return p.ctx.one() / (d1 * d2)
+    return f2_eval_y(p, i, v * v, u)
 
 
 def f_eval(p, family, i, v, u):
     """Pointwise value of F^(family)_i at v."""
-    if family == 1:
-        return lambda_du(p, i, v, u)
-    if family == 2:
-        return f2_eval(p, i, v, u)
-    raise ValueError("family must be 1 or 2")
+    return f_eval_y(p, family, i, v * v, u)
+
+
+def family_matrix(p, u, family, points):
+    """Matrix F^(family)_i(x_j) with rows indexed by the Bethe roots."""
+    return family_matrix_y(p, u, family, [x * x for x in _vals(points)])
+
+
+def kernel(p, u, v):
+    """Determinant-ratio kernel det F^(1)_i(v_j) / det F^(2)_i(v_j)."""
+    uu = _vals(u)
+    vv = _vals(v)
+    if len(uu) < 1 or len(vv) != len(uu):
+        raise ValueError("kernel needs len(u) = len(v) >= 1")
+    validate_uv(p, uu, vv)
+    return kernel_y(p, uu, [x * x for x in vv])
+
+
+def slavnov(p, u, v):
+    """Inner product of the on-shell state at u with the free state at v:
+    g_prefactor(u, v) times the determinant-ratio kernel."""
+    return g_prefactor(p, u, v) * kernel(p, u, v)
 
 
 def g_prefactor(p, u, v):
@@ -375,62 +434,32 @@ def g_prefactor(p, u, v):
     return out
 
 
-def family_matrix(p, u, family, points):
-    """Matrix F^(family)_i(x_j) with rows indexed by the Bethe roots."""
+# -- Taylor data: the y-form on a truncated series in y ----------------------
+
+
+def _y_series(ctx, order):
+    return LaurentSeries(ctx, {1: ctx.one()}, max(order, 1), "y")
+
+
+def taylor_y(p, u, family, i, order):
+    """Taylor series in y through y**order of row i of a family, divided by
+    its leading power: y^(N-1) F^(1)_i for family 1, F^(2)_i / y = 1/d_i for
+    family 2."""
     uu = _vals(u)
-    pts = _vals(points)
-    return [[f_eval(p, family, i, x, uu) for x in pts] for i in range(len(uu))]
+    _check_row(uu, i)
+    y = _y_series(p.ctx, order + 1)
+    if family == 1:
+        return _cleared(p, y, uu, du=i).shift(-1).truncate(order)
+    if family == 2:
+        return (1 / _denominator(p.q, y, _sigma(p.q, uu[i]))).truncate(order)
+    raise ValueError("family must be 1 or 2")
 
 
-def kernel(p, u, v):
-    """Determinant-ratio kernel det F^(1)_i(v_j) / det F^(2)_i(v_j)."""
-    uu = _vals(u)
-    vv = _vals(v)
-    if len(uu) < 1 or len(vv) != len(uu):
-        raise ValueError("kernel needs len(u) = len(v) >= 1")
-    validate_uv(p, uu, vv)
-    num = det(family_matrix(p, uu, 1, vv), p.ctx)
-    den = det(family_matrix(p, uu, 2, vv), p.ctx)
-    if p.ctx.is_zero(den):
-        raise PoleError("det(F2)", "singular denominator family")
-    return num / den
-
-
-def slavnov(p, u, v):
-    """Inner product of the on-shell state at u with the free state at v:
-    g_prefactor(u, v) times the determinant-ratio kernel."""
-    return g_prefactor(p, u, v) * kernel(p, u, v)
-
-
-# -- Laurent series about v = 0 ------------------------------------------
-
-
-def _w_series(ctx, c, trunc):
-    return LaurentSeries(ctx, {1: c, -1: -(ctx.one() / c)}, trunc)
-
-
-def _w2_series(ctx, c, trunc):
-    return LaurentSeries(ctx, {2: c, -2: -(ctx.one() / c)}, trunc)
-
-
-def _series_parts(p, u, trunc):
-    ctx = p.ctx
-    q = p.q
-    pref = -(_w2_series(ctx, q, trunc).invert())
-    A = _w2_series(ctx, q * q, trunc) * (_w_series(ctx, q, trunc) ** (2 * p.N))
-    B = _w2_series(ctx, ctx.one(), trunc) * (_w_series(ctx, ctx.one(), trunc) ** (2 * p.N))
-    parts = []
-    for uj in u:
-        n1 = _w_series(ctx, ctx.one() / (q * uj), trunc)
-        n2 = _w_series(ctx, uj, trunc)
-        m1 = _w_series(ctx, q / uj, trunc)
-        m2 = _w_series(ctx, q * q * uj, trunc)
-        d1 = _w_series(ctx, ctx.one() / uj, trunc)
-        d2 = _w_series(ctx, q * uj, trunc)
-        i1 = d1.invert()
-        i2 = d2.invert()
-        parts.append((n1, n2, m1, m2, d1, d2, i1, i2))
-    return pref, A, B, parts
+def _z_series(ys, start, order):
+    """sum_n c_n z^(2n + start) for the y-series sum_n c_n y^n, through z**order."""
+    return LaurentSeries(
+        ys.ctx, {2 * n + start: c for n, c in ys.coeffs.items() if 2 * n + start <= order}, order
+    )
 
 
 def lambda_series(p, u, order=None):
@@ -439,21 +468,10 @@ def lambda_series(p, u, order=None):
     The series is even and starts at z**(-2N) with coefficient
     -(1 + q^{2(N-2M+1)}) / q^{2(N-M)+1}, independent of u.
     """
-    uu = _vals(u)
     if order is None:
         order = 2 * p.N + 10
-    pad = 2 * p.N + 2 * len(uu) + 8
-    while True:
-        pref, A, B, parts = _series_parts(p, uu, order + pad)
-        prodA = A
-        prodB = B
-        for (n1, n2, m1, m2, _d1, _d2, i1, i2) in parts:
-            prodA = prodA * n1 * n2 * i1 * i2
-            prodB = prodB * m1 * m2 * i1 * i2
-        out = pref * (prodA + prodB)
-        if out.trunc >= order:
-            return out.truncate(order)
-        pad *= 2
+    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _vals(u))
+    return _z_series(ys, -2 * p.N, order)
 
 
 def f_series(p, u, family, i, order):
@@ -463,167 +481,12 @@ def f_series(p, u, family, i, order):
     is annihilated by d/du_i); family 2 starts at z**2 with leading
     coefficient q.  Both series are even.
     """
-    uu = _vals(u)
-    if not 0 <= i < len(uu):
-        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(uu)))
-    ctx = p.ctx
-    q = p.q
-    start = (2 - 2 * p.N) if family == 1 else 2
     if family not in (1, 2):
         raise ValueError("family must be 1 or 2")
+    start = (2 - 2 * p.N) if family == 1 else 2
     if order < start:
         raise ValueError("order %d is below the family's starting exponent %d" % (order, start))
-    if family == 2:
-        pad = 8
-        while True:
-            trunc = order + pad
-            d1 = _w_series(ctx, ctx.one() / uu[i], trunc)
-            d2 = _w_series(ctx, q * uu[i], trunc)
-            out = (d1 * d2).invert()
-            if out.trunc >= order:
-                return out.truncate(order)
-            pad *= 2
-    pad = 2 * p.N + 2 * len(uu) + 10
-    while True:
-        trunc = order + pad
-        pref, A, B, parts = _series_parts(p, uu, trunc)
-        prodA = A
-        prodB = B
-        for j, (n1, n2, m1, m2, _d1, _d2, i1, i2) in enumerate(parts):
-            if j == i:
-                continue
-            prodA = prodA * n1 * n2 * i1 * i2
-            prodB = prodB * m1 * m2 * i1 * i2
-        n1, n2, m1, m2, d1, d2, i1, i2 = parts[i]
-        ui = uu[i]
-        u2 = ui * ui
-        dn1 = LaurentSeries(ctx, {1: -(ctx.one() / (q * u2)), -1: -q}, trunc)
-        dn2 = LaurentSeries(ctx, {1: ctx.one(), -1: ctx.one() / u2}, trunc)
-        dm1 = LaurentSeries(ctx, {1: -(q / u2), -1: -(ctx.one() / q)}, trunc)
-        dm2 = LaurentSeries(ctx, {1: q * q, -1: ctx.one() / (q * q * u2)}, trunc)
-        dd1 = LaurentSeries(ctx, {1: -(ctx.one() / u2), -1: -ctx.one()}, trunc)
-        dd2 = LaurentSeries(ctx, {1: q, -1: ctx.one() / (q * u2)}, trunc)
-        ii = i1 * i2
-        dden = dd1 * d2 + d1 * dd2
-        da = (dn1 * n2 + n1 * dn2) * ii - n1 * n2 * dden * ii * ii
-        db = (dm1 * m2 + m1 * dm2) * ii - m1 * m2 * dden * ii * ii
-        out = pref * (prodA * da + prodB * db)
-        if out.trunc >= order:
-            return out.truncate(order)
-        pad *= 2
-
-
-# -- evaluation at squared points y = v^2 ---------------------------------
-
-
-def _pair_w(y, a, b):
-    """w(v a) w(v b) as a rational function of y = v^2."""
-    ab = a * b
-    return y * ab - a / b - b / a + 1 / (y * ab)
-
-
-def _y_factors(p, y, uj):
-    q = p.q
-    u2 = uj * uj
-    sig = q * u2 + 1 / (q * u2)
-    n1 = y / q + q / y - sig
-    n2 = y * q**3 + 1 / (y * q**3) - sig
-    d = y * q + 1 / (y * q) - sig
-    if not d:
-        raise PoleError("w(v/u_j)*w(q*v*u_j)", "y-form denominator")
-    return n1, n2, d
-
-
-def _lambda_y_shell(p, y):
-    ctx = p.ctx
-    q = p.q
-    if not y:
-        raise PoleError("w(v)", "y is zero")
-    wqy = y * q - 1 / (y * q)
-    if ctx.is_zero(wqy):
-        raise PoleError("w(q*v^2)")
-    A = (y * q * q - 1 / (y * q * q)) * _pair_w(y, q, q) ** p.N
-    B = (y - 1 / y) * _pair_w(y, ctx.one(), ctx.one()) ** p.N
-    return wqy, A, B
-
-
-def lambda_y(p, y, u):
-    """Lambda evaluated at v = sqrt(y), rational in y by evenness."""
-    wqy, A, B = _lambda_y_shell(p, y)
-    prodA = p.ctx.one()
-    prodB = p.ctx.one()
-    for uj in _vals(u):
-        n1, n2, d = _y_factors(p, y, uj)
-        prodA = prodA * n1 / d
-        prodB = prodB * n2 / d
-    return -(A * prodA + B * prodB) / wqy
-
-
-def lambda_du_y(p, i, y, u):
-    """d Lambda / d u_i at v = sqrt(y), rational in y.
-
-    All three pairings for root j depend on u_j only through
-    sigma_j = q u_j^2 + 1/(q u_j^2), so each derivative is the common
-    d sigma/d u times a quotient-rule shell.
-    """
-    ctx = p.ctx
-    q = p.q
-    uu = _vals(u)
-    if not 0 <= i < len(uu):
-        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(uu)))
-    wqy, A, B = _lambda_y_shell(p, y)
-    prodA = ctx.one()
-    prodB = ctx.one()
-    for j, uj in enumerate(uu):
-        if j == i:
-            continue
-        n1, n2, d = _y_factors(p, y, uj)
-        prodA = prodA * n1 / d
-        prodB = prodB * n2 / d
-    ui = uu[i]
-    n1, n2, d = _y_factors(p, y, ui)
-    u2 = ui * ui
-    dsig = 2 * q * ui - 2 / (q * u2 * ui)
-    da = dsig * (n1 - d) / (d * d)
-    db = dsig * (n2 - d) / (d * d)
-    return -(A * prodA * da + B * prodB * db) / wqy
-
-
-def f2_eval_y(p, i, y, u):
-    """Family-2 value at v = sqrt(y): 1/(w(v/u_i) w(q v u_i)) in y-form."""
-    uu = _vals(u)
-    if not 0 <= i < len(uu):
-        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(uu)))
-    if not y:
-        raise PoleError("w(v)", "y is zero")
-    _n1, _n2, d = _y_factors(p, y, uu[i])
-    return p.ctx.one() / d
-
-
-def f_eval_y(p, family, i, y, u):
-    if family == 1:
-        return lambda_du_y(p, i, y, u)
-    if family == 2:
-        return f2_eval_y(p, i, y, u)
-    raise ValueError("family must be 1 or 2")
-
-
-def family_matrix_y(p, u, family, ypoints):
-    uu = _vals(u)
-    return [[f_eval_y(p, family, i, y, uu) for y in ypoints] for i in range(len(uu))]
-
-
-def kernel_y(p, u, ypoints):
-    """Determinant-ratio kernel evaluated at squared points y_j = v_j^2."""
-    uu = _vals(u)
-    ys = list(ypoints)
-    if len(uu) < 1 or len(ys) != len(uu):
-        raise ValueError("kernel_y needs len(u) = len(y) >= 1")
-    num = det(family_matrix_y(p, uu, 1, ys), p.ctx)
-    den = det(family_matrix_y(p, uu, 2, ys), p.ctx)
-    if p.ctx.is_zero(den):
-        raise PoleError("det(F2)", "singular denominator family")
-    return num / den
+    return _z_series(taylor_y(p, u, family, i, (order - start) // 2), start, order)
 
 
 def pole_radius_y(p, u):

@@ -24,7 +24,6 @@ import json
 import random
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -536,8 +535,7 @@ CHECKS = {
 
 
 def run_suite(cfg):
-    """Run the configured checks in a worker pool; records are assembled in
-    registry order regardless of completion order."""
+    """Run the configured checks one after another in registry order."""
     names = [n for n in CHECK_NAMES if n in cfg["checks"]]
     try:
         p = build_params(cfg)
@@ -553,9 +551,7 @@ def run_suite(cfg):
             return [_record(name, {}, seed, None, False,
                             error="%s: %s" % (type(exc).__name__, exc))]
 
-    with ThreadPoolExecutor(max_workers=min(4, max(len(names), 1))) as pool:
-        blocks = list(pool.map(run_one, names))
-    records = [rec for block in blocks for rec in block]
+    records = [rec for name in names for rec in run_one(name)]
     return _assemble_report(cfg, records)
 
 

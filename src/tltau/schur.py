@@ -8,10 +8,10 @@ is at least as long as the partition; the bialternant is identically zero
 when the partition is longer than the point set.
 
 The expansion engine reads Taylor coefficients of the two generating
-families off their even Laurent series (in the squared variable y = v^2,
-after stripping the per-row prefactor w(v u_i) w(v / u_i) to the
-appropriate power), assembles Schur coefficients as minors of that
-coefficient table, and reconstructs the normalized tau sums
+families off their series in the squared variable y = v^2
+(chain.taylor_y, from each family's leading power on), assembles Schur
+coefficients as minors of that coefficient table, and reconstructs the
+normalized tau sums
 
     tau~(a) = sum_lam c_lam(a) s_lam,      c_lam(a) = det f^(a)[i][lam_j - j + M].
 
@@ -31,7 +31,7 @@ from .algebra import (
     solve_linear,
     vandermonde,
 )
-from .chain import f_series, family_matrix_y
+from .chain import family_matrix_y, taylor_y
 
 
 # -- partitions ------------------------------------------------------------
@@ -199,15 +199,14 @@ def fhat_table(p, u, family, nmax):
     """Taylor table fhat[i][n] in y = v^2 for rows i and 0 <= n <= nmax.
 
     fhat[i][n] is the z-series coefficient of row i's generating function at
-    exponent 2 n + start, where start is the family's fixed leading offset.
+    exponent 2 n + start, where start is the family's fixed leading offset:
+    the coefficient of y**n in chain.taylor_y.
     """
-    start = family_start(p, family)
-    order = 2 * nmax + start
-    base = start // 2
+    family_start(p, family)
     table = []
     for i in range(p.M):
-        ys = even_to_y(f_series(p, u, family, i, order))
-        table.append([ys.coeff(n + base) for n in range(nmax + 1)])
+        ys = taylor_y(p, u, family, i, nmax)
+        table.append([ys.coeff(n) for n in range(nmax + 1)])
     return table
 
 

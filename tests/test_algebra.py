@@ -168,6 +168,19 @@ class TestFieldContext:
         with pytest.raises(ValueError):
             FieldContext("quadratic", d=12)
 
+    def test_magnitude_of_a_cancelling_quadratic(self):
+        # (3 - 2 sqrt 2)^25 ~ 7e-20: a and b have opposite signs and agree to
+        # about 38 digits, so a double-precision a + b sqrt(d) reads noise
+        ctx = FieldContext("quadratic", d=2)
+        small = QuadraticNumber(3, -2, 2) ** 25
+        want = 1 / ctx.magnitude(small.conjugate())
+        assert ctx.magnitude(small) == pytest.approx(want, rel=1e-12)
+        assert ctx.magnitude(-small) == pytest.approx(want, rel=1e-12)
+
+    def test_magnitude_of_a_fraction_with_huge_terms(self):
+        assert RAT.magnitude(F(10**301 + 1, 10**301)) == pytest.approx(1.0)
+        assert RAT.magnitude(F(-(10**400), 3)) == float("inf")
+
 
 class TestLaurentSeries:
     def test_geometric_inverse(self):
@@ -215,6 +228,17 @@ class TestLaurentSeries:
         s = LaurentSeries(RAT, {0: F(1), 1: F(1)}, 4)
         cube = s ** 3
         assert [cube.coeff(k) for k in range(4)] == [F(1), F(3), F(3), F(1)]
+
+    def test_scalar_arithmetic(self):
+        z = LaurentSeries(RAT, {1: F(1)}, 4)
+        s = (z * 2 - 1) / 3 + F(1, 3)
+        assert s == LaurentSeries(RAT, {1: F(2, 3)}, 4)
+        assert 1 - z == -(z - 1)
+        # 1/(1 - z) = 1 + z + z^2 + ... through the truncation order
+        inv = 1 / (1 - z)
+        assert inv.trunc == 4
+        assert all(inv.coeff(k) == 1 for k in range(5))
+        assert (z / (1 - z)).coeff(4) == 1
 
 
 class TestMiwaPolynomial:

@@ -1,18 +1,23 @@
 """Eigenvalue, generating families, prefactor, and their Laurent data.
 
 The main oracle is an independent sympy expression tree for Lambda, its
-u-derivatives, the second family, and the prefactor, evaluated exactly at
-random rational points.  Series data is cross-checked against exact rational
-finite differences and against direct evaluation inside the convergence
-radius.
+u-derivatives, the second family, and the prefactor, in the v-form of the
+paper.  The engine codes Lambda once, in y = v^2, and reads pointwise values,
+Taylor tables and pole residues off that one formula; the sympy tree is the
+reference for each of those routes: exact values at rational points, exact
+Taylor coefficients about v = 0, and exact residues.  Series data is also
+cross-checked against exact rational finite differences and against direct
+evaluation inside the convergence radius.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
+from tltau import chain
 from tltau.algebra import FieldContext, QuadraticNumber
 from tltau.chain import (
     ChainParams,
@@ -32,6 +37,7 @@ from tltau.chain import (
     lambda_du,
     lambda_du_y,
     lambda_eval,
+    lambda_residue,
     lambda_series,
     lambda_y,
     pole_radius_y,
@@ -39,6 +45,7 @@ from tltau.chain import (
     validate_uv,
     w_eval,
 )
+from tltau.schur import fhat_table
 
 RAT = FieldContext("rational")
 
@@ -84,6 +91,74 @@ def _to_sympy(x):
     return sympy.Rational(x.numerator, x.denominator)
 
 
+def _du_mismatches():
+    """Rows i where lambda_du at N = M = 2, u = (2, 3), v = 5/2 differs from
+    sympy's derivative of the tree."""
+    vq, vv = sympy.symbols("q v")
+    vu = sympy.symbols("u0:2")
+    expr = sym_lambda(2, vq, vv, vu)
+    subs = {vq: 2, vv: sympy.Rational(5, 2), vu[0]: 2, vu[1]: 3}
+    p = params(2, 2)
+    got = [_to_sympy(lambda_du(p, i, F(5, 2), roots(2, 3))) for i in range(2)]
+    return [i for i in range(2) if got[i] != sympy.diff(expr, vu[i]).subs(subs)]
+
+
+SERIES_ORDER = 10
+
+
+@functools.lru_cache(maxsize=None)
+def sym_laurent(N, uvals):
+    """sympy's Laurent coefficients about v = 0, through v**SERIES_ORDER, of
+    Lambda (key (0, None)) and of row i of family f (key (f, i)) at q = 2."""
+    v = sympy.Symbol("v")
+    vu = sympy.symbols("u0:%d" % len(uvals))
+    subs = {vu[k]: _to_sympy(x) for k, x in enumerate(uvals)}
+    lam = sym_lambda(N, sympy.Integer(2), v, vu)
+
+    def coeffs(expr):
+        # cancel first: sympy's series of the raw tree takes minutes
+        s = sympy.series(sympy.cancel(expr.subs(subs)), v, 0, SERIES_ORDER + 1).removeO()
+        return {e: s.coeff(v, e) for e in range(-2 * N, SERIES_ORDER + 1)}
+
+    out = {(0, None): coeffs(lam)}
+    for i in range(len(uvals)):
+        out[(1, i)] = coeffs(sympy.diff(lam, vu[i]))
+        out[(2, i)] = coeffs(1 / (_sw(v / vu[i]) * _sw(2 * v * vu[i])))
+    return out
+
+
+def _series_mismatches(N, uvals):
+    """Routes whose Taylor data differs from sympy's: lambda_series, and
+    f_series and fhat_table for every row of both families."""
+    p = params(N, len(uvals))
+    u = roots(*uvals)
+    want = sym_laurent(N, tuple(uvals))
+    bad = []
+    got = lambda_series(p, u, SERIES_ORDER)
+    if any(_to_sympy(got.coeff(e)) != c for e, c in want[(0, None)].items()):
+        bad.append("lambda_series")
+    for fam in (1, 2):
+        start = 2 - 2 * N if fam == 1 else 2
+        nmax = (SERIES_ORDER - start) // 2
+        table = fhat_table(p, u, fam, nmax)
+        for i in range(len(uvals)):
+            ref = want[(fam, i)]
+            s = f_series(p, u, fam, i, SERIES_ORDER)
+            if any(_to_sympy(s.coeff(e)) != c for e, c in ref.items()):
+                bad.append("f_series %d/%d" % (fam, i))
+            if any(_to_sympy(table[i][n]) != ref[2 * n + start] for n in range(nmax + 1)):
+                bad.append("fhat_table %d/%d" % (fam, i))
+    return bad
+
+
+def sym_residue(j):
+    """lim (v - u_j) Lambda(v) at N = M = 2, q = 2, u = (2, 3): the pole is
+    simple, so cancelling (v - u_j) and substituting is the limit."""
+    v = sympy.Symbol("v")
+    us = (sympy.Integer(2), sympy.Integer(3))
+    return sympy.cancel((v - us[j]) * sym_lambda(2, sympy.Integer(2), v, us)).subs(v, us[j])
+
+
 class TestEigenvalueOracle:
     def test_lambda_matches_sympy(self):
         rng = random.Random(3)
@@ -104,19 +179,16 @@ class TestEigenvalueOracle:
                 assert _to_sympy(got) == want
 
     def test_lambda_du_matches_sympy_derivative(self):
-        vq, vv = sympy.symbols("q v")
-        vu = sympy.symbols("u0:2")
-        N, M = 2, 2
-        expr = sym_lambda(N, vq, vv, vu)
-        p = params(N, M)
-        uvals = [F(2), F(3)]
-        v = F(5, 2)
-        for i in range(M):
-            dexpr = sympy.diff(expr, vu[i])
-            subs = {vq: 2, vv: _to_sympy(v), vu[0]: 2, vu[1]: 3}
-            want = dexpr.subs(subs)
-            got = lambda_du(p, i, v, roots(*uvals))
-            assert _to_sympy(got) == want
+        assert _du_mismatches() == []
+
+    @pytest.mark.parametrize("N, uvals", [(2, (F(2),)), (3, (F(2), F(3)))], ids=["N2M1", "N3M2"])
+    def test_taylor_data_matches_sympy(self, N, uvals):
+        assert _series_mismatches(N, uvals) == []
+
+    def test_residue_matches_sympy_limit(self):
+        p = params(2, 2)
+        for j in range(2):
+            assert _to_sympy(lambda_residue(p, roots(2, 3), j)) == sym_residue(j)
 
     def test_slavnov_matches_monolithic_sympy(self):
         # the fully assembled inner product against sympy, entries substituted
@@ -408,3 +480,18 @@ class TestPrefactor:
         u = roots(2, 3)
         v = ParameterVector([F(5), F(7, 2)], "free")
         assert slavnov(p, u, v) == g_prefactor(p, u, v) * kernel(p, u, v)
+
+
+class TestSeededFault:
+    def test_doubled_b_term_turns_every_reference_red(self, monkeypatch):
+        # one fault in the shared shell reaches values, series and residues
+        shell = chain._shell
+
+        def doubled_b(p, y):
+            W, A, B = shell(p, y)
+            return W, A, 2 * B
+
+        monkeypatch.setattr(chain, "_shell", doubled_b)
+        assert _du_mismatches()
+        assert _series_mismatches(2, (F(2),))
+        assert lambda_residue(params(2, 2), roots(2, 3), 0) != F(5335875, 11648)

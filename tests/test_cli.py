@@ -82,6 +82,15 @@ class TestSuite:
         for rec in report["records"]:
             assert set(rec) >= {"check", "params", "instance_seed", "residual", "pass"}
 
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_quadratic_schur_expansion_passes(self, seed):
+        # the shrink test compares reconstruction errors near 1e-15, which a
+        # double evaluation of a + b sqrt(d) reads as 0 or as rounding noise
+        cfg = validate_config({"checks": ["schur-expansion"], "field_mode": "quadratic",
+                               "spin_twice": 2, "Q": "2", "seed": seed})
+        report = run_suite(cfg)
+        assert report["summary"]["failed"] == 0, [r["residual"] for r in report["records"]]
+
     def test_text_format_smoke(self):
         cfg = validate_config({"checks": ["diagram-counts"]})
         report = run_suite(cfg)
