@@ -21,6 +21,7 @@ Checks
 
 import argparse
 import json
+import math
 import random
 import sys
 import zlib
@@ -372,39 +373,38 @@ def check_schur_expansion(cfg, p, seed):
     for family in (1, 2):
         lo = _schur.cauchy_binet_coeffs(p, u, family, cutoff)
         hi = _schur.cauchy_binet_coeffs(p, u, family, cutoff + 2)
-        shrank = True
-        worst_pair = (0.0, 0.0)
-        for w in wsets:
-            direct = _schur.tau_tilde_direct(p, u, family, w)
-            dlo = ctx.magnitude(_schur.schur_sum_eval(lo, w, ctx) - direct)
-            dhi = ctx.magnitude(_schur.schur_sum_eval(hi, w, ctx) - direct)
-            if not (dhi < dlo or (dlo == 0.0 and dhi == 0.0)):
-                shrank = False
-            if dhi > worst_pair[1]:
-                worst_pair = (dlo, dhi)
+        samples = [(w, ctx.one(), _schur.tau_tilde_direct(p, u, family, w)) for w in wsets]
         blob = _params_blob(p, u, extra={"part": "reconstruction", "family": family,
                                          "cutoff": cutoff})
-        out.append(_record("schur-expansion", blob, seed,
-                           "%g -> %g" % worst_pair, shrank))
+        out.append(_shrink_record(ctx, lo, hi, samples, blob, seed))
 
     alo = _schur.slavnov_schur_coeffs(p, u, cutoff)
     ahi = _schur.slavnov_schur_coeffs(p, u, cutoff + 2)
+    samples = [(w, math.prod((y ** (-p.N) for y in w), start=ctx.one()), kernel_y(p, u, w))
+               for w in wsets]
+    blob = _params_blob(p, u, extra={"part": "kernel-expansion", "cutoff": cutoff})
+    out.append(_shrink_record(ctx, alo, ahi, samples, blob, seed))
+    return out
+
+
+def _shrink_record(ctx, lo, hi, samples, blob, seed):
+    """One schur-expansion record: on every sample (w, pref, direct) the error
+    of pref * (Schur sum of `hi`) against `direct` must be at most 1/16 of
+    that of `lo`, whose cutoff is two weights lower; two zero errors pass.
+
+    `_sample_ysets` keeps every point below R/16, R the smallest pole radius,
+    so two more weights should cut the error by a factor of 16**2 or more.
+    """
     shrank = True
     worst_pair = (0.0, 0.0)
-    for w in wsets:
-        kv = kernel_y(p, u, w)
-        pref = ctx.one()
-        for y in w:
-            pref = pref * y ** (-p.N)
-        dlo = ctx.magnitude(pref * _schur.schur_sum_eval(alo, w, ctx) - kv)
-        dhi = ctx.magnitude(pref * _schur.schur_sum_eval(ahi, w, ctx) - kv)
-        if not (dhi < dlo or (dlo == 0.0 and dhi == 0.0)):
+    for w, pref, direct in samples:
+        dlo = ctx.magnitude(pref * _schur.schur_sum_eval(lo, w, ctx) - direct)
+        dhi = ctx.magnitude(pref * _schur.schur_sum_eval(hi, w, ctx) - direct)
+        if not dhi * 16 <= dlo:
             shrank = False
         if dhi > worst_pair[1]:
             worst_pair = (dlo, dhi)
-    blob = _params_blob(p, u, extra={"part": "kernel-expansion", "cutoff": cutoff})
-    out.append(_record("schur-expansion", blob, seed, "%g -> %g" % worst_pair, shrank))
-    return out
+    return _record("schur-expansion", blob, seed, "%g -> %g" % worst_pair, shrank)
 
 
 def _sample_ysets(p, u, rng, samples=3):
@@ -548,7 +548,7 @@ def run_suite(cfg):
         try:
             return CHECKS[name](cfg, p, seed)
         except Exception as exc:  # recorded, never fatal to the suite
-            return [_record(name, {}, seed, None, False,
+            return [_record(name, _params_blob(p), seed, None, False,
                             error="%s: %s" % (type(exc).__name__, exc))]
 
     records = [rec for name in names for rec in run_one(name)]

@@ -17,18 +17,21 @@ normalized tau sums
 
 `normalized_kernel_poly` divides the two reconstructions as graded Miwa
 series and `slavnov_schur_coeffs` reads the quotient's Schur coefficients
-back off, keeping only partitions with at most M rows.
+back off, for partitions with at most M rows, by the Hall inner product
+(Macdonald, Symmetric Functions and Hall Polynomials, I.4): the Schur
+functions are orthonormal, so each coefficient is one pairing of the
+quotient with a Jacobi-Trudi polynomial, and no change of basis is solved.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .algebra import (
+    FieldContext,
     MiwaPolynomial,
-    LaurentSeries,
     det,
     det_ring,
     miwa_series_invert,
-    solve_linear,
     vandermonde,
 )
 from .chain import family_matrix_y, taylor_y
@@ -66,27 +69,6 @@ def partitions_bounded(maxweight, maxlen=None):
     rec([], maxweight, maxweight)
     out.sort(key=lambda lam: (sum(lam), lam))
     return out
-
-
-def conjugate_partition(lam):
-    parts = partition_normalize(lam)
-    if not parts:
-        return ()
-    return tuple(sum(1 for x in parts if x > k) for k in range(parts[0]))
-
-
-def frobenius(lam):
-    """Frobenius coordinates (alpha | beta) of a partition together with the
-    hook statistic sum_j (beta_j + 1), the number of boxes on or below the
-    main diagonal."""
-    parts = partition_normalize(lam)
-    conj = conjugate_partition(parts)
-    diag = 0
-    while diag < len(parts) and parts[diag] >= diag + 1:
-        diag += 1
-    alpha = tuple(parts[i] - i - 1 for i in range(diag))
-    beta = tuple(conj[i] - i - 1 for i in range(diag))
-    return alpha, beta, sum(b + 1 for b in beta)
 
 
 def ell_indices(lam, npoints):
@@ -168,33 +150,6 @@ def schur_miwa(lam, cutoff, ctx, K=None):
 # -- coefficient extraction ---------------------------------------------------
 
 
-def even_to_y(series):
-    """Rewrite an even Laurent series in z as a series in y = z^2.
-
-    Any nonzero coefficient at an odd exponent is an error.  The truncation
-    order maps to floor(trunc / 2).
-    """
-    for e, c in series.coeffs.items():
-        if e % 2 != 0:
-            raise ValueError("odd exponent %d in a claimed even series" % e)
-    halved = {e // 2: c for e, c in series.coeffs.items()}
-    return LaurentSeries(series.ctx, halved, series.trunc // 2, "y")
-
-
-def family_start(p, family):
-    """Generic leading z-exponent of the two generating families.
-
-    Family 1 sits at or above 2 - 2N (equality generically; particular
-    (N, M) pairs push the first coefficients to zero), family 2 at exactly 2.
-    Coefficient tables always index from this fixed offset.
-    """
-    if family == 1:
-        return 2 - 2 * p.N
-    if family == 2:
-        return 2
-    raise ValueError("family must be 1 or 2")
-
-
 def fhat_table(p, u, family, nmax):
     """Taylor table fhat[i][n] in y = v^2 for rows i and 0 <= n <= nmax.
 
@@ -202,7 +157,6 @@ def fhat_table(p, u, family, nmax):
     exponent 2 n + start, where start is the family's fixed leading offset:
     the coefficient of y**n in chain.taylor_y.
     """
-    family_start(p, family)
     table = []
     for i in range(p.M):
         ys = taylor_y(p, u, family, i, nmax)
@@ -329,81 +283,44 @@ def tau_tilde_direct(p, u, family, points):
     return dm / (pref * vdm)
 
 
-# -- graded basis conversion --------------------------------------------------
+# -- Schur coefficients by the Hall inner product ------------------------------
 
 
-_BASIS_CACHE = {}
+def _hall_norm(key):
+    """<t^k, t^k> = prod_m k_m! / m^k_m under the Hall inner product, where
+    t_m = p_m / m; distinct monomials are orthogonal."""
+    norm = Fraction(1)
+    for m, k in enumerate(key, 1):
+        if k:
+            norm *= Fraction(factorial(k), m**k)
+    return norm
 
 
-def _schur_basis(degree, K):
-    """Rational change-of-basis data in weighted degree `degree`: the list of
-    partitions of that weight, the monomial keys, and the matrix of monomial
-    coefficients of each Schur polynomial."""
-    key = (degree, K)
-    got = _BASIS_CACHE.get(key)
-    if got is not None:
-        return got
-    from .algebra import FieldContext
+def poly_to_schur(poly, maxlen):
+    """Schur coefficients of a Miwa polynomial for every partition with
+    |lam| <= cutoff and at most maxlen rows.
 
-    ctx = FieldContext("rational")
-    lams = [lam for lam in partitions_bounded(degree) if sum(lam) == degree]
-    polys = [schur_miwa(lam, degree, ctx, K) for lam in lams]
-    monos = sorted({k for poly in polys for k in poly.terms})
-    mat = [[poly.terms.get(mono, Fraction(0)) for poly in polys] for mono in monos]
-    if len(monos) != len(lams):
-        raise RuntimeError("Schur basis is not square in degree %d" % degree)
-    _BASIS_CACHE[key] = (lams, monos, mat)
-    return lams, monos, mat
+    The Schur functions are orthonormal under the Hall inner product, so
 
+        A_lam = <s_lam, f> = sum_k [s_lam]_k [f]_k prod_m k_m! / m^k_m
 
-def poly_to_schur(poly):
-    """Expand a Miwa polynomial in the Schur basis, degree by degree.
-
-    Requires K >= cutoff so that every weighted degree carries a full
-    monomial basis.
+    over the monomials t^k of the Jacobi-Trudi polynomial s_lam.  Requires
+    K >= cutoff so that s_lam keeps every time it depends on.
     """
-    from .algebra import weighted_degree
-
     ctx = poly.ctx
     if poly.K < poly.cutoff:
         raise ValueError("need K >= cutoff for a Schur-basis expansion")
-    by_degree = {}
-    for mono, c in poly.terms.items():
-        by_degree.setdefault(weighted_degree(mono), {})[mono] = c
+    rational = FieldContext("rational")
     out = {}
-    for degree, terms in sorted(by_degree.items()):
-        if degree == 0:
-            out[()] = terms[(0,) * poly.K]
-            continue
-        lams, monos, mat = _schur_basis(degree, poly.K)
-        rows = [[ctx.embed(entry) for entry in row] for row in mat]
-        rhs = [terms.get(mono, ctx.zero()) for mono in monos]
-        sol = solve_linear(rows, rhs, ctx)
-        for lam, c in zip(lams, sol):
-            if not ctx.is_zero(c):
-                out[lam] = c
+    for lam in partitions_bounded(poly.cutoff, maxlen):
+        acc = ctx.zero()
+        for key, c in schur_miwa(lam, poly.cutoff, rational, poly.K).terms.items():
+            f = poly.terms.get(key)
+            if f is not None:
+                acc = acc + ctx.embed(c * _hall_norm(key)) * f
+        if not ctx.is_zero(acc):
+            out[lam] = acc
     return out
-
-
-def schur_coeffs_of_poly(poly):
-    return SchurCoeffMap(poly.ctx, poly.cutoff, poly_to_schur(poly))
-
-
-def schur_series_invert(cmap, cutoff=None):
-    """Invert a Schur-coefficient series multiplicatively: the result's
-    Schur sum times the input's equals 1 through the cutoff.  Needs a
-    nonzero empty-partition coefficient."""
-    if cutoff is None:
-        cutoff = cmap.cutoff
-    ctx = cmap.ctx
-    K = max(cutoff, 1)
-    acc = MiwaPolynomial(ctx, K, cutoff)
-    for lam, c in cmap.items():
-        if sum(lam) > cutoff:
-            continue
-        acc = acc + schur_miwa(lam, cutoff, ctx, K).scale(c)
-    inv = miwa_series_invert(acc)
-    return schur_coeffs_of_poly(inv)
 
 
 def normalized_kernel_poly(p, u, cutoff, K=None):
@@ -417,9 +334,7 @@ def normalized_kernel_poly(p, u, cutoff, K=None):
 
 
 def slavnov_schur_coeffs(p, u, cutoff):
-    """Schur coefficients A_lam of the normalized kernel quotient, keeping
-    only partitions with at most M rows (the rest cannot contribute on M
+    """Schur coefficients A_lam of the normalized kernel quotient for
+    partitions with at most M rows (the rest cannot contribute on M
     points)."""
-    full = poly_to_schur(normalized_kernel_poly(p, u, cutoff))
-    kept = {lam: c for lam, c in full.items() if len(lam) <= p.M}
-    return SchurCoeffMap(p.ctx, cutoff, kept)
+    return SchurCoeffMap(p.ctx, cutoff, poly_to_schur(normalized_kernel_poly(p, u, cutoff), p.M))

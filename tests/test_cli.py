@@ -1,12 +1,16 @@
 """Config validation, report assembly, determinism, and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from tltau import schur
 from tltau.cli import (
     CHECK_NAMES,
     ConfigError,
+    _params_blob,
+    build_params,
     format_text,
     main,
     run_suite,
@@ -65,7 +69,9 @@ class TestSuite:
         )
         report = run_suite(cfg)
         assert report["summary"]["failed"] == report["summary"]["total"] > 0
-        assert any("error" in r for r in report["records"])
+        errors = [r for r in report["records"] if "error" in r]
+        assert errors
+        assert all(r["params"] == _params_blob(build_params(cfg)) for r in errors)
 
     def test_boundary_violation_becomes_error_records(self):
         # an irrational deformation parameter cannot build rational params
@@ -90,6 +96,28 @@ class TestSuite:
                                "spin_twice": 2, "Q": "2", "seed": seed})
         report = run_suite(cfg)
         assert report["summary"]["failed"] == 0, [r["residual"] for r in report["records"]]
+
+    def test_kernel_expansion_sees_a_wrong_hall_weight(self, monkeypatch):
+        # dropping k_m! from the pairing weight <t^k, t^k> = prod k_m!/m^k_m
+        # spoils the low Schur coefficients, so the kernel-expansion error
+        # stops shrinking with the cutoff
+        def kernel_record():
+            cfg = validate_config({"checks": ["schur-expansion"], "seed": 1})
+            recs = [r for r in run_suite(cfg)["records"]
+                    if r["params"].get("part") == "kernel-expansion"]
+            assert len(recs) == 1
+            return recs[0]
+
+        assert kernel_record()["pass"]
+
+        def no_factorials(key):
+            norm = Fraction(1)
+            for m, k in enumerate(key, 1):
+                norm /= m**k
+            return norm
+
+        monkeypatch.setattr(schur, "_hall_norm", no_factorials)
+        assert not kernel_record()["pass"]
 
     def test_text_format_smoke(self):
         cfg = validate_config({"checks": ["diagram-counts"]})

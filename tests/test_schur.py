@@ -11,26 +11,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from tltau.algebra import FieldContext, LaurentSeries, MiwaPolynomial
-from tltau.chain import ChainParams, ParameterVector
+from tltau.algebra import FieldContext, MiwaPolynomial, QuadraticNumber
+from tltau.chain import ChainParams, ParameterVector, taylor_y
 from tltau.schur import (
     SchurCoeffMap,
     cauchy_binet_coeffs,
     complete_homogeneous,
-    conjugate_partition,
     ell_indices,
-    even_to_y,
-    family_start,
     fhat_table,
-    frobenius,
-    normalized_kernel_poly,
     partition_normalize,
     partitions_bounded,
     poly_to_schur,
-    schur_coeffs_of_poly,
     schur_miwa,
     schur_points,
-    schur_series_invert,
     schur_sum_eval,
     slavnov_schur_coeffs,
     tau_schur_poly,
@@ -39,6 +32,7 @@ from tltau.schur import (
 from tltau.tau import MiwaTimes
 
 RAT = FieldContext("rational")
+QUAD = FieldContext("quadratic", d=377)
 
 
 def params(N, M):
@@ -105,16 +99,6 @@ class TestPartitions:
         only2 = partitions_bounded(4, maxlen=2)
         assert all(len(l) <= 2 for l in only2)
         assert (2, 1, 1) not in only2 and (2, 2) in only2
-
-    def test_conjugate(self):
-        assert conjugate_partition((3, 1, 1)) == (3, 1, 1)
-        assert conjugate_partition((4, 2)) == (2, 2, 1, 1)
-        assert conjugate_partition(()) == ()
-
-    def test_frobenius(self):
-        assert frobenius((2, 2)) == ((1, 0), (1, 0), 3)
-        assert frobenius((3, 1, 1)) == ((2,), (2,), 3)
-        assert frobenius(()) == ((), (), 0)
 
     def test_ell_indices(self):
         assert ell_indices((3, 2), 3) == (5, 3, 0)
@@ -189,23 +173,6 @@ class TestMiwaSchur:
 
 
 class TestSeriesHelpers:
-    def test_even_to_y(self):
-        s = LaurentSeries(RAT, {2: F(2), 4: F(1, 3)}, 5)
-        ys = even_to_y(s)
-        assert ys.coeff(1) == F(2)
-        assert ys.coeff(2) == F(1, 3)
-        assert ys.trunc == 2
-
-    def test_odd_exponent_rejected(self):
-        s = LaurentSeries(RAT, {3: F(1)}, 5)
-        with pytest.raises(ValueError):
-            even_to_y(s)
-
-    def test_family_start(self):
-        assert family_start(params(2, 1), 1) == -2
-        assert family_start(params(3, 2), 1) == -4
-        assert family_start(params(3, 2), 2) == 2
-
     def test_fhat_table_matches_series(self):
         from tltau.chain import f_series
 
@@ -228,38 +195,35 @@ class TestCoeffMap:
         assert {"partition": [], "coeff": "1"} in blob
         assert {"partition": [1], "coeff": "5"} in blob
 
-    def test_series_inverse(self):
-        m = SchurCoeffMap(RAT, 2, {(): F(1), (1,): F(5)})
-        inv = schur_series_invert(m)
-        assert inv.coeff(()) == F(1)
-        assert inv.coeff((1,)) == F(-5)
-        assert inv.coeff((2,)) == F(25)
-        assert inv.coeff((1, 1)) == F(25)
-
-    def test_inverse_requires_constant_term(self):
-        m = SchurCoeffMap(RAT, 2, {(1,): F(5)})
-        with pytest.raises(ZeroDivisionError):
-            schur_series_invert(m)
-
 
 class TestPolyToSchur:
     def test_roundtrip_small(self):
+        # the Hall pairing inverts a Jacobi-Trudi sum: three rows through
+        # weight 5 over Q, and every partition through weight 6 (up to six
+        # rows) over Q and Q(sqrt 377)
         rng = random.Random(5)
-        cutoff = 5
-        entries = {}
-        for lam in partitions_bounded(cutoff, maxlen=3):
-            entries[lam] = F(rng.randint(-9, 9), rng.randint(1, 5))
-        poly = MiwaPolynomial(RAT, cutoff, cutoff)
-        for lam, c in entries.items():
-            poly = poly + schur_miwa(lam, cutoff, RAT, K=cutoff).scale(c)
-        back = poly_to_schur(poly)
-        for lam, c in entries.items():
-            assert back.get(lam, F(0)) == c
+
+        def draw(ctx):
+            c = F(rng.randint(-9, 9), rng.randint(1, 5))
+            if ctx is QUAD:
+                return QuadraticNumber(c, F(rng.randint(-9, 9), rng.randint(1, 5)), 377)
+            return c
+
+        for ctx, cutoff, maxlen in ((RAT, 5, 3), (RAT, 6, 6), (QUAD, 6, 6)):
+            entries = {lam: draw(ctx) for lam in partitions_bounded(cutoff, maxlen)}
+            poly = MiwaPolynomial(ctx, cutoff, cutoff)
+            for lam, c in entries.items():
+                poly = poly + schur_miwa(lam, cutoff, ctx, K=cutoff).scale(c)
+            back = poly_to_schur(poly, maxlen)
+            assert back == {lam: c for lam, c in entries.items() if c}, (ctx, cutoff)
+            # a row bound leaves the longer partitions out, the rest unchanged
+            short = poly_to_schur(poly, 2)
+            assert short == {lam: c for lam, c in back.items() if len(lam) <= 2}
 
     def test_rejects_small_variable_count(self):
         poly = MiwaPolynomial(RAT, 2, 4)
         with pytest.raises(ValueError):
-            poly_to_schur(poly)
+            poly_to_schur(poly, 2)
 
 
 class TestCauchyBinet:
@@ -321,32 +285,22 @@ class TestCauchyBinet:
         cutoff = 4
         cmap = cauchy_binet_coeffs(p, u, 1, cutoff)
         poly = tau_schur_poly(p, u, 1, cutoff)
-        back = schur_coeffs_of_poly(poly)
-        for lam in cmap.partitions():
-            assert back.coeff(lam) == cmap.coeff(lam)
+        assert poly_to_schur(poly, p.M) == cmap.entries
 
 
 class TestKernelExpansion:
     def test_normalized_quotient_two_ways_m1(self):
-        # series quotient of the two tau polynomials vs direct kernel ratio
+        # at M = 1 the Schur coefficients of the tau quotient are the Taylor
+        # coefficients of the scalar series ratio
         p = params(2, 1)
         u = roots(2)
         cutoff = 6
-        qpoly = normalized_kernel_poly(p, u, cutoff)
         amap = slavnov_schur_coeffs(p, u, cutoff)
-        back = schur_coeffs_of_poly(qpoly)
-        for lam in amap.partitions():
-            assert amap.coeff(lam) == back.coeff(lam)
-        # at M = 1 the same coefficients come from dividing the scalar series
-        from tltau.chain import f_series
-
-        s1 = f_series(p, u, 1, 0, 2 * cutoff)
-        s2 = f_series(p, u, 2, 0, 2 * cutoff)
-        rat = even_to_y(s1 * s2.invert())
-        shift = rat.min_exp()
-        for n in range(cutoff - 1):
+        rat = taylor_y(p, u, 1, 0, cutoff) / taylor_y(p, u, 2, 0, cutoff)
+        assert len(amap) == cutoff + 1
+        for n in range(cutoff + 1):
             lam = (n,) if n else ()
-            assert amap.coeff(lam) == rat.coeff(n + shift)
+            assert amap.coeff(lam) == rat.coeff(n)
 
     def test_empty_ratio_m2(self):
         p = params(2, 2)
