@@ -1,4 +1,4 @@
-"""Scalar fields, truncated Laurent and Miwa-time arithmetic, exact determinants.
+"""Scalar fields, truncated Laurent and Miwa-time arithmetic, determinants.
 
 Three scalar modes drive everything downstream:
 
@@ -15,6 +15,10 @@ The series types carry explicit truncation state.  A ``LaurentSeries`` knows
 its coefficients up to and including ``trunc``; anything above is unknown,
 not zero.  A ``MiwaPolynomial`` stores monomials in the times t_1..t_K with
 weighted degree (weight of t_m is m) at most ``cutoff``.
+
+One determinant, ``det_ring``, serves scalars and Miwa polynomials alike;
+one series inverse, ``_graded_inverse``, serves Laurent series (graded by
+exponent) and Miwa polynomials (graded by weight).
 """
 
 from __future__ import annotations
@@ -183,10 +187,10 @@ class FieldContext:
     mode      one of 'rational', 'quadratic', 'float'
     d         quadratic discriminant (quadratic mode only)
     prec      binary precision for float mode, at least 128 bits
-    tol       relative tolerance for float verdicts
+    tol       relative tolerance for float verdicts, fixed at 1e-20
     """
 
-    def __init__(self, mode="rational", d=None, prec=192, tol="1e-20"):
+    def __init__(self, mode="rational", d=None, prec=192):
         if mode not in ("rational", "quadratic", "float"):
             raise ValueError("unknown scalar mode %r" % (mode,))
         if mode == "quadratic":
@@ -202,22 +206,20 @@ class FieldContext:
         self.mode = mode
         self.d = int(d) if (mode == "quadratic") else None
         self.prec = int(prec)
-        self.tol_str = str(tol)
         if mode == "float":
             mp.mp.prec = max(mp.mp.prec, self.prec)
-            self.tol = mp.mpf(self.tol_str)
+            self.tol = mp.mpf("1e-20")
         else:
             self.tol = None
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldContext)
-            and (self.mode, self.d, self.prec, self.tol_str)
-            == (other.mode, other.d, other.prec, other.tol_str)
+            and (self.mode, self.d, self.prec) == (other.mode, other.d, other.prec)
         )
 
     def __hash__(self):
-        return hash((self.mode, self.d, self.prec, self.tol_str))
+        return hash((self.mode, self.d, self.prec))
 
     def __repr__(self):
         if self.mode == "quadratic":
@@ -322,63 +324,21 @@ class FieldContext:
 
 
 def det(rows, ctx):
-    """Determinant of a square matrix of field scalars.
-
-    Exact modes run fraction-free Bareiss elimination (exact division only);
-    float mode runs elimination with partial pivoting.  The empty matrix has
-    determinant one.
-    """
-    n = len(rows)
-    if n == 0:
+    """Determinant of a square matrix of field scalars, by the minor expansion
+    of ``det_ring`` in every field mode.  The empty matrix has determinant
+    one."""
+    if not rows:
         return ctx.one()
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix is not square")
-    m = [list(r) for r in rows]
-    if ctx.mode == "float":
-        sign = 1
-        prod = ctx.one()
-        for k in range(n):
-            piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-            if ctx.is_zero(m[piv][k]):
-                return ctx.zero()
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            prod = prod * m[k][k]
-            for i in range(k + 1, n):
-                f = m[i][k] / m[k][k]
-                for j in range(k, n):
-                    m[i][j] = m[i][j] - f * m[k][j]
-        return prod if sign == 1 else -prod
-    sign = 1
-    prev = ctx.one()
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if not ctx.is_zero(m[i][k]):
-                piv = i
-                break
-        if piv is None:
-            return ctx.zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ctx.zero()
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return out if sign == 1 else -out
+    return det_ring(rows, ctx.zero())
 
 
 def det_ring(rows, zero):
     """Division-free determinant for entries from a commutative ring.
 
     Minor expansion along the first rows, memoized on column subsets, so a
-    size-n matrix costs O(n * 2^n) ring multiplications.  Intended for small
-    matrices of truncated polynomials.
+    size-n matrix costs O(n * 2^n) ring multiplications.  It serves field
+    scalars (through ``det``) and truncated polynomials alike; the cost suits
+    the small matrices the checks take.
     """
     n = len(rows)
     if n == 0:
@@ -391,8 +351,7 @@ def det_ring(rows, zero):
     def minor(i, cols):
         if len(cols) == 1:
             return rows[i][cols[0]]
-        key = cols
-        got = memo.get((i, key))
+        got = memo.get(cols)
         if got is not None:
             return got
         acc = None
@@ -403,7 +362,7 @@ def det_ring(rows, zero):
             if pos % 2:
                 term = -term
             acc = term if acc is None else acc + term
-        memo[(i, key)] = acc
+        memo[cols] = acc
         return acc
 
     out = minor(0, tuple(range(n)))
@@ -444,23 +403,42 @@ def solve_linear(rows, rhs, ctx):
     return x
 
 
+def _graded_inverse(parts, order):
+    """Grades 0..order of the inverse of sum_w parts[w], as {w: g_w} with
+    g_0 = 1/parts[0] and g_w = -g_0 * sum_{j=1..w} parts[j] * g_{w-j}.
+
+    parts[0] is an invertible scalar; the other parts are scalars or Miwa
+    polynomials.  Missing grades, in ``parts`` and in the result, are zero.
+    """
+    g0 = 1 / parts[0]
+    g = {0: g0}
+    for w in range(1, order + 1):
+        acc = None
+        for j, pj in parts.items():
+            if 0 < j <= w and w - j in g:
+                term = pj * g[w - j]
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            g[w] = acc * -g0
+    return g
+
+
 def miwa_series_invert(poly):
     """Multiplicative inverse of a Miwa polynomial with nonzero constant term,
     correct through the polynomial's weighted-degree cutoff."""
-    ctx = poly.ctx
     c0 = poly.terms.get((0,) * poly.K)
-    if c0 is None or ctx.is_zero(c0):
+    if not c0:
         raise ZeroDivisionError("constant term vanishes; Miwa series not invertible")
-    one = MiwaPolynomial.constant(ctx, poly.K, poly.cutoff, 1)
-    body = one - poly.scale(ctx.one() / c0)
-    acc = one
-    power = one
-    for _ in range(poly.cutoff):
-        power = power * body
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc.scale(ctx.one() / c0)
+    grades = {}
+    for key, c in poly.terms.items():
+        grades.setdefault(weighted_degree(key), {})[key] = c
+    parts = {w: MiwaPolynomial(poly.ctx, poly.K, poly.cutoff, t) for w, t in grades.items()}
+    parts[0] = c0
+    g = _graded_inverse(parts, poly.cutoff)
+    out = MiwaPolynomial.constant(poly.ctx, poly.K, poly.cutoff, g.pop(0))
+    for gw in g.values():
+        out = out + gw
+    return out
 
 
 def vandermonde(points, ctx):
@@ -493,12 +471,11 @@ class LaurentSeries:
     [(0, Fraction(1, 1)), (1, Fraction(1, 1)), (2, Fraction(1, 1)), (3, Fraction(1, 1))]
     """
 
-    __slots__ = ("ctx", "coeffs", "trunc", "var")
+    __slots__ = ("ctx", "coeffs", "trunc")
 
-    def __init__(self, ctx, coeffs, trunc, var="z"):
+    def __init__(self, ctx, coeffs, trunc):
         self.ctx = ctx
         self.trunc = int(trunc)
-        self.var = var
         clean = {}
         for e, c in coeffs.items():
             if e > self.trunc:
@@ -508,12 +485,12 @@ class LaurentSeries:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, ctx, trunc, var="z"):
-        return cls(ctx, {}, trunc, var)
+    def zero(cls, ctx, trunc):
+        return cls(ctx, {}, trunc)
 
     @classmethod
-    def monomial(cls, ctx, coeff, exp, trunc, var="z"):
-        return cls(ctx, {exp: coeff}, trunc, var)
+    def monomial(cls, ctx, coeff, exp, trunc):
+        return cls(ctx, {exp: coeff}, trunc)
 
     def min_exp(self):
         """Lowest stored exponent; the truncation order for the zero series."""
@@ -527,22 +504,18 @@ class LaurentSeries:
     def truncate(self, order):
         if order > self.trunc:
             raise ValueError("cannot extend a series by truncating")
-        return LaurentSeries(
-            self.ctx, {e: c for e, c in self.coeffs.items() if e <= order}, order, self.var
-        )
+        return LaurentSeries(self.ctx, {e: c for e, c in self.coeffs.items() if e <= order}, order)
 
     def shift(self, k):
         """Multiply by z**k."""
-        return LaurentSeries(
-            self.ctx, {e + k: c for e, c in self.coeffs.items()}, self.trunc + k, self.var
-        )
+        return LaurentSeries(self.ctx, {e + k: c for e, c in self.coeffs.items()}, self.trunc + k)
 
     def __neg__(self):
-        return LaurentSeries(self.ctx, {e: -c for e, c in self.coeffs.items()}, self.trunc, self.var)
+        return LaurentSeries(self.ctx, {e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def _lift(self, c):
         """A field scalar as an exactly known constant series."""
-        return LaurentSeries(self.ctx, {0: self.ctx.embed(c)}, max(self.trunc, 0), self.var)
+        return LaurentSeries(self.ctx, {0: self.ctx.embed(c)}, max(self.trunc, 0))
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -552,7 +525,7 @@ class LaurentSeries:
         for e, c in other.coeffs.items():
             if e <= t:
                 out[e] = out.get(e, self.ctx.zero()) + c
-        return LaurentSeries(self.ctx, out, t, self.var)
+        return LaurentSeries(self.ctx, out, t)
 
     __radd__ = __add__
 
@@ -563,9 +536,7 @@ class LaurentSeries:
         return -self + other
 
     def scale(self, c):
-        return LaurentSeries(
-            self.ctx, {e: c * v for e, v in self.coeffs.items()}, self.trunc, self.var
-        )
+        return LaurentSeries(self.ctx, {e: c * v for e, v in self.coeffs.items()}, self.trunc)
 
     def __truediv__(self, other):
         if isinstance(other, LaurentSeries):
@@ -585,14 +556,14 @@ class LaurentSeries:
                 e = e1 + e2
                 if e <= t:
                     out[e] = out.get(e, self.ctx.zero()) + c1 * c2
-        return LaurentSeries(self.ctx, out, t, self.var)
+        return LaurentSeries(self.ctx, out, t)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series power wants a nonnegative integer")
-        out = LaurentSeries(self.ctx, {0: self.ctx.one()}, self.trunc - self.min_exp(), self.var)
+        out = LaurentSeries(self.ctx, {0: self.ctx.one()}, self.trunc - self.min_exp())
         for _ in range(n):
             out = out * self
         return out
@@ -602,26 +573,8 @@ class LaurentSeries:
         if not self.coeffs:
             raise ZeroDivisionError("cannot invert a series with no known nonzero term")
         m = self.min_exp()
-        c0 = self.coeffs[m]
-        if self.ctx.is_zero(c0):
-            raise ZeroDivisionError("zero leading coefficient")
-        body_order = self.trunc - m
-        body = {}
-        for e, c in self.coeffs.items():
-            if e != m:
-                body[e - m] = c / c0
-        inv = {0: self.ctx.one()}
-        for n in range(1, body_order + 1):
-            acc = self.ctx.zero()
-            for e, c in body.items():
-                if 0 < e <= n:
-                    prev = inv.get(n - e)
-                    if prev is not None:
-                        acc = acc + c * prev
-            if not self.ctx.is_zero(acc):
-                inv[n] = -acc
-        out = {e - m: c / c0 for e, c in inv.items() if e - m <= self.trunc - 2 * m}
-        return LaurentSeries(self.ctx, out, self.trunc - 2 * m, self.var)
+        g = _graded_inverse({e - m: c for e, c in self.coeffs.items()}, self.trunc - m)
+        return LaurentSeries(self.ctx, {w - m: c for w, c in g.items()}, self.trunc - 2 * m)
 
     def evaluate(self, x):
         acc = self.ctx.zero()

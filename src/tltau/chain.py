@@ -116,7 +116,7 @@ class ChainParams:
             raise ValueError("boundary constraint violated: sum Q^{2k} != -(q + 1/q)")
 
     @classmethod
-    def from_boundary(cls, N, M, spin_twice, Q, mode="rational", prec=192, tol="1e-20"):
+    def from_boundary(cls, N, M, spin_twice, Q, mode="rational", prec=192):
         """Derive q from the boundary constraint and build the matching context.
 
         Q is given as a rational number.  With c = sum Q^{2k}, q solves
@@ -152,7 +152,7 @@ class ChainParams:
             ctx = FieldContext("quadratic", d=d)
             q = QuadraticNumber(-c / 2, Fraction(s, 2 * e.denominator), d)
         elif mode == "float":
-            ctx = FieldContext("float", prec=prec, tol=tol)
+            ctx = FieldContext("float", prec=prec)
             cf = ctx.embed(c)
             q = (-cf + mp.sqrt(cf * cf - 4)) / 2
         else:
@@ -438,7 +438,7 @@ def g_prefactor(p, u, v):
 
 
 def _y_series(ctx, order):
-    return LaurentSeries(ctx, {1: ctx.one()}, max(order, 1), "y")
+    return LaurentSeries(ctx, {1: ctx.one()}, max(order, 1))
 
 
 def taylor_y(p, u, family, i, order):

@@ -150,14 +150,12 @@ def _draw_distinct(rng, count, taken=()):
     return out
 
 
-def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, need_g=False,
-                  accept=None, tries=500):
+def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None, tries=500):
     """Draw admissible (u, v) for the chain, rejecting excluded values.
 
-    Rejection covers the model's pole sets and, with need_g, the prefactor's
-    w(u_j^2) factors.  An optional accept(u, v) callback lets the caller
-    reject draws with singular derived quantities (it should raise to
-    reject).  Deterministic given the rng state.
+    Rejection covers the model's pole sets.  An optional accept(u, v)
+    callback lets the caller reject draws with singular derived quantities
+    (it should raise to reject).  Deterministic given the rng state.
     """
     ctx = p.ctx
     vcount = p.M if vcount is None else vcount
@@ -176,16 +174,6 @@ def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, need_g=False,
             from .chain import validate_uv
 
             validate_uv(p, u, v if v is not None else ())
-            if need_g:
-                one = ctx.one()
-                for x in u:
-                    if x * x == one or x * x == -one:
-                        raise PoleError("w(u_j^2)")
-                if v is not None:
-                    q2 = p.q * p.q
-                    for x in v:
-                        if x * x * q2 == one or x * x * q2 == -one:
-                            raise PoleError("w(q^2 v_j^2)")
             if accept is not None:
                 accept(u, v)
             return u, v
@@ -239,8 +227,8 @@ def check_theorem_quotient(cfg, p, seed):
     for i in range(count):
         iseed = seed + i
         rng = random.Random(iseed)
-        u, v = draw_instance(p, rng, fixed_u=fixed_u, fixed_v=fixed_v, need_g=True,
-                             accept=lambda uu, vv: kernel(p, uu, vv))
+        u, v = draw_instance(p, rng, fixed_u=fixed_u, fixed_v=fixed_v,
+                             accept=lambda uu, vv: slavnov(p, uu, vv))
         kv = kernel(p, u, v)
         quotient = _tau.tau_det(p, u, 1, v) / _tau.tau_det(p, u, 2, v)
         resid = kv - quotient
@@ -499,7 +487,7 @@ def check_bethe(cfg, p, seed):
         rng = random.Random(seed)
         u = ParameterVector(sols[0].roots, "bethe")
         try:
-            _, v = draw_instance(pf, rng, fixed_u=u, need_g=True)
+            _, v = draw_instance(pf, rng, fixed_u=u)
             kv = kernel(pf, u, v)
             resid = kv - _tau.tau_det(pf, u, 1, v) / _tau.tau_det(pf, u, 2, v)
             ok = ctx.residual_ok(resid, kv)

@@ -1,8 +1,9 @@
 """Field contexts, exact linear algebra, Laurent series, and Miwa polynomials.
 
 Determinant and series values are pinned against hand-computed examples and
-cross-checked against brute-force cofactor expansion; sympy serves as an
-independent oracle for the quadratic field arithmetic.
+cross-checked against the Leibniz sum (in all three field modes) and, for
+Miwa inverses, the geometric series; sympy serves as an independent oracle
+for the quadratic field arithmetic.
 """
 
 import itertools
@@ -28,9 +29,10 @@ from tltau.algebra import (
 RAT = FieldContext("rational")
 
 
-def brute_det(rows):
+def brute_det(rows, ctx=RAT):
+    """Leibniz sum over permutations."""
     n = len(rows)
-    total = F(0)
+    total = ctx.zero()
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = list(perm)
@@ -38,11 +40,24 @@ def brute_det(rows):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = F(1)
+        term = ctx.one()
         for i in range(n):
             term *= rows[i][perm[i]]
-        total += sign * term
+        total += term if sign == 1 else -term
     return total
+
+
+def geometric_inverse(poly):
+    """Inverse of a Miwa polynomial as the geometric series
+    (1/c0) * sum_{k <= cutoff} (1 - poly/c0)**k, exact through the cutoff."""
+    c0 = poly.terms[(0,) * poly.K]
+    one = MiwaPolynomial.constant(poly.ctx, poly.K, poly.cutoff, 1)
+    body = one - poly.scale(1 / c0)
+    acc = power = one
+    for _ in range(poly.cutoff):
+        power = power * body
+        acc = acc + power
+    return acc.scale(1 / c0)
 
 
 class TestDeterminants:
@@ -55,12 +70,35 @@ class TestDeterminants:
     def test_matches_cofactor_expansion(self):
         import random
 
-        rng = random.Random(11)
-        for n in (1, 2, 3, 4):
-            for _ in range(6):
-                rows = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-                        for _ in range(n)]
-                assert det(rows, RAT) == brute_det(rows)
+        for mode in ("rational", "quadratic", "float"):
+            ctx = FieldContext(mode, d=377 if mode == "quadratic" else None)
+            sqrt_d = QuadraticNumber(0, 1, 377)
+
+            def draw():
+                x = ctx.embed(F(rng.randint(-9, 9), rng.randint(1, 5)))
+                if mode == "quadratic":
+                    x = x + F(rng.randint(-3, 3), rng.randint(1, 4)) * sqrt_d
+                return x
+
+            def agree(rows):
+                got, want = det(rows, ctx), brute_det(rows, ctx)
+                if mode == "float":
+                    return ctx.residual_ok(got - want, want)
+                return got == want
+
+            rng = random.Random(11)
+            for n in (1, 2, 3, 4):
+                for _ in range(6):
+                    rows = [[draw() for _ in range(n)] for _ in range(n)]
+                    assert agree(rows)
+                    # a zero in the top-left corner, where elimination must swap rows
+                    rows[0][0] = ctx.zero()
+                    assert agree(rows)
+                    # a repeated row: singular, exactly zero in the exact modes
+                    rows[-1] = list(rows[0])
+                    assert agree(rows)
+                    if n > 1 and mode != "float":
+                        assert det(rows, ctx) == 0
 
     def test_empty_matrix(self):
         assert det([], RAT) == F(1)
@@ -209,6 +247,11 @@ class TestLaurentSeries:
         inv = s.invert()
         assert inv.trunc == 4 - 2 * (-2)
         assert (s * inv).coeff(0) == F(1)
+        # 1/(2/z - 2) = (z/2)(1 + z + z^2 + ...), known through z^(3 + 2)
+        s = LaurentSeries(RAT, {-1: F(2), 0: F(-2)}, 3)
+        inv = s.invert()
+        assert inv == LaurentSeries(RAT, {e: F(1, 2) for e in range(1, 6)}, 5)
+        assert s * inv == LaurentSeries(RAT, {0: F(1)}, 4)
 
     def test_shift_and_min_exp(self):
         s = LaurentSeries(RAT, {1: F(2)}, 4)
@@ -277,11 +320,21 @@ class TestMiwaPolynomial:
         assert all(weighted_degree(k) <= 3 for k in shifted.terms)
 
     def test_series_inverse(self):
+        from tltau.chain import ChainParams, ParameterVector
+        from tltau.schur import tau_schur_poly
+
         t1 = MiwaPolynomial.time_var(RAT, 4, 4, 1)
-        one = MiwaPolynomial.constant(RAT, 4, 4, 1)
-        poly = one + t1.scale(F(2))
-        inv = miwa_series_invert(poly)
-        assert poly * inv == one
+        polys = [MiwaPolynomial.constant(RAT, 4, 4, 1) + t1.scale(F(2))]
+        # family-2 normalized tau sums, with terms in every weight up to the cutoff
+        for mode, spin_twice, Q in (("rational", 1, F(-2)), ("quadratic", 2, F(2))):
+            p = ChainParams.from_boundary(2, 2, spin_twice, Q, mode=mode)
+            u = ParameterVector([p.ctx.embed(F(3)), p.ctx.embed(F(-5, 7))], "bethe")
+            polys.append(tau_schur_poly(p, u, 2, 8))
+            assert len({weighted_degree(k) for k in polys[-1].terms}) == 9
+        for poly in polys:
+            inv = miwa_series_invert(poly)
+            assert poly * inv == MiwaPolynomial.constant(poly.ctx, poly.K, poly.cutoff, 1)
+            assert inv == geometric_inverse(poly)
 
     def test_series_inverse_needs_constant_term(self):
         t1 = MiwaPolynomial.time_var(RAT, 2, 2, 1)
@@ -339,3 +392,13 @@ class TestPropertyStyle:
                 assert (x / y) * y == x
 
         inner()
+
+
+def test_algebra_doctests():
+    import doctest
+
+    import tltau.algebra
+
+    result = doctest.testmod(tltau.algebra)
+    assert result.failed == 0
+    assert result.attempted >= 5
