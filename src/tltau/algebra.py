@@ -57,14 +57,14 @@ class QuadraticNumber:
                 raise ValueError("mixed quadratic fields: d=%s vs d=%s" % (self.d, other.d))
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other, 0, self.d)
+            return _quad(Fraction(other), _ZERO, self.d)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
+        return _quad(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
@@ -72,7 +72,7 @@ class QuadraticNumber:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(self.a - o.a, self.b - o.b, self.d)
+        return _quad(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -84,11 +84,7 @@ class QuadraticNumber:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        return _quad(self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d)
 
     __rmul__ = __mul__
 
@@ -96,7 +92,7 @@ class QuadraticNumber:
         n = self.a * self.a - self.b * self.b * self.d
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic number")
-        return QuadraticNumber(self.a / n, -self.b / n, self.d)
+        return _quad(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -125,7 +121,7 @@ class QuadraticNumber:
         return out
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
+        return _quad(-self.a, -self.b, self.d)
 
     def conjugate(self):
         return QuadraticNumber(self.a, -self.b, self.d)
@@ -152,6 +148,19 @@ class QuadraticNumber:
 
     def __str__(self):
         return "(%s,%s|%s)" % (_frac_str(self.a), _frac_str(self.b), self.d)
+
+
+_ZERO = Fraction(0)
+
+
+def _quad(a, b, d):
+    """QuadraticNumber from parts that are already Fractions and an int d,
+    without the public constructor's coercions."""
+    x = object.__new__(QuadraticNumber)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
 
 
 def _frac_str(fr):

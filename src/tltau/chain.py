@@ -5,10 +5,11 @@ parameter Q) fixes the bulk parameter q through
 
     sum_{k=-s}^{s} Q^{2k} = -(q + 1/q).
 
-The eigenvalue Lambda(v, u) of the transfer matrix on 2N sites with M Bethe
-roots u_1..u_M is even in v.  It is coded once, in y = v^2, with every factor
-multiplied through by y, which turns each into a polynomial in y with a
-nonzero constant term:
+The eigenvalue Lambda(v, u) of the transfer matrix of the U_q(sl2)-invariant
+open chain on L = N sites, with M Bethe roots u_1..u_M, is even in v; the
+exponent 2N below comes from the double-row monodromy.  It is coded once, in
+y = v^2, with every factor multiplied through by y, which turns each into a
+polynomial in y with a nonzero constant term:
 
     Lambda = -y^(-N) [A prod_j n1_j/d_j + B prod_j n2_j/d_j] / W,
 
@@ -81,7 +82,7 @@ def boundary_sum(Q, spin_twice):
 
 
 class ChainParams:
-    """Chain sizes and couplings: 2N sites, M Bethe roots, spin s = spin_twice/2.
+    """Chain sizes and couplings: N sites, M Bethe roots, spin s = spin_twice/2.
 
     q and Q are scalars of the held FieldContext and must satisfy the
     boundary constraint; q = 0, +1, -1 are rejected since w(q) and w(1/q)
@@ -166,9 +167,13 @@ class ParameterVector:
     The constructor enforces what it can see without q: entries nonzero and
     pairwise distinct.  The q-dependent excluded sets are checked by
     validate_uv at the operations that depend on them.
+
+    Used as the roots of a family matrix, a vector also holds the columns
+    computed on it, keyed by (params, family, y), so each column is
+    evaluated once per vector.
     """
 
-    __slots__ = ("values", "role")
+    __slots__ = ("values", "role", "_columns")
 
     def __init__(self, values, role):
         if role not in ("bethe", "free"):
@@ -183,6 +188,7 @@ class ParameterVector:
                     raise ValueError("parameter entries must be pairwise distinct")
         self.values = vals
         self.role = role
+        self._columns = {}
 
     def __len__(self):
         return len(self.values)
@@ -262,40 +268,46 @@ def _shell(p, y):
     return W, (qy + 1 / q) * (qy - 1 / q) ** e, (y + 1) * (y - 1) ** e
 
 
-def _cleared(p, y, uu, du=None, pole=None):
+def _cleared(p, y, uu, rows=(None,), pole=None):
     """y^N Lambda at y, a field scalar or a series in y (see the module doc).
 
-    du=i gives y^N d Lambda / d u_i instead; pole=j replaces d_j by its
-    y-derivative, for the residue at y = u_j^2.
+    Returns one value per entry of rows: None gives y^N Lambda, i gives
+    y^N d Lambda / d u_i.  pole=j replaces d_j by its y-derivative, for the
+    residue at y = u_j^2.
     """
     q = p.q
     q3 = q * q * q
-    den, A, B = _shell(p, y)
+    W, A, B = _shell(p, y)
+    factors = []
     for j, uj in enumerate(uu):
         s = _sigma(q, uj)
         d = 2 * q * y - s if j == pole else _denominator(q, y, s)
-        n1 = (y / q - s) * y + q
-        n2 = (y * q3 - s) * y + 1 / q3
-        if j == du:
-            n1, n2, d = n1 - d, n2 - d, d * d
-        A, B, den = A * n1, B * n2, den * d
-    out = -(A + B) / den
-    if du is not None:
-        ui = uu[du]
-        out = out * y * (2 * (q * ui - 1 / (q * ui * ui * ui)))
+        factors.append(((y / q - s) * y + q, (y * q3 - s) * y + 1 / q3, d))
+    out = []
+    for du in rows:
+        a, b, den = A, B, W
+        for j, (n1, n2, d) in enumerate(factors):
+            if j == du:
+                n1, n2, d = n1 - d, n2 - d, d * d
+            a, b, den = a * n1, b * n2, den * d
+        val = -(a + b) / den
+        if du is not None:
+            ui = uu[du]
+            val = val * y * (2 * (q * ui - 1 / (q * ui * ui * ui)))
+        out.append(val)
     return out
 
 
 def lambda_y(p, y, u):
     """Lambda evaluated at v = sqrt(y); u may be empty."""
-    return _cleared(p, y, _vals(u)) / y**p.N
+    return _cleared(p, y, _vals(u))[0] / y**p.N
 
 
 def lambda_du_y(p, i, y, u):
     """d Lambda / d u_i at v = sqrt(y)."""
     uu = _vals(u)
     _check_row(uu, i)
-    return _cleared(p, y, uu, du=i) / y**p.N
+    return _cleared(p, y, uu, (i,))[0] / y**p.N
 
 
 def f2_eval_y(p, i, y, u):
@@ -315,9 +327,31 @@ def f_eval_y(p, family, i, y, u):
     raise ValueError("family must be 1 or 2")
 
 
+def _column(p, uu, family, y):
+    """Column y of a family: every row's value at one point."""
+    if family == 1:
+        yN = y**p.N
+        return [c / yN for c in _cleared(p, y, uu, range(len(uu)))]
+    if family == 2:
+        return [f2_eval_y(p, i, y, uu) for i in range(len(uu))]
+    raise ValueError("family must be 1 or 2")
+
+
 def family_matrix_y(p, u, family, ypoints):
+    """Matrix F^(family)_i(y_j), built column by column; a ParameterVector
+    u keeps its columns for reuse."""
     uu = _vals(u)
-    return [[f_eval_y(p, family, i, y, uu) for y in ypoints] for i in range(len(uu))]
+    memo = u._columns if isinstance(u, ParameterVector) else None
+    cols = []
+    for y in ypoints:
+        key = (p, family, y)
+        col = memo.get(key) if memo is not None else None
+        if col is None:
+            col = _column(p, uu, family, y)
+            if memo is not None:
+                memo[key] = col
+        cols.append(col)
+    return [[col[i] for col in cols] for i in range(len(uu))]
 
 
 def kernel_y(p, u, ypoints):
@@ -326,8 +360,8 @@ def kernel_y(p, u, ypoints):
     ys = list(ypoints)
     if len(uu) < 1 or len(ys) != len(uu):
         raise ValueError("kernel_y needs len(u) = len(y) >= 1")
-    num = det(family_matrix_y(p, uu, 1, ys), p.ctx)
-    den = det(family_matrix_y(p, uu, 2, ys), p.ctx)
+    num = det(family_matrix_y(p, u, 1, ys), p.ctx)
+    den = det(family_matrix_y(p, u, 2, ys), p.ctx)
     if p.ctx.is_zero(den):
         raise PoleError("det(F2)", "singular denominator family")
     return num / den
@@ -344,7 +378,7 @@ def lambda_residue(p, u, j):
     y = uj * uj
     if p.ctx.is_zero(w_eval(y * p.q)):
         raise PoleError("w(q*u_j^2)")
-    return _cleared(p, y, uu, pole=j) / (2 * uj * y**p.N)
+    return _cleared(p, y, uu, pole=j)[0] / (2 * uj * y**p.N)
 
 
 # -- the v-form: the y-form at y = v*v --------------------------------------
@@ -385,7 +419,7 @@ def kernel(p, u, v):
     if len(uu) < 1 or len(vv) != len(uu):
         raise ValueError("kernel needs len(u) = len(v) >= 1")
     validate_uv(p, uu, vv)
-    return kernel_y(p, uu, [x * x for x in vv])
+    return kernel_y(p, u, [x * x for x in vv])
 
 
 def slavnov(p, u, v):
@@ -449,7 +483,7 @@ def taylor_y(p, u, family, i, order):
     _check_row(uu, i)
     y = _y_series(p.ctx, order + 1)
     if family == 1:
-        return _cleared(p, y, uu, du=i).shift(-1).truncate(order)
+        return _cleared(p, y, uu, (i,))[0].shift(-1).truncate(order)
     if family == 2:
         return (1 / _denominator(p.q, y, _sigma(p.q, uu[i]))).truncate(order)
     raise ValueError("family must be 1 or 2")
@@ -470,7 +504,7 @@ def lambda_series(p, u, order=None):
     """
     if order is None:
         order = 2 * p.N + 10
-    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _vals(u))
+    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _vals(u))[0]
     return _z_series(ys, -2 * p.N, order)
 
 

@@ -41,6 +41,7 @@ from .chain import (
     kernel_y,
     pole_radius_y,
     slavnov,
+    validate_uv,
 )
 from . import bethe as _bethe
 from . import diagrams as _diagrams
@@ -171,8 +172,6 @@ def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None, 
                 v = ParameterVector([ctx.embed(x) for x in vraw], "free") if vcount else None
             else:
                 v = fixed_v
-            from .chain import validate_uv
-
             validate_uv(p, u, v if v is not None else ())
             if accept is not None:
                 accept(u, v)

@@ -170,6 +170,22 @@ class TestQuadraticNumber:
         assert x * x.inverse() == QuadraticNumber(1, 0, 5)
         assert x * x.conjugate() == QuadraticNumber(F(4) - F(9) * 5, 0, 5)
 
+    def test_results_are_like_publicly_built_values(self):
+        x = QuadraticNumber(F(1, 2), F(3, 4), 377)
+        y = QuadraticNumber(F(-2, 3), F(1, 5), 377)
+        for got, a, b in (
+            (x + y, F(-1, 6), F(19, 20)),
+            (x - y, F(7, 6), F(11, 20)),
+            (x * y, F(3373, 60), F(-2, 5)),
+            (-x, F(-1, 2), F(-3, 4)),
+            (x.inverse(), F(-8, 3389), F(12, 3389)),
+            (x - 1, F(-1, 2), F(3, 4)),
+            (2 * x, F(1), F(3, 2)),
+        ):
+            assert type(got.a) is F and type(got.b) is F and type(got.d) is int
+            want = QuadraticNumber(a, b, 377)
+            assert got == want and hash(got) == hash(want)
+
     def test_zero_power(self):
         assert QuadraticNumber(F(7), F(2), 13) ** 0 == QuadraticNumber(1, 0, 13)
 

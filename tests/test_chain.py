@@ -376,6 +376,69 @@ class TestFamilies:
         assert abs(got - want) < sympy.Float("1e-40") * max(1, abs(want))
 
 
+def _mode_params(mode, M):
+    if mode == "quadratic":
+        return ChainParams.from_boundary(3, M, 2, F(2), mode="quadratic")
+    return ChainParams.from_boundary(3, M, 1, F(-2), mode=mode)
+
+
+def _count_shells(monkeypatch):
+    calls = []
+    shell = chain._shell
+
+    def counted(p, y):
+        calls.append(y)
+        return shell(p, y)
+
+    monkeypatch.setattr(chain, "_shell", counted)
+    return calls
+
+
+class TestColumns:
+    @pytest.mark.parametrize("mode", ["rational", "quadratic", "float"])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_memo_changes_no_value(self, mode, M):
+        p = _mode_params(mode, M)
+        ctx = p.ctx
+        u = ParameterVector([ctx.embed(x) for x in (F(2), F(3), F(5, 2))[:M]], "bethe")
+        pts = [ctx.embed(x) for x in (F(5), F(7, 2), F(9, 4), F(11, 3))[: M + 1]]
+        validate_uv(p, u, pts)
+        for family in (1, 2):
+            want = [[f_eval(p, family, i, x, tuple(u)) for x in pts] for i in range(M)]
+            assert family_matrix(p, u, family, pts) == want
+            assert family_matrix(p, u, family, pts) == want
+            assert family_matrix(p, u, family, pts[::-1]) == [row[::-1] for row in want]
+
+    def test_each_column_is_evaluated_once_per_vector(self, monkeypatch):
+        from tltau.tau import pluecker_residual, tau_det
+
+        p = params(2, 2)
+        calls = _count_shells(monkeypatch)
+        u = roots(2, 3)
+        v = ParameterVector([F(5), F(7, 2)], "free")
+        first = slavnov(p, u, v)
+        kernel(p, u, v)
+        tau_det(p, u, 1, v)
+        tau_det(p, u, 2, v)
+        assert slavnov(p, u, v) == first
+        assert len(calls) == p.M
+        calls.clear()
+        pluecker_residual(p, roots(2, 3), 1, [F(5), F(7, 2), F(9, 4)], [F(11, 3)])
+        assert len(calls) == 2 * p.M
+
+    def test_pole_of_the_shell_spares_family_2(self):
+        p = params(2, 2)
+        y = 1 / p.q  # W = q y^2 - 1/q vanishes
+        for u in (roots(2, 3), (F(2), F(3))):
+            want = [[y / (p.q * y * y - (p.q * x * x + 1 / (p.q * x * x)) * y + 1 / p.q)]
+                    for x in u]
+            assert family_matrix_y(p, u, 2, [y]) == want
+            for _ in range(2):
+                with pytest.raises(PoleError) as e:
+                    family_matrix_y(p, u, 1, [y])
+                assert e.value.factor == "w(q*v^2)"
+
+
 class TestLaurentData:
     def test_leading_coefficient_formula_and_u_independence(self):
         rng = random.Random(4)
