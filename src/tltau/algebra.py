@@ -16,9 +16,9 @@ its coefficients up to and including ``trunc``; anything above is unknown,
 not zero.  A ``MiwaPolynomial`` stores monomials in the times t_1..t_K with
 weighted degree (weight of t_m is m) at most ``cutoff``.
 
-One determinant, ``det_ring``, serves scalars and Miwa polynomials alike;
-one series inverse, ``_graded_inverse``, serves Laurent series (graded by
-exponent) and Miwa polynomials (graded by weight).
+One determinant, ``det_ring``, serves every scalar mode; one series inverse,
+``_graded_inverse``, serves Laurent series (graded by exponent) and Miwa
+polynomials (graded by weight).
 """
 
 from __future__ import annotations
@@ -345,9 +345,8 @@ def det_ring(rows, zero):
     """Division-free determinant for entries from a commutative ring.
 
     Minor expansion along the first rows, memoized on column subsets, so a
-    size-n matrix costs O(n * 2^n) ring multiplications.  It serves field
-    scalars (through ``det``) and truncated polynomials alike; the cost suits
-    the small matrices the checks take.
+    size-n matrix costs O(n * 2^n) ring multiplications, which suits the small
+    matrices of field scalars that ``det`` passes it.
     """
     n = len(rows)
     if n == 0:

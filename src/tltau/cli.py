@@ -333,7 +333,7 @@ def check_schur_expansion(cfg, p, seed):
     rng = random.Random(seed)
     out = []
 
-    # bialternant vs Jacobi-Trudi on random points, all |lam| <= 6, 1..3 points
+    # bialternant vs characters on random points, all |lam| <= 6, 1..3 points
     worst = ctx.zero()
     ok_pts = True
     for npts in (1, 2, 3):
@@ -358,30 +358,30 @@ def check_schur_expansion(cfg, p, seed):
     wsets = _sample_ysets(p, u, rng, samples=3)
 
     for family in (1, 2):
-        lo = _schur.cauchy_binet_coeffs(p, u, family, cutoff)
         hi = _schur.cauchy_binet_coeffs(p, u, family, cutoff + 2)
         samples = [(w, ctx.one(), _schur.tau_tilde_direct(p, u, family, w)) for w in wsets]
         blob = _params_blob(p, u, extra={"part": "reconstruction", "family": family,
                                          "cutoff": cutoff})
-        out.append(_shrink_record(ctx, lo, hi, samples, blob, seed))
+        out.append(_shrink_record(ctx, hi, cutoff, samples, blob, seed))
 
-    alo = _schur.slavnov_schur_coeffs(p, u, cutoff)
     ahi = _schur.slavnov_schur_coeffs(p, u, cutoff + 2)
     samples = [(w, math.prod((y ** (-p.N) for y in w), start=ctx.one()), kernel_y(p, u, w))
                for w in wsets]
     blob = _params_blob(p, u, extra={"part": "kernel-expansion", "cutoff": cutoff})
-    out.append(_shrink_record(ctx, alo, ahi, samples, blob, seed))
+    out.append(_shrink_record(ctx, ahi, cutoff, samples, blob, seed))
     return out
 
 
-def _shrink_record(ctx, lo, hi, samples, blob, seed):
+def _shrink_record(ctx, hi, cutoff, samples, blob, seed):
     """One schur-expansion record: on every sample (w, pref, direct) the error
     of pref * (Schur sum of `hi`) against `direct` must be at most 1/16 of
-    that of `lo`, whose cutoff is two weights lower; two zero errors pass.
+    that of its part through weight `cutoff`, two weights lower; two zero
+    errors pass.
 
     `_sample_ysets` keeps every point below R/16, R the smallest pole radius,
     so two more weights should cut the error by a factor of 16**2 or more.
     """
+    lo = hi.restrict(cutoff)
     shrank = True
     worst_pair = (0.0, 0.0)
     for w, pref, direct in samples:
@@ -522,23 +522,24 @@ CHECKS = {
 
 
 def run_suite(cfg):
-    """Run the configured checks one after another in registry order."""
+    """Run the configured checks in registry order at the config's float precision."""
     names = [n for n in CHECK_NAMES if n in cfg["checks"]]
-    try:
-        p = build_params(cfg)
-    except (ValueError, TypeError) as exc:
-        records = [_record(n, {}, cfg["seed"], None, False, error=str(exc)) for n in names]
-        return _assemble_report(cfg, records)
-
-    def run_one(name):
-        seed = (cfg["seed"] + zlib.crc32(name.encode())) % 2**32
+    with mp.workprec(cfg["precision_bits"]):
         try:
-            return CHECKS[name](cfg, p, seed)
-        except Exception as exc:  # recorded, never fatal to the suite
-            return [_record(name, _params_blob(p), seed, None, False,
-                            error="%s: %s" % (type(exc).__name__, exc))]
+            p = build_params(cfg)
+        except (ValueError, TypeError) as exc:
+            records = [_record(n, {}, cfg["seed"], None, False, error=str(exc)) for n in names]
+            return _assemble_report(cfg, records)
 
-    records = [rec for name in names for rec in run_one(name)]
+        def run_one(name):
+            seed = (cfg["seed"] + zlib.crc32(name.encode())) % 2**32
+            try:
+                return CHECKS[name](cfg, p, seed)
+            except Exception as exc:  # recorded, never fatal to the suite
+                return [_record(name, _params_blob(p), seed, None, False,
+                                error="%s: %s" % (type(exc).__name__, exc))]
+
+        records = [rec for name in names for rec in run_one(name)]
     return _assemble_report(cfg, records)
 
 

@@ -2,10 +2,11 @@
 
 Two independent constructions of the Schur function are provided: the
 bialternant ratio det(x_i^(lam_j - j + M)) / det(x_i^(M - j)) on a finite
-point set, and the Jacobi-Trudi determinant det(h_{lam_i - i + j}) in the
-power-sum times t_m = (1/m) sum_i x_i^m.  They agree whenever the point set
-is at least as long as the partition; the bialternant is identically zero
-when the partition is longer than the point set.
+point set, and the character sum s_lam = sum_mu chi^lam(mu) p_mu / z_mu in
+the times t_m = p_m / m = (1/m) sum_i x_i^m (Macdonald, Symmetric Functions
+and Hall Polynomials, I.7).  They agree whenever the point set is at least as
+long as the partition; the bialternant is identically zero when the
+partition is longer than the point set.
 
 The expansion engine reads Taylor coefficients of the two generating
 families off their series in the squared variable y = v^2
@@ -18,22 +19,16 @@ normalized tau sums
 `normalized_kernel_poly` divides the two reconstructions as graded Miwa
 series and `slavnov_schur_coeffs` reads the quotient's Schur coefficients
 back off, for partitions with at most M rows, by the Hall inner product
-(Macdonald, Symmetric Functions and Hall Polynomials, I.4): the Schur
-functions are orthonormal, so each coefficient is one pairing of the
-quotient with a Jacobi-Trudi polynomial, and no change of basis is solved.
+(Macdonald I.4): the Schur functions are orthonormal, so each coefficient is
+one pairing of the quotient with the character form of s_lam, and no change
+of basis is solved.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, prod
 
-from .algebra import (
-    FieldContext,
-    MiwaPolynomial,
-    det,
-    det_ring,
-    miwa_series_invert,
-    vandermonde,
-)
+from .algebra import MiwaPolynomial, det, miwa_series_invert, vandermonde
 from .chain import family_matrix_y, taylor_y
 
 
@@ -105,46 +100,57 @@ def schur_points(lam, points, ctx):
     return det(mat, ctx) / vdm
 
 
-_H_CACHE = {}
+@cache
+def _character(lam, mu):
+    """Symmetric-group character chi^lam at cycle type mu, |lam| = |mu|, by
+    Murnaghan-Nakayama on the beta-numbers lam_i + n - i of an n-row lam: a
+    rim hook of length mu_1 moves a beta-number b to a free b - mu_1 >= 0, and
+    its height counts the beta-numbers in between (Stanley, EC2, 7.17).
+
+    >>> _character((2, 1), (1, 1, 1)), _character((2, 1), (3,))
+    (2, -1)
+    """
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    n = len(lam)
+    beta = [part + n - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        height = sum(b - r < c < b for c in beta)
+        moved = sorted((b - r if c == b else c for c in beta), reverse=True)
+        smaller = partition_normalize(c - (n - 1 - i) for i, c in enumerate(moved))
+        total += (-1) ** height * _character(smaller, rest)
+    return total
 
 
 def complete_homogeneous(ctx, K, cutoff):
-    """h_0 .. h_cutoff as Miwa polynomials via j h_j = sum_m m t_m h_{j-m}."""
-    key = (ctx, K, cutoff)
-    got = _H_CACHE.get(key)
-    if got is not None:
-        return got
-    hs = [MiwaPolynomial.constant(ctx, K, cutoff, 1)]
-    for j in range(1, cutoff + 1):
-        acc = MiwaPolynomial(ctx, K, cutoff)
-        for m in range(1, min(j, K) + 1):
-            tm = MiwaPolynomial.time_var(ctx, K, cutoff, m)
-            acc = acc + (tm * hs[j - m]).scale(ctx.embed(m))
-        hs.append(acc.scale(ctx.embed(Fraction(1, j))))
-    _H_CACHE[key] = hs
-    return hs
+    """h_0 .. h_cutoff as Miwa polynomials: h_j = s_(j)."""
+    return [schur_miwa((j,), cutoff, ctx, K) for j in range(cutoff + 1)]
 
 
 def schur_miwa(lam, cutoff, ctx, K=None):
-    """Jacobi-Trudi Schur polynomial det(h_{lam_i - i + j}) in the times."""
+    """Schur polynomial in the times t_1..t_K, [s_lam]_{t^k} = chi^lam(mu_k) /
+    prod_m k_m!; cycle types with a part above K drop out (t_m = 0 for m > K).
+
+    >>> from tltau.algebra import FieldContext
+    >>> schur_miwa((1, 1), 2, FieldContext("rational"))
+    MiwaPolynomial(-1 t2 + 1/2 t1^2; cutoff=2)
+    """
     parts = partition_normalize(lam)
     if K is None:
         K = max(cutoff, 1)
-    if sum(parts) > cutoff:
+    weight = sum(parts)
+    if weight > cutoff:
         raise ValueError("partition weight exceeds the cutoff")
-    if not parts:
-        return MiwaPolynomial.constant(ctx, K, cutoff, 1)
-    hs = complete_homogeneous(ctx, K, cutoff)
-    zero = MiwaPolynomial(ctx, K, cutoff)
-    n = len(parts)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            idx = parts[i] - (i + 1) + (j + 1)
-            row.append(hs[idx] if 0 <= idx <= cutoff else zero)
-        rows.append(row)
-    return det_ring(rows, zero)
+    terms = {}
+    for mu in partitions_bounded(weight):
+        if sum(mu) == weight and max(mu, default=0) <= K:
+            key = tuple(mu.count(m) for m in range(1, K + 1))
+            terms[key] = ctx.embed(Fraction(_character(parts, mu), prod(map(factorial, key))))
+    return MiwaPolynomial(ctx, K, cutoff, terms)
 
 
 # -- coefficient extraction ---------------------------------------------------
@@ -183,6 +189,11 @@ class SchurCoeffMap:
 
     def coeff(self, lam):
         return self.entries.get(partition_normalize(lam), self.ctx.zero())
+
+    def restrict(self, maxweight):
+        """The coefficients of weight at most maxweight."""
+        kept = {lam: c for lam, c in self.entries.items() if sum(lam) <= maxweight}
+        return SchurCoeffMap(self.ctx, maxweight, kept)
 
     def partitions(self):
         return sorted(self.entries, key=lambda lam: (sum(lam), lam))
@@ -286,50 +297,36 @@ def tau_tilde_direct(p, u, family, points):
 # -- Schur coefficients by the Hall inner product ------------------------------
 
 
-def _hall_norm(key):
-    """<t^k, t^k> = prod_m k_m! / m^k_m under the Hall inner product, where
-    t_m = p_m / m; distinct monomials are orthogonal."""
-    norm = Fraction(1)
-    for m, k in enumerate(key, 1):
-        if k:
-            norm *= Fraction(factorial(k), m**k)
-    return norm
-
-
 def poly_to_schur(poly, maxlen):
     """Schur coefficients of a Miwa polynomial for every partition with
     |lam| <= cutoff and at most maxlen rows.
 
-    The Schur functions are orthonormal under the Hall inner product, so
+    The Schur functions are orthonormal under the Hall inner product, in which
+    distinct monomials are orthogonal and <t^k, t^k> = prod_m k_m! / m^k_m, so
+    the character form of s_lam gives, in one pass over the terms of f,
 
-        A_lam = <s_lam, f> = sum_k [s_lam]_k [f]_k prod_m k_m! / m^k_m
+        A_lam = <s_lam, f> = sum_k chi^lam(mu_k) [f]_k / prod_m m^k_m.
 
-    over the monomials t^k of the Jacobi-Trudi polynomial s_lam.  Requires
-    K >= cutoff so that s_lam keeps every time it depends on.
+    Requires K >= cutoff so that s_lam keeps every time it depends on.
     """
     ctx = poly.ctx
     if poly.K < poly.cutoff:
         raise ValueError("need K >= cutoff for a Schur-basis expansion")
-    rational = FieldContext("rational")
-    out = {}
-    for lam in partitions_bounded(poly.cutoff, maxlen):
-        acc = ctx.zero()
-        for key, c in schur_miwa(lam, poly.cutoff, rational, poly.K).terms.items():
-            f = poly.terms.get(key)
-            if f is not None:
-                acc = acc + ctx.embed(c * _hall_norm(key)) * f
-        if not ctx.is_zero(acc):
-            out[lam] = acc
-    return out
+    acc = {lam: ctx.zero() for lam in partitions_bounded(poly.cutoff, maxlen)}
+    for key, c in poly.terms.items():
+        mu = tuple(m for m in range(poly.K, 0, -1) for _ in range(key[m - 1]))
+        denom = prod(m**k for m, k in enumerate(key, 1))
+        for lam in acc:
+            if sum(lam) == sum(mu) and (chi := _character(lam, mu)):
+                acc[lam] = acc[lam] + ctx.embed(Fraction(chi, denom)) * c
+    return {lam: a for lam, a in acc.items() if not ctx.is_zero(a)}
 
 
-def normalized_kernel_poly(p, u, cutoff, K=None):
+def normalized_kernel_poly(p, u, cutoff):
     """The quotient of the two normalized tau sums as a graded Miwa series,
     correct through the weighted-degree cutoff."""
-    if K is None:
-        K = max(cutoff, 1)
-    tau1 = tau_schur_poly(p, u, 1, cutoff, K)
-    tau2 = tau_schur_poly(p, u, 2, cutoff, K)
+    tau1 = tau_schur_poly(p, u, 1, cutoff)
+    tau2 = tau_schur_poly(p, u, 2, cutoff)
     return tau1 * miwa_series_invert(tau2)
 
 

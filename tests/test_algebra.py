@@ -418,3 +418,13 @@ def test_algebra_doctests():
     result = doctest.testmod(tltau.algebra)
     assert result.failed == 0
     assert result.attempted >= 5
+
+
+def test_schur_doctests():
+    import doctest
+
+    import tltau.schur
+
+    result = doctest.testmod(tltau.schur)
+    assert result.failed == 0
+    assert result.attempted >= 3

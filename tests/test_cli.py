@@ -1,11 +1,15 @@
 """Config validation, report assembly, determinism, and exit codes."""
 
+import inspect
 import json
-from fractions import Fraction
+import math
+import textwrap
 
 import pytest
+from mpmath import mp
 
 from tltau import schur
+from tltau.algebra import FieldContext, MiwaPolynomial
 from tltau.cli import (
     CHECK_NAMES,
     ConfigError,
@@ -47,6 +51,13 @@ class TestConfig:
             validate_config({"checks": ["not-a-check"]})
         cfg = validate_config({"checks": ["pluecker"]})
         assert cfg["checks"] == ["pluecker"]
+
+
+def _schur_record(part):
+    cfg = validate_config({"checks": ["schur-expansion"], "seed": 1})
+    recs = [r for r in run_suite(cfg)["records"] if r["params"].get("part") == part]
+    assert len(recs) == 1
+    return recs[0]
 
 
 class TestSuite:
@@ -98,26 +109,45 @@ class TestSuite:
         assert report["summary"]["failed"] == 0, [r["residual"] for r in report["records"]]
 
     def test_kernel_expansion_sees_a_wrong_hall_weight(self, monkeypatch):
-        # dropping k_m! from the pairing weight <t^k, t^k> = prod k_m!/m^k_m
-        # spoils the low Schur coefficients, so the kernel-expansion error
-        # stops shrinking with the cutoff
-        def kernel_record():
-            cfg = validate_config({"checks": ["schur-expansion"], "seed": 1})
-            recs = [r for r in run_suite(cfg)["records"]
-                    if r["params"].get("part") == "kernel-expansion"]
-            assert len(recs) == 1
-            return recs[0]
+        # dividing each [f]_k by prod k_m! before the read-back puts the
+        # pairing weight <t^k, t^k> = prod k_m!/m^k_m off by that factor,
+        # which spoils the low Schur coefficients, so the kernel-expansion
+        # error stops shrinking with the cutoff
+        assert _schur_record("kernel-expansion")["pass"]
 
-        assert kernel_record()["pass"]
+        read_back = schur.poly_to_schur
 
-        def no_factorials(key):
-            norm = Fraction(1)
-            for m, k in enumerate(key, 1):
-                norm /= m**k
-            return norm
+        def wrong_weight(poly, maxlen):
+            terms = {k: c / math.prod(map(math.factorial, k)) for k, c in poly.terms.items()}
+            return read_back(MiwaPolynomial(poly.ctx, poly.K, poly.cutoff, terms), maxlen)
 
-        monkeypatch.setattr(schur, "_hall_norm", no_factorials)
-        assert not kernel_record()["pass"]
+        monkeypatch.setattr(schur, "poly_to_schur", wrong_weight)
+        assert not _schur_record("kernel-expansion")["pass"]
+
+    def test_points_vs_times_sees_a_flipped_hook_height_sign(self, monkeypatch):
+        # (-1)^(height + 1) for every removed rim hook turns chi^lam(mu) into
+        # (-1)^len(mu) chi^lam(mu), so s_(1) = t_1 becomes -t_1 and the
+        # character route leaves the bialternant
+        assert _schur_record("points-vs-times")["pass"]
+
+        source = textwrap.dedent(inspect.getsource(schur._character))
+        assert "(-1) ** height" in source
+        namespace = dict(vars(schur))
+        exec(source.replace("(-1) ** height", "(-1) ** (height + 1)"), namespace)
+        monkeypatch.setattr(schur, "_character", namespace["_character"])
+        assert not _schur_record("points-vs-times")["pass"]
+
+    def test_float_records_do_not_depend_on_an_earlier_precision(self):
+        # a 400-bit context made earlier in the process must not raise the
+        # precision of a later 192-bit run, which would read 1.3e-54 as 0.0
+        cfg = validate_config({"checks": ["theorem-quotient", "integral-rep"],
+                               "field_mode": "float", "instances": 1})
+        with mp.workprec(53):  # restores the global precision afterwards
+            first = run_suite(cfg)["records"]
+            FieldContext("float", prec=400)
+            again = run_suite(cfg)["records"]
+        assert first[0]["residual"] == "1.30506089359970490534206e-54"
+        assert again == first
 
     def test_text_format_smoke(self):
         cfg = validate_config({"checks": ["diagram-counts"]})

@@ -1,9 +1,10 @@
 """Partitions, Schur polynomials, and the determinant-to-Schur expansion.
 
 Independent oracles: a brute-force semistandard-tableau enumerator for Schur
-polynomials in few variables, sympy rational arithmetic spot values, and the
-bialternant/Jacobi-Trudi agreement exercised over every partition of weight
-at most six.
+polynomials in few variables, sympy rational arithmetic spot values, the
+bialternant/character agreement exercised over every partition of weight at
+most six, and a Jacobi-Trudi determinant of complete homogeneous polynomials
+against the character form through weight eight.
 """
 
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tltau.algebra import FieldContext, MiwaPolynomial, QuadraticNumber
+from tltau.algebra import FieldContext, MiwaPolynomial, QuadraticNumber, det_ring
 from tltau.chain import ChainParams, ParameterVector, taylor_y
 from tltau.schur import (
     SchurCoeffMap,
@@ -158,7 +159,7 @@ class TestMiwaSchur:
         assert _stripped(s11) == {(2,): F(1, 2), (0, 1): F(-1)}
 
     def test_points_vs_miwa_all_small_partitions(self):
-        # bialternant at points == Jacobi-Trudi in power-sum times, |lam| <= 6
+        # bialternant at points == character sum in power-sum times, |lam| <= 6
         ptsets = ([F(2)], [F(2), F(3)], [F(1, 2), F(3), F(5, 7)])
         for lam in partitions_bounded(6):
             for pts in ptsets:
@@ -166,6 +167,27 @@ class TestMiwaSchur:
                 poly = schur_miwa(lam, 7, RAT)
                 got = poly.evaluate(MiwaTimes.from_points(RAT, pts, poly.K).values)
                 assert got == want, (lam, pts)
+
+    def test_matches_jacobi_trudi(self):
+        # det(h_{lam_i - i + j}) over Miwa polynomials, with the h's from
+        # j h_j = sum_{m <= K} m t_m h_{j-m}, through weight 8 at K = cutoff
+        # and K = 3
+        cutoff = 8
+        for K in (cutoff, 3):
+            hs = [MiwaPolynomial.constant(RAT, K, cutoff, 1)]
+            for j in range(1, cutoff + 1):
+                acc = MiwaPolynomial(RAT, K, cutoff)
+                for m in range(1, min(j, K) + 1):
+                    tm = MiwaPolynomial.time_var(RAT, K, cutoff, m)
+                    acc = acc + (tm * hs[j - m]).scale(F(m, j))
+                hs.append(acc)
+            zero = MiwaPolynomial(RAT, K, cutoff)
+            for lam in partitions_bounded(cutoff):
+                n = len(lam)
+                rows = [[hs[lam[i] - i + j] if 0 <= lam[i] - i + j else zero
+                         for j in range(n)] for i in range(n)]
+                want = det_ring(rows, zero) if n else hs[0]
+                assert schur_miwa(lam, cutoff, RAT, K) == want, (lam, K)
 
     def test_weight_above_cutoff_rejected(self):
         with pytest.raises(ValueError):
@@ -198,7 +220,7 @@ class TestCoeffMap:
 
 class TestPolyToSchur:
     def test_roundtrip_small(self):
-        # the Hall pairing inverts a Jacobi-Trudi sum: three rows through
+        # the Hall pairing inverts a sum of Schur polynomials: three rows through
         # weight 5 over Q, and every partition through weight 6 (up to six
         # rows) over Q and Q(sqrt 377)
         rng = random.Random(5)
