@@ -13,8 +13,11 @@ a relative tolerance only for verdicts.
 
 The series types carry explicit truncation state.  A ``LaurentSeries`` knows
 its coefficients up to and including ``trunc``; anything above is unknown,
-not zero.  A ``MiwaPolynomial`` stores monomials in the times t_1..t_K with
-weighted degree (weight of t_m is m) at most ``cutoff``.
+not zero.  A ``MiwaPolynomial`` knows its monomials in the times t_1..t_K of
+weighted degree (weight of t_m is m) up to and including ``cutoff``.  Each
+operation returns the cutoff its operands determine: a sum or product the
+smaller of the two, d/dt_m the cutoff less m, and ``restrict`` a lower one.
+So a caller never trims a result to its known weights by hand.
 
 One determinant, ``det_ring``, serves every scalar mode; one series inverse,
 ``_graded_inverse``, serves Laurent series (graded by exponent) and Miwa
@@ -136,7 +139,8 @@ class QuadraticNumber:
         return self.a != 0 or self.b != 0
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # equal to a rational exactly when b == 0, so hash like that rational
+        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
 
     def __float__(self):
         if self.d < 0 and self.b != 0:
@@ -620,10 +624,21 @@ def weighted_degree(key):
 class MiwaPolynomial:
     """Polynomial in the Miwa times t_1..t_K, truncated by weighted degree.
 
-    Monomial keys are length-K exponent tuples and every stored monomial has
-    weighted degree at most ``cutoff`` (t_m carries weight m).  The product
-    of two polynomials that are exact through weighted degree D is again
-    exact through D, because dropped cross terms all exceed D.
+    Monomial keys are length-K exponent tuples (t_m carries weight m).  The
+    coefficients of weighted degree at most ``cutoff`` are known and stored;
+    those above are unknown, not zero.  Every operation returns the cutoff
+    its operands determine:
+
+    * ``f + g`` and ``f * g`` know weights through min(f.cutoff, g.cutoff),
+      since dropped cross terms of a product all exceed it;
+    * ``f.deriv(m)`` knows weights through f.cutoff - m;
+    * ``f.restrict(w)`` knows weights through w, which may not exceed
+      f.cutoff.
+
+    >>> ctx = FieldContext()
+    >>> t1 = MiwaPolynomial.time_var(ctx, 2, 4, 1)
+    >>> (t1 * t1 * t1).deriv(1)
+    MiwaPolynomial(3 t1^2; cutoff=3)
     """
 
     __slots__ = ("ctx", "K", "cutoff", "terms")
@@ -656,17 +671,18 @@ class MiwaPolynomial:
         return cls(ctx, K, cutoff, {tuple(key): ctx.one()})
 
     def _compat(self, other):
-        if self.K != other.K or self.cutoff != other.cutoff:
-            raise ValueError("mixed K or cutoff in Miwa arithmetic")
+        if self.K != other.K:
+            raise ValueError("mixed K in Miwa arithmetic: %d vs %d" % (self.K, other.K))
+        return min(self.cutoff, other.cutoff)
 
     def __add__(self, other):
         if not isinstance(other, MiwaPolynomial):
             return NotImplemented
-        self._compat(other)
+        cutoff = self._compat(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, self.ctx.zero()) + c
-        return MiwaPolynomial(self.ctx, self.K, self.cutoff, out)
+        return MiwaPolynomial(self.ctx, self.K, cutoff, out)
 
     def __sub__(self, other):
         if not isinstance(other, MiwaPolynomial):
@@ -682,21 +698,22 @@ class MiwaPolynomial:
     def __mul__(self, other):
         if not isinstance(other, MiwaPolynomial):
             return self.scale(other)
-        self._compat(other)
+        cutoff = self._compat(other)
+        right = [(weighted_degree(k), k, c) for k, c in other.terms.items()]
         out = {}
         for k1, c1 in self.terms.items():
-            w1 = weighted_degree(k1)
-            for k2, c2 in other.terms.items():
-                if w1 + weighted_degree(k2) > self.cutoff:
+            room = cutoff - weighted_degree(k1)
+            for w2, k2, c2 in right:
+                if w2 > room:
                     continue
                 key = tuple(a + b for a, b in zip(k1, k2))
                 out[key] = out.get(key, self.ctx.zero()) + c1 * c2
-        return MiwaPolynomial(self.ctx, self.K, self.cutoff, out)
+        return MiwaPolynomial(self.ctx, self.K, cutoff, out)
 
     __rmul__ = __mul__
 
     def deriv(self, m):
-        """Partial derivative with respect to t_m."""
+        """Partial derivative with respect to t_m, known through cutoff - m."""
         if not 1 <= m <= self.K:
             raise ValueError("t_%d is outside K=%d" % (m, self.K))
         out = {}
@@ -706,7 +723,7 @@ class MiwaPolynomial:
                 new = list(key)
                 new[m - 1] = k - 1
                 out[tuple(new)] = c * k
-        return MiwaPolynomial(self.ctx, self.K, self.cutoff, out)
+        return MiwaPolynomial(self.ctx, self.K, self.cutoff - m, out)
 
     def shift_times(self, x, sign):
         """Substitute t_p -> t_p + sign * x**p / p for every p.
@@ -732,15 +749,13 @@ class MiwaPolynomial:
                 expanded = {}
                 for base, bc in partial.items():
                     spow = ctx.one()
-                    binom = 1
                     for j in range(k + 1):
                         new = list(base)
                         new[p - 1] += k - j
-                        coeff = bc * ctx.embed(binom) * spow
+                        coeff = bc * ctx.embed(math.comb(k, j)) * spow
                         keyn = tuple(new)
                         expanded[keyn] = expanded.get(keyn, ctx.zero()) + coeff
                         spow = spow * s
-                        binom = binom * (k - j) // (j + 1)
                 partial = expanded
             for keyn, cc in partial.items():
                 out[keyn] = out.get(keyn, ctx.zero()) + cc
@@ -759,13 +774,10 @@ class MiwaPolynomial:
         return acc
 
     def restrict(self, maxweight):
-        """Drop every monomial of weighted degree above maxweight."""
-        return MiwaPolynomial(
-            self.ctx,
-            self.K,
-            self.cutoff,
-            {k: c for k, c in self.terms.items() if weighted_degree(k) <= maxweight},
-        )
+        """The polynomial known only through weighted degree maxweight."""
+        if maxweight > self.cutoff:
+            raise ValueError("cannot extend a Miwa polynomial by restricting")
+        return MiwaPolynomial(self.ctx, self.K, maxweight, self.terms)
 
     def max_abs(self):
         """Largest coefficient magnitude, for float-mode verdicts."""

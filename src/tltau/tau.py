@@ -9,13 +9,15 @@ of the two generating families F of the chain module.  This module gives:
     partial-fraction residue determinant) that must agree identically;
   * the Pluecker exchange residual on point sets, zero for any family;
   * Hirota bilinear operators D^alpha applied to pairs of Miwa polynomials,
-    the low-order odd operators that annihilate (tau, tau) outright, and the
-    weight-4 operator whose residual vanishes through cutoff - 4;
+    known through the operands' cutoff less the operator's weight: the
+    low-order odd operators that annihilate (tau, tau) outright, and the
+    weight-4 KP operator whose residual vanishes wherever it is known;
   * Baker-Akhiezer quotients of the Schur-reconstructed tau sums;
   * the symmetrized multiple-sum identity for determinants of moment
     matrices (an exchange-symmetrization cross-check used on random data).
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -251,39 +253,30 @@ def hirota_apply(op, f, g):
         D^alpha [f, g] = sum_{beta <= alpha} (-1)^|beta|
                          prod_k C(alpha_k, beta_k) (d^beta f) (d^(alpha-beta) g)
 
-    summed over the operator's terms with their coefficients.
+    summed over the operator's terms with their coefficients.  The Miwa
+    truncation rules make the result known through min(f.cutoff, g.cutoff)
+    less the largest weight of the operator's terms.
     """
-    if f.K != op.K or g.K != op.K or f.cutoff != g.cutoff:
-        raise ValueError("operator and operands must share K and cutoff")
+    if f.K != op.K or g.K != op.K:
+        raise ValueError("operator and operands must share K")
     ctx = f.ctx
-    out = MiwaPolynomial(ctx, f.K, f.cutoff)
+    out = MiwaPolynomial(ctx, f.K, min(f.cutoff, g.cutoff))
     cf, cg = {}, {}
     for alpha, c in op.terms.items():
         for beta in product(*(range(a + 1) for a in alpha)):
-            coeff = 1
-            for a, b in zip(alpha, beta):
-                coeff *= _binom(a, b)
+            coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
             if sum(beta) % 2:
                 coeff = -coeff
             df = _iter_deriv(f, beta, cf)
             dg = _iter_deriv(g, tuple(a - b for a, b in zip(alpha, beta)), cg)
-            term = (df * dg).scale(c * ctx.embed(coeff))
-            out = out + term
-    return out
-
-
-def _binom(n, k):
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
+            out = out + (df * dg).scale(c * ctx.embed(coeff))
     return out
 
 
 def hirota_kp_check(tau):
-    """Residual of the weight-4 bilinear operator on (tau, tau), restricted to
-    the weighted degrees the truncation determines (cutoff - 4)."""
-    op = kp_operator(tau.ctx, tau.K)
-    return hirota_apply(op, tau, tau).restrict(tau.cutoff - 4)
+    """Residual of the weight-4 bilinear operator on (tau, tau), known through
+    weighted degree tau.cutoff - 4."""
+    return hirota_apply(kp_operator(tau.ctx, tau.K), tau, tau)
 
 
 # -- Baker-Akhiezer quotients ---------------------------------------------------
@@ -343,8 +336,5 @@ def andreev_residual(ctx, points, weights, fvals, gvals):
         fminor = [[fvals[i][k] for k in ks] for i in range(M)]
         gminor = [[gvals[i][k] for k in ks] for i in range(M)]
         acc = acc + mu * det(fminor, ctx) * det(gminor, ctx)
-    fact = 1
-    for j in range(2, M + 1):
-        fact *= j
-    rhs = acc * ctx.embed(Fraction(1, fact))
+    rhs = acc * ctx.embed(Fraction(1, math.factorial(M)))
     return lhs - rhs

@@ -189,6 +189,14 @@ class TestQuadraticNumber:
     def test_zero_power(self):
         assert QuadraticNumber(F(7), F(2), 13) ** 0 == QuadraticNumber(1, 0, 13)
 
+    def test_hash_agrees_with_equality(self):
+        # a rational-valued element equals that Fraction, so it must hash alike
+        x = QuadraticNumber(2, 0, 5)
+        assert x == F(2)
+        assert hash(x) == hash(F(2)) == hash(2)
+        assert len({x, F(2)}) == 1
+        assert len({QuadraticNumber(2, 1, 5), F(2)}) == 2
+
     def test_squarefree_kernel(self):
         assert squarefree_kernel(12) == (2, 3)
         assert squarefree_kernel(377) == (1, 377)
@@ -312,7 +320,7 @@ class TestMiwaPolynomial:
     def test_derivative(self):
         t1 = MiwaPolynomial.time_var(RAT, 3, 4, 1)
         sq = t1 * t1
-        assert sq.deriv(1) == t1.scale(F(2))
+        assert sq.deriv(1) == t1.scale(F(2)).restrict(3)
 
     def test_shift_times_linear(self):
         t1 = MiwaPolynomial.time_var(RAT, 3, 3, 1)
@@ -361,7 +369,42 @@ class TestMiwaPolynomial:
         t1 = MiwaPolynomial.time_var(RAT, 2, 4, 1)
         t2 = MiwaPolynomial.time_var(RAT, 2, 4, 2)
         poly = t1 + t2 + t2 * t2
-        assert poly.restrict(2) == t1 + t2
+        assert poly.restrict(2) == (t1 + t2).restrict(2)
+
+    def test_restrict_never_raises_the_cutoff(self):
+        t1 = MiwaPolynomial.time_var(RAT, 2, 4, 1)
+        assert t1.restrict(4) == t1
+        with pytest.raises(ValueError):
+            t1.restrict(5)
+
+    def test_derivative_lowers_the_cutoff_by_the_weight(self):
+        t1 = MiwaPolynomial.time_var(RAT, 3, 6, 1)
+        t3 = MiwaPolynomial.time_var(RAT, 3, 6, 3)
+        poly = t1 * t1 * t3
+        d3 = poly.deriv(3)
+        assert d3.cutoff == 3
+        assert d3.terms == {(2, 0, 0): F(1)}
+        assert poly.deriv(1).cutoff == 5
+        # the derivative of a monomial at the cutoff stays known
+        assert poly.deriv(1).terms == {(1, 0, 1): F(2)}
+
+    def test_mixed_cutoffs_take_the_smaller(self):
+        lo = MiwaPolynomial.time_var(RAT, 2, 3, 1)
+        hi = MiwaPolynomial.time_var(RAT, 2, 6, 1) + MiwaPolynomial.time_var(RAT, 2, 6, 2)
+        for got in (lo + hi, hi + lo, hi - lo):
+            assert got.cutoff == 3
+        prod = hi * lo
+        assert prod == lo * hi
+        assert prod.cutoff == 3
+        # t2 * t1 has weight 3 and survives, t2 * t2 of weight 4 would not
+        assert prod.terms == {(2, 0): F(1), (1, 1): F(1)}
+
+    def test_mixed_K_is_refused(self):
+        f = MiwaPolynomial.time_var(RAT, 2, 4, 1)
+        g = MiwaPolynomial.time_var(RAT, 3, 4, 1)
+        for op in (lambda: f + g, lambda: f * g):
+            with pytest.raises(ValueError):
+                op()
 
 
 class TestPropertyStyle:

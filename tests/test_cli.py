@@ -137,6 +137,31 @@ class TestSuite:
         monkeypatch.setattr(schur, "_character", namespace["_character"])
         assert not _schur_record("points-vs-times")["pass"]
 
+    def test_hirota_sees_a_wrong_cauchy_binet_coefficient(self, monkeypatch):
+        # one more unit of s_(1,1) in each reconstructed tau sum breaks the
+        # Pluecker relations among its Schur coefficients, so the KP residual
+        # turns nonzero; D1, D2 and D1^3-4D3 vanish on (f, f) for every f
+        def kp_passes():
+            cfg = validate_config({"checks": ["hirota"], "seed": 1})
+            recs = run_suite(cfg)["records"]
+            assert len(recs) == 8 and not any("error" in r for r in recs)
+            kp = [r for r in recs if r["params"]["operator"] == "D1^4+3D2^2-4D1D3"]
+            assert sorted(r["params"]["family"] for r in kp) == [1, 2]
+            assert all(r["pass"] for r in recs if r not in kp)
+            return [r["pass"] for r in kp]
+
+        assert kp_passes() == [True, True]
+
+        real = schur.cauchy_binet_coeffs
+
+        def faulty(*args, **kwargs):
+            cmap = real(*args, **kwargs)
+            cmap.entries[(1, 1)] += 1
+            return cmap
+
+        monkeypatch.setattr(schur, "cauchy_binet_coeffs", faulty)
+        assert kp_passes() == [False, False]
+
     def test_float_records_do_not_depend_on_an_earlier_precision(self):
         # a 400-bit context made earlier in the process must not raise the
         # precision of a later 192-bit run, which would read 1.3e-54 as 0.0

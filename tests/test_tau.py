@@ -5,6 +5,7 @@ machinery against hand-expanded small cases, and the moment-determinant
 symmetrization against exhaustive enumeration.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -198,7 +199,7 @@ class TestHirota:
         f = MiwaPolynomial.time_var(RAT, K, 6, 1)
         g = f * f
         out = hirota_apply(op_d(RAT, K, 1), f, g)
-        want = (f * f).scale(F(1))
+        want = (f * f).scale(F(1)).restrict(5)
         assert out == want
 
     def test_antisymmetry_kills_diagonal(self):
@@ -243,6 +244,43 @@ class TestHirota:
         t1 = MiwaPolynomial.time_var(RAT, K, 8, 1)
         bad = bad + t1 * t1 * t1 * t1
         assert not hirota_kp_check(bad).is_zero()
+
+    def test_kp_matches_the_seven_product_form(self):
+        # (D1^4 + 3 D2^2 - 4 D1 D3) f.f written out by Leibniz:
+        # 2[f f1111 - 4 f1 f111 + 3 f11^2 + 3 f f22 - 3 f2^2 - 4 f f13 + 4 f1 f3],
+        # which the truncation rules know through f.cutoff - 4
+        K, cutoff = 4, 8
+        rng = random.Random(5)
+        t = [MiwaPolynomial.time_var(RAT, K, cutoff, m) for m in range(1, K + 1)]
+        f = MiwaPolynomial.constant(RAT, K, cutoff, F(1)) + t[0] * t[0] * t[0] * t[0]
+        for _ in range(6):
+            mono = MiwaPolynomial.constant(RAT, K, cutoff, F(rng.randint(-5, 5), rng.randint(1, 4)))
+            for m in rng.sample(range(K), rng.randint(1, 3)):
+                mono = mono * t[m]
+            f = f + mono
+
+        def d(*ms):
+            return functools.reduce(MiwaPolynomial.deriv, ms, f)
+
+        seven = (
+            f * d(1, 1, 1, 1) - (d(1) * d(1, 1, 1)).scale(F(4))
+            + (d(1, 1) * d(1, 1)).scale(F(3)) + (f * d(2, 2)).scale(F(3))
+            - (d(2) * d(2)).scale(F(3)) - (f * d(1, 3)).scale(F(4))
+            + (d(1) * d(3)).scale(F(4))
+        ).scale(F(2))
+        got = hirota_kp_check(f)
+        assert got.cutoff == cutoff - 4
+        assert got == seven
+        assert not got.is_zero()
+
+    def test_result_cutoff_follows_the_operator_weight(self):
+        K = 4
+        f = MiwaPolynomial.constant(RAT, K, 8, F(1)) + MiwaPolynomial.time_var(RAT, K, 8, 2)
+        g = MiwaPolynomial.constant(RAT, K, 6, F(2)) + MiwaPolynomial.time_var(RAT, K, 6, 1)
+        for op, weight in ((op_d(RAT, K, 1), 1), (op_d(RAT, K, 2), 2),
+                           (op_d1_cubed_minus_4d3(RAT, K), 3), (kp_operator(RAT, K), 4)):
+            assert hirota_apply(op, f, g).cutoff == 6 - weight
+            assert hirota_apply(op, g, f).cutoff == 6 - weight
 
     def test_kp_on_reconstructed_taus(self):
         for M in (1, 2):
