@@ -726,10 +726,11 @@ class MiwaPolynomial:
         return MiwaPolynomial(self.ctx, self.K, self.cutoff - m, out)
 
     def shift_times(self, x, sign):
-        """Substitute t_p -> t_p + sign * x**p / p for every p.
-
-        The substitution never raises weighted degree, so no information is
-        lost at any cutoff.
+        """Substitute t_p -> t_p + sign * x**p / p for every p, taking the
+        stored terms as the whole polynomial, as the deleted-point identity
+        needs.  The shift lowers weighted degree, so unknown terms above the
+        cutoff would feed known weights: t1 + t1^2 known through weight 2
+        shifts (x = 1) to constant 2, and through weight 1 to constant 1.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")

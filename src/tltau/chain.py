@@ -212,8 +212,9 @@ def _vals(u):
 def validate_uv(p, u=None, v=None):
     """Check the q-dependent admissibility sets, naming the factor that fails.
 
-    For i != j: u_i u_j must avoid {+-1, +-1/q}; every v_i must avoid
-    {+-u_j, +-1/(q u_j)} and the eigenvalue poles w(q v^2) = 0.
+    For i != j: u_i u_j must avoid {+-1, +-1/q} and u_i/u_j, v_i/v_j must
+    avoid +-1 (each makes two rows or columns of F equal up to sign); every
+    v_i must avoid {+-u_j, +-1/(q u_j)} and the eigenvalue poles w(q v^2) = 0.
     """
     one = p.ctx.one()
     q = p.q
@@ -226,10 +227,15 @@ def validate_uv(p, u=None, v=None):
                 raise PoleError("w(u_i*u_j)", "i=%d j=%d" % (i, j))
             if prod * q == one or prod * q == -one:
                 raise PoleError("w(q*u_i*u_j)", "i=%d j=%d" % (i, j))
+            if uu[i] == uu[j] or uu[i] == -uu[j]:
+                raise PoleError("w(u_i/u_j)", "i=%d j=%d" % (i, j))
     for i, x in enumerate(vv):
         xq2 = x * x * q
         if xq2 == one or xq2 == -one:
             raise PoleError("w(q*v^2)", "i=%d" % i)
+        for j, y in enumerate(vv[:i]):
+            if x == y or x == -y:
+                raise PoleError("w(v_i/v_j)", "i=%d j=%d" % (j, i))
         for j, y in enumerate(uu):
             if x == y or x == -y:
                 raise PoleError("w(v_i/u_j)", "i=%d j=%d" % (i, j))

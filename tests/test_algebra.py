@@ -338,6 +338,14 @@ class TestMiwaPolynomial:
         shifted_times = [times[0] - x, times[1] - x ** 2 / 2]
         assert poly.shift_times(x, -1).evaluate(times) == poly.evaluate(shifted_times)
 
+    def test_shift_times_reads_the_stored_terms_as_the_whole_polynomial(self):
+        # the shift moves weight 2 down to weight 0, so the same series known
+        # through fewer weights shifts to a different constant
+        t1 = MiwaPolynomial.time_var(RAT, 2, 2, 1)
+        f = t1 + t1 * t1
+        assert f.shift_times(F(1), 1).terms[(0, 0)] == 2
+        assert f.restrict(1).shift_times(F(1), 1).terms[(0, 0)] == 1
+
     def test_shift_times_never_raises_degree(self):
         t3 = MiwaPolynomial.time_var(RAT, 3, 3, 3)
         shifted = t3.shift_times(F(2), 1)

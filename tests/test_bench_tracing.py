@@ -1,0 +1,56 @@
+"""The benchmark's span tracer (`bench/tracing.py`) still finds every engine
+function and method it names, and puts each one back when it is removed.
+
+`--trace 1` runs fail on a name the engine no longer has; this test sees that
+without running the benchmark.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import tltau.cli
+from tltau import algebra
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _namespaces(tracing):
+    """Every tltau module and traced algebra class, by name, as a dict copy."""
+    out = {name: dict(vars(mod)) for name, mod in sys.modules.items()
+           if mod is not None and (name == "tltau" or name.startswith("tltau."))}
+    for cls in {entry[1] for entry in tracing.METHODS + tracing.COUNTED}:
+        out["algebra." + cls] = dict(vars(getattr(algebra, cls)))
+    return out
+
+
+def test_tracer_wraps_every_named_function_and_restores_it():
+    tracing = _load_tracing()
+    before = _namespaces(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for layer, funcs in tracing.LAYERS:
+            home = sys.modules["tltau." + layer]
+            for fname, _ in funcs:
+                assert getattr(home, fname).__wrapped__ is before["tltau." + layer][fname]
+        for entry in tracing.METHODS + tracing.COUNTED:
+            for meth in entry[2]:
+                assert hasattr(vars(getattr(algebra, entry[1]))[meth], "__wrapped__")
+        cfg = tltau.cli.validate_config({"checks": ["andreev"], "instances": 1})
+        assert tltau.cli.run_suite(cfg)["summary"]["failed"] == 0
+        names = {span[0] for span in tracer.spans}
+        assert {"cli.run_suite", "tau.andreev_residual", "algebra.det"} <= names
+    finally:
+        tracer.uninstall()
+    after = _namespaces(tracing)
+    assert after.keys() == before.keys()
+    for name, space in before.items():
+        assert all(after[name][k] is v for k, v in space.items()), name

@@ -18,7 +18,7 @@ import pytest
 import sympy
 
 from tltau import chain
-from tltau.algebra import FieldContext, QuadraticNumber
+from tltau.algebra import FieldContext, QuadraticNumber, det
 from tltau.chain import (
     ChainParams,
     ParameterVector,
@@ -287,6 +287,21 @@ class TestPoles:
         with pytest.raises(PoleError) as e:
             validate_uv(p, roots(2, 3), [F(1, 4), F(5)])
         assert e.value.factor == "w(q*v_i*u_j)"
+
+    def test_opposite_roots_and_points_are_excluded(self):
+        # sigma reads u only through u^2 and the families read v only through
+        # v^2, so u_i = -u_j repeats a row of F up to sign, v_i = -v_j repeats
+        # a column, and every determinant would pass on 0 = 0
+        p = params(2, 2)
+        for fam in (1, 2):
+            assert det(family_matrix(p, roots(2, -2), fam, [F(5), F(7)]), RAT) == 0
+            assert det(family_matrix(p, roots(2, 3), fam, [F(5), F(-5)]), RAT) == 0
+        with pytest.raises(PoleError) as e:
+            validate_uv(p, roots(2, -2), [])
+        assert e.value.factor == "w(u_i/u_j)"
+        with pytest.raises(PoleError) as e:
+            validate_uv(p, roots(2, 3), [F(5), F(-5)])
+        assert e.value.factor == "w(v_i/v_j)"
 
     def test_eigenvalue_pole_in_quadratic_field(self):
         ctx = FieldContext("quadratic", d=2)

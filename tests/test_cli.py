@@ -8,10 +8,11 @@ import textwrap
 import pytest
 from mpmath import mp
 
-from tltau import schur
+from tltau import algebra, schur, tau
 from tltau.algebra import FieldContext, MiwaPolynomial
 from tltau.cli import (
     CHECK_NAMES,
+    ROOT_CHECKS,
     ConfigError,
     _params_blob,
     build_params,
@@ -140,15 +141,14 @@ class TestSuite:
     def test_hirota_sees_a_wrong_cauchy_binet_coefficient(self, monkeypatch):
         # one more unit of s_(1,1) in each reconstructed tau sum breaks the
         # Pluecker relations among its Schur coefficients, so the KP residual
-        # turns nonzero; D1, D2 and D1^3-4D3 vanish on (f, f) for every f
+        # turns nonzero
         def kp_passes():
             cfg = validate_config({"checks": ["hirota"], "seed": 1})
             recs = run_suite(cfg)["records"]
-            assert len(recs) == 8 and not any("error" in r for r in recs)
-            kp = [r for r in recs if r["params"]["operator"] == "D1^4+3D2^2-4D1D3"]
-            assert sorted(r["params"]["family"] for r in kp) == [1, 2]
-            assert all(r["pass"] for r in recs if r not in kp)
-            return [r["pass"] for r in kp]
+            assert len(recs) == 2 and not any("error" in r for r in recs)
+            assert [r["params"]["operator"] for r in recs] == ["D1^4+3D2^2-4D1D3"] * 2
+            assert [r["params"]["family"] for r in recs] == [1, 2]
+            return [r["pass"] for r in recs]
 
         assert kp_passes() == [True, True]
 
@@ -161,6 +161,46 @@ class TestSuite:
 
         monkeypatch.setattr(schur, "cauchy_binet_coeffs", faulty)
         assert kp_passes() == [False, False]
+
+    # each fault edits the source of `name` as the check finds it in `module`
+    @pytest.mark.parametrize("check, module, name, old, new", [
+        # the minor expansion without its alternating sign is the permanent
+        ("pluecker", algebra, "det_ring", "term = -term", "term = term"),
+        # (x_j - x_i) flips the sign of the M = 2 Vandermonde in det F / Delta
+        ("integral-rep", tau, "vandermonde", "pts[i] - pts[j]", "pts[j] - pts[i]"),
+        # S_ij = sum_k mu_k f_i g_i is no longer the moment matrix
+        ("andreev", tau, "andreev_residual", "gvals[j][k]", "gvals[i][k]"),
+    ])
+    def test_instance_check_sees_a_seeded_fault(self, monkeypatch, check, module, name, old, new):
+        def passes():
+            cfg = validate_config({"checks": [check], "instances": 5})
+            recs = run_suite(cfg)["records"]
+            assert not any("error" in r for r in recs)
+            return [r["pass"] for r in recs]
+
+        assert all(passes())
+
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert old in source
+        namespace = dict(vars(module))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+        verdicts = passes()
+        assert verdicts.count(False) * 2 > len(verdicts), verdicts
+
+    def test_root_checks_name_opposite_config_roots(self):
+        # u = (2, -2) gives sigma_1 = sigma_2, so every determinant is 0; the
+        # checks that draw roots must refuse it instead of passing on 0 = 0
+        cfg = validate_config({"checks": list(ROOT_CHECKS), "u": ["2", "-2"]})
+        recs = run_suite(cfg)["records"]
+        assert [r["check"] for r in recs] == list(ROOT_CHECKS)
+        assert all(not r["pass"] and "w(u_i/u_j)" in r["error"] for r in recs)
+
+    def test_root_checks_pass_once_without_roots(self):
+        cfg = validate_config({"checks": list(ROOT_CHECKS), "M": 0})
+        recs = run_suite(cfg)["records"]
+        assert [r["check"] for r in recs] == list(ROOT_CHECKS)
+        assert all(r["pass"] and r["residual"] is None for r in recs)
 
     def test_float_records_do_not_depend_on_an_earlier_precision(self):
         # a 400-bit context made earlier in the process must not raise the
