@@ -4,7 +4,7 @@ Three scalar modes drive everything downstream:
 
 * ``rational``  -- arbitrary-precision ``fractions.Fraction``;
 * ``quadratic`` -- elements ``a + b*sqrt(d)`` of one fixed real or imaginary
-  quadratic field, exact;
+  quadratic field, exact, held as integer numerators over one denominator;
 * ``float``     -- mpmath arbitrary-precision floats, complex allowed.
 
 Exact modes compare by literal equality.  Float mode keeps exact-zero tests
@@ -34,25 +34,31 @@ import mpmath as mp
 
 
 class QuadraticNumber:
-    """Element a + b*sqrt(d) of Q(sqrt(d)) with d a fixed non-square integer.
+    """Element (n + m*sqrt(d)) / c of Q(sqrt(d)), d a fixed non-square integer.
 
-    ``a`` and ``b`` are rationals.  ``d`` may be negative, which makes the
-    field imaginary quadratic; the arithmetic is identical.  Mixed arithmetic
-    with ``int`` and ``Fraction`` promotes automatically.
+    n, m and c are integers in the normal form gcd(n, m, c) = 1, c > 0, so an
+    element has one representation and arithmetic needs one gcd.  ``a`` = n/c
+    and ``b`` = m/c are the parts as Fractions.  A negative ``d`` gives an
+    imaginary field with the same arithmetic.  ``int`` and ``Fraction`` promote.
 
-    >>> x = QuadraticNumber(Fraction(-21, 8), Fraction(1, 8), 377)
-    >>> x + x.conjugate()
-    QuadraticNumber(Fraction(-21, 4), Fraction(0, 1), 377)
+    >>> x = QuadraticNumber(Fraction(-21, 8), Fraction(1, 4), 377)
+    >>> (x.n, x.m, x.c), x + x.conjugate()
+    ((-21, 2, 8), QuadraticNumber(Fraction(-21, 4), Fraction(0, 1), 377))
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("n", "m", "c", "d")
 
     def __init__(self, a, b=0, d=None):
         if d is None:
             raise ValueError("QuadraticNumber requires the discriminant d")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = int(d)
+        # reduced parts over their least common denominator have gcd(n, m, c) = 1
+        a, b = (x if type(x) in (int, Fraction) else Fraction(x) for x in (a, b))
+        c = math.lcm(a.denominator, b.denominator)
+        self.n, self.m = a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
+        self.c, self.d = c, int(d)
+
+    a = property(lambda self: Fraction(self.n, self.c))
+    b = property(lambda self: Fraction(self.m, self.c))
 
     def _lift(self, other):
         if isinstance(other, QuadraticNumber):
@@ -60,14 +66,15 @@ class QuadraticNumber:
                 raise ValueError("mixed quadratic fields: d=%s vs d=%s" % (self.d, other.d))
             return other
         if isinstance(other, (int, Fraction)):
-            return _quad(Fraction(other), _ZERO, self.d)
+            return _quad(other.numerator, 0, other.denominator, self.d)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return _quad(self.a + o.a, self.b + o.b, self.d)
+        c1, c2 = self.c, o.c
+        return _norm(self.n * c2 + o.n * c1, self.m * c2 + o.m * c1, c1 * c2, self.d)
 
     __radd__ = __add__
 
@@ -75,27 +82,28 @@ class QuadraticNumber:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return _quad(self.a - o.a, self.b - o.b, self.d)
+        c1, c2 = self.c, o.c
+        return _norm(self.n * c2 - o.n * c1, self.m * c2 - o.m * c1, c1 * c2, self.d)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return _quad(self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d)
+        n1, m1, n2, m2 = self.n, self.m, o.n, o.m
+        return _norm(n1 * n2 + m1 * m2 * self.d, n1 * m2 + m1 * n2, self.c * o.c, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.a * self.a - self.b * self.b * self.d
-        if n == 0:
+        # c / (n + m sqrt d) = c (n - m sqrt d) / (n^2 - d m^2)
+        n, m, c = self.n, self.m, self.c
+        norm = n * n - m * m * self.d
+        if norm == 0:
             raise ZeroDivisionError("division by zero quadratic number")
-        return _quad(self.a / n, -self.b / n, self.d)
+        return _norm(c * n, -c * m, norm, self.d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -104,18 +112,14 @@ class QuadraticNumber:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadraticNumber(1, 0, self.d)
-        base = self
+        out, base = _quad(1, 0, 1, self.d), self
         while n:
             if n & 1:
                 out = out * base
@@ -124,28 +128,28 @@ class QuadraticNumber:
         return out
 
     def __neg__(self):
-        return _quad(-self.a, -self.b, self.d)
+        return _quad(-self.n, -self.m, self.c, self.d)
 
     def conjugate(self):
-        return QuadraticNumber(self.a, -self.b, self.d)
+        return _quad(self.n, -self.m, self.c, self.d)
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.n == o.n and self.m == o.m and self.c == o.c
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.n != 0 or self.m != 0
 
     def __hash__(self):
-        # equal to a rational exactly when b == 0, so hash like that rational
-        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
+        # equal to a rational exactly when m == 0, so hash like that rational
+        return hash((self.a, self.b, self.d)) if self.m else hash(self.a)
 
     def __float__(self):
-        if self.d < 0 and self.b != 0:
+        if self.d < 0 and self.m != 0:
             raise ValueError("complex quadratic number has no float value")
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return self.n / self.c + self.m / self.c * math.sqrt(self.d)
 
     def __repr__(self):
         return "QuadraticNumber(%r, %r, %r)" % (self.a, self.b, self.d)
@@ -154,17 +158,22 @@ class QuadraticNumber:
         return "(%s,%s|%s)" % (_frac_str(self.a), _frac_str(self.b), self.d)
 
 
-_ZERO = Fraction(0)
-
-
-def _quad(a, b, d):
-    """QuadraticNumber from parts that are already Fractions and an int d,
-    without the public constructor's coercions."""
+def _quad(n, m, c, d):
+    """QuadraticNumber (n + m*sqrt(d)) / c from parts already in normal form."""
     x = object.__new__(QuadraticNumber)
-    x.a = a
-    x.b = b
-    x.d = d
+    x.n, x.m, x.c, x.d = n, m, c, d
     return x
+
+
+def _norm(n, m, c, d):
+    """(n + m*sqrt(d)) / c, c != 0, in normal form by one gcd and a sign fix."""
+    g = math.gcd(n, m, c) if c > 0 else -math.gcd(n, m, c)
+    return _quad(n // g, m // g, c // g, d)
+
+
+def _ratio(p, q, e):
+    """The float nearest p / (q * 2**e), for integers p and q > 0."""
+    return p / (q << e) if e >= 0 else (p << -e) / q
 
 
 def _frac_str(fr):
@@ -263,7 +272,7 @@ class FieldContext:
                     raise ValueError("wrong discriminant")
                 return x
             if isinstance(x, (int, Fraction)):
-                return QuadraticNumber(x, 0, self.d)
+                return _quad(x.numerator, 0, x.denominator, self.d)
             raise TypeError("cannot embed %r into Q(sqrt(%d))" % (x, self.d))
         if isinstance(x, (mp.mpf, mp.mpc)):
             return x
@@ -280,7 +289,7 @@ class FieldContext:
         s = s.strip()
         m = _QUAD_RE.match(s)
         if m:
-            val = QuadraticNumber(Fraction(m.group(1)), Fraction(m.group(2)), int(m.group(3)))
+            val = QuadraticNumber(m.group(1), m.group(2), int(m.group(3)))
             if self.mode != "quadratic":
                 raise ValueError("quadratic literal %r in %s mode" % (s, self.mode))
             return self.embed(val)
@@ -319,21 +328,29 @@ class FieldContext:
     def magnitude(self, x):
         """Float magnitude for radius and shrink comparisons, free of
         cancellation: a real a + b*sqrt(d) with a, b of opposite signs is
-        |a^2 - d b^2| / |a - b*sqrt(d)|, whose numerator is exact."""
-        if isinstance(x, Fraction):
-            try:
+        |a^2 - d b^2| / |a - b*sqrt(d)|, whose numerator is exact.  The parts
+        and that numerator are read scaled by powers of two to near 1 and the
+        scale is put back last, so a value beyond float range reads inf or
+        0.0, as a Fraction does; inside the range the scaling is exact."""
+        try:
+            if isinstance(x, Fraction):
                 return abs(float(x))
-            except OverflowError:
-                return float("inf")
-        if isinstance(x, QuadraticNumber):
-            root = math.sqrt(abs(x.d))
-            if x.d < 0:
-                return math.hypot(float(x.a), float(x.b) * root)
-            if x.a * x.b < 0:
-                norm = x.a * x.a - x.b * x.b * x.d
-                return abs(float(norm)) / abs(float(x.a) - float(x.b) * root)
-            return abs(float(x.a) + float(x.b) * root)
-        return float(abs(x))
+            if isinstance(x, QuadraticNumber):
+                n, m, c, d = x.n, x.m, x.c, x.d
+                e = max(abs(n), abs(m)).bit_length() - c.bit_length()
+                a, b, root = _ratio(n, c, e), _ratio(m, c, e), math.sqrt(abs(d))
+                if d < 0:
+                    mag = math.hypot(a, b * root)
+                elif n * m < 0:
+                    norm = abs(n * n - d * m * m)
+                    k = norm.bit_length() - 2 * c.bit_length()
+                    mag, e = _ratio(norm, c * c, k) / abs(a - b * root), k - e
+                else:
+                    mag = abs(a + b * root)
+                return math.ldexp(mag, e)
+            return float(abs(x))
+        except OverflowError:
+            return float("inf")
 
 
 def det(rows, ctx):

@@ -7,6 +7,8 @@ for the quadratic field arithmetic.
 """
 
 import itertools
+import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +60,98 @@ def geometric_inverse(poly):
         power = power * body
         acc = acc + power
     return acc.scale(1 / c0)
+
+
+class TwoFractions:
+    """Reference arithmetic on a + b*sqrt(d) held as two Fractions (a, b),
+    the representation `QuadraticNumber` had before its integer numerators
+    over one common denominator."""
+
+    @staticmethod
+    def add(x, y, d):
+        return (x[0] + y[0], x[1] + y[1])
+
+    @staticmethod
+    def sub(x, y, d):
+        return (x[0] - y[0], x[1] - y[1])
+
+    @staticmethod
+    def mul(x, y, d):
+        return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+    @staticmethod
+    def inverse(x, d):
+        n = x[0] * x[0] - x[1] * x[1] * d
+        if n == 0:
+            raise ZeroDivisionError("division by zero quadratic number")
+        return (x[0] / n, -x[1] / n)
+
+    @staticmethod
+    def truediv(x, y, d):
+        return TwoFractions.mul(x, TwoFractions.inverse(y, d), d)
+
+    @staticmethod
+    def power(x, k, d):
+        out = (F(1), F(0))
+        for _ in range(abs(k)):
+            out = TwoFractions.mul(out, x, d)
+        return TwoFractions.inverse(out, d) if k < 0 else out
+
+    @staticmethod
+    def neg(x):
+        return (-x[0], -x[1])
+
+    @staticmethod
+    def conjugate(x):
+        return (x[0], -x[1])
+
+    @staticmethod
+    def hash(x, d):
+        return hash((x[0], x[1], d)) if x[1] else hash(x[0])
+
+    @staticmethod
+    def str(x, d):
+        def part(fr):
+            return str(fr.numerator) if fr.denominator == 1 else "%d/%d" % (
+                fr.numerator, fr.denominator)
+        return "(%s,%s|%s)" % (part(x[0]), part(x[1]), d)
+
+    @staticmethod
+    def float(x, d):
+        return float(x[0]) + float(x[1]) * math.sqrt(d)
+
+    @staticmethod
+    def magnitude(x, d):
+        a, b = x
+        root = math.sqrt(abs(d))
+        if d < 0:
+            return math.hypot(float(a), float(b) * root)
+        if a * b < 0:
+            return abs(float(a * a - b * b * d)) / abs(float(a) - float(b) * root)
+        return abs(float(a) + float(b) * root)
+
+
+def same_as_reference(got, want, d):
+    """`got` is in normal form and reads everywhere as the reference parts."""
+    assert type(got) is QuadraticNumber
+    assert all(type(v) is int for v in (got.n, got.m, got.c, got.d))
+    assert got.c > 0 and math.gcd(got.n, got.m, got.c) == 1
+    assert (got.a, got.b, got.d) == (want[0], want[1], d)
+    assert type(got.a) is F and type(got.b) is F
+    assert got == QuadraticNumber(want[0], want[1], d)
+    assert hash(got) == TwoFractions.hash(want, d)
+    assert str(got) == TwoFractions.str(want, d)
+    assert repr(got) == "QuadraticNumber(%r, %r, %r)" % (want[0], want[1], d)
+    assert bool(got) == (want != (0, 0))
+    if not want[1]:
+        assert got == want[0] and want[0] == got and hash(got) == hash(want[0])
+    try:
+        ref = TwoFractions.float(want, d)
+    except ValueError:
+        with pytest.raises(ValueError):
+            float(got)
+    else:
+        assert float(got) == ref
 
 
 class TestDeterminants:
@@ -197,6 +291,47 @@ class TestQuadraticNumber:
         assert len({x, F(2)}) == 1
         assert len({QuadraticNumber(2, 1, 5), F(2)}) == 2
 
+    def test_matches_the_two_fraction_formulas(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        small = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+        # an operand is an int, a Fraction, or the parts (a, b) of a quadratic
+        operand = st.one_of(st.integers(-7, 7), small, st.tuples(small, small))
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.sampled_from([377, 5, -3]), st.tuples(small, small), operand,
+               st.integers(-4, 4))
+        def inner(d, xref, y, k):
+            x = QuadraticNumber(*xref, d)
+            if isinstance(y, tuple):
+                y, yref = QuadraticNumber(*y, d), y
+            else:
+                yref = (F(y), F(0))
+
+            def agrees(got, want):
+                # both raise ZeroDivisionError, or both give the same element
+                try:
+                    expected = want()
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        got()
+                else:
+                    same_as_reference(got(), expected, d)
+
+            agrees(lambda: x, lambda: xref)
+            for op in ("add", "sub", "mul", "truediv"):
+                for left, right, lref, rref in ((x, y, xref, yref), (y, x, yref, xref)):
+                    agrees(lambda: getattr(operator, op)(left, right),
+                           lambda: getattr(TwoFractions, op)(lref, rref, d))
+            agrees(lambda: -x, lambda: TwoFractions.neg(xref))
+            agrees(x.conjugate, lambda: TwoFractions.conjugate(xref))
+            agrees(x.inverse, lambda: TwoFractions.inverse(xref, d))
+            agrees(lambda: x ** k, lambda: TwoFractions.power(xref, k, d))
+            assert (x == y) == (xref == yref) == (y == x)
+
+        inner()
+
     def test_squarefree_kernel(self):
         assert squarefree_kernel(12) == (2, 3)
         assert squarefree_kernel(377) == (1, 377)
@@ -238,6 +373,39 @@ class TestFieldContext:
         want = 1 / ctx.magnitude(small.conjugate())
         assert ctx.magnitude(small) == pytest.approx(want, rel=1e-12)
         assert ctx.magnitude(-small) == pytest.approx(want, rel=1e-12)
+
+    def test_magnitude_of_quadratic_parts_beyond_float_range(self):
+        inf = float("inf")
+        real, imaginary = FieldContext("quadratic", d=377), FieldContext("quadratic", d=-3)
+        assert real.magnitude(QuadraticNumber(10**400, 1, 377)) == inf
+        assert real.magnitude(QuadraticNumber(10**400, -1, 377)) == inf
+        assert imaginary.magnitude(QuadraticNumber(10**400, 1, -3)) == inf
+        # about 1.8e-399, below the smallest float
+        assert real.magnitude(QuadraticNumber(F(1, 10**400), F(-1, 10**400), 377)) == 0.0
+        # parts near 1e682 that cancel to about 1e-83, a value well inside the range
+        ctx = FieldContext("quadratic", d=2)
+        x = QuadraticNumber(3, -2, 2) ** 500 * 10**300
+        import mpmath
+
+        with mpmath.workdps(30):
+            want = float((3 - 2 * mpmath.sqrt(2)) ** 500 * 10**300)
+        assert ctx.magnitude(x) == pytest.approx(want, rel=1e-14)
+        assert ctx.magnitude(-x) == ctx.magnitude(x)
+
+    def test_magnitude_inside_float_range_is_the_two_fraction_formula(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        small = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.sampled_from([377, 5, 2, -3]), small, small, st.integers(1, 20))
+        def inner(d, a, b, k):
+            x = QuadraticNumber(a, b, d) ** k
+            want = TwoFractions.magnitude((x.a, x.b), d)
+            assert FieldContext("quadratic", d=d).magnitude(x) == want
+
+        inner()
 
     def test_magnitude_of_a_fraction_with_huge_terms(self):
         assert RAT.magnitude(F(10**301 + 1, 10**301)) == pytest.approx(1.0)

@@ -54,3 +54,19 @@ def test_tracer_wraps_every_named_function_and_restores_it():
     assert after.keys() == before.keys()
     for name, space in before.items():
         assert all(after[name][k] is v for k, v in space.items()), name
+
+
+def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
+    # pinned on the two-Fraction carrier; a fast path that multiplied or
+    # inverted without the counted methods would make these read lower
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        cfg = tltau.cli.validate_config({"checks": ["theorem-quotient"], "instances": 1,
+                                         "field_mode": "quadratic", "spin_twice": 2, "Q": "2"})
+        assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["algebra.qnum_mul.calls"] == 342
+    assert tracer.counters["algebra.qnum_inverse.calls"] == 65

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 from mpmath import mp
 
-from tltau import algebra, schur, tau
+from tltau import algebra, diagrams, schur, tau
 from tltau.algebra import FieldContext, MiwaPolynomial
 from tltau.cli import (
     CHECK_NAMES,
@@ -187,6 +187,26 @@ class TestSuite:
         monkeypatch.setattr(module, name, namespace[name])
         verdicts = passes()
         assert verdicts.count(False) * 2 > len(verdicts), verdicts
+
+    def test_diagram_counts_see_a_wrong_two_row_closed_form(self, monkeypatch):
+        # for odd lam, (lam + 1)(lam + 3) / 8 is an integer and (lam + 1)^2 / 8
+        # is below it, so the two-row closed form is off on every
+        # default-config record (M = 2)
+        def verdicts():
+            recs = run_suite(validate_config({"checks": ["diagram-counts"]}))["records"]
+            assert not any("error" in r for r in recs)
+            assert {r["params"]["M"] for r in recs} == {2}
+            return [r["pass"] for r in recs]
+
+        assert verdicts() == [True] * 7
+
+        old = "(lam1max + 1) * (lam1max + 3) // 8"
+        source = textwrap.dedent(inspect.getsource(diagrams.count_closed))
+        assert old in source
+        namespace = dict(vars(diagrams))
+        exec(source.replace(old, "(lam1max + 1) * (lam1max + 1) // 8"), namespace)
+        monkeypatch.setattr(diagrams, "count_closed", namespace["count_closed"])
+        assert verdicts() == [False] * 7
 
     def test_root_checks_name_opposite_config_roots(self):
         # u = (2, -2) gives sigma_1 = sigma_2, so every determinant is 0; the
