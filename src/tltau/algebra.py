@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cache
+from operator import add, itemgetter
 
 import mpmath as mp
 
@@ -147,7 +149,9 @@ class QuadraticNumber:
         return hash((self.a, self.b, self.d)) if self.m else hash(self.a)
 
     def __float__(self):
-        if self.d < 0 and self.m != 0:
+        if not self.m:
+            return self.n / self.c
+        if self.d < 0:
             raise ValueError("complex quadratic number has no float value")
         return self.n / self.c + self.m / self.c * math.sqrt(self.d)
 
@@ -633,6 +637,7 @@ def series_invert(s):
     return s.invert()
 
 
+@cache
 def weighted_degree(key):
     """Weight of a Miwa monomial exponent tuple: sum over m of m * k_m."""
     return sum((m + 1) * k for m, k in enumerate(key) if k)
@@ -716,15 +721,18 @@ class MiwaPolynomial:
         if not isinstance(other, MiwaPolynomial):
             return self.scale(other)
         cutoff = self._compat(other)
-        right = [(weighted_degree(k), k, c) for k, c in other.terms.items()]
+        # right operand by weight, so each left term stops at the room it leaves
+        right = sorted(((weighted_degree(k), k, c) for k, c in other.terms.items()),
+                       key=itemgetter(0))
+        zero = self.ctx.zero()
         out = {}
         for k1, c1 in self.terms.items():
             room = cutoff - weighted_degree(k1)
             for w2, k2, c2 in right:
                 if w2 > room:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, self.ctx.zero()) + c1 * c2
+                    break
+                key = tuple(map(add, k1, k2))
+                out[key] = out.get(key, zero) + c1 * c2
         return MiwaPolynomial(self.ctx, self.K, cutoff, out)
 
     __rmul__ = __mul__

@@ -168,12 +168,14 @@ class ParameterVector:
     pairwise distinct.  The q-dependent excluded sets are checked by
     validate_uv at the operations that depend on them.
 
-    Used as the roots of a family matrix, a vector also holds the columns
-    computed on it, keyed by (params, family, y), so each column is
-    evaluated once per vector.
+    Used as the roots of a family matrix, a vector also holds what is
+    computed on it, so each is evaluated once per vector: the columns, keyed
+    by (params, family, y), and the Taylor tables of schur.fhat_table, keyed
+    by (params, family, order) and held as tuples so that no caller can
+    change them.
     """
 
-    __slots__ = ("values", "role", "_columns")
+    __slots__ = ("values", "role", "_columns", "_tables")
 
     def __init__(self, values, role):
         if role not in ("bethe", "free"):
@@ -189,6 +191,7 @@ class ParameterVector:
         self.values = vals
         self.role = role
         self._columns = {}
+        self._tables = {}
 
     def __len__(self):
         return len(self.values)
@@ -481,18 +484,25 @@ def _y_series(ctx, order):
     return LaurentSeries(ctx, {1: ctx.one()}, max(order, 1))
 
 
-def taylor_y(p, u, family, i, order):
-    """Taylor series in y through y**order of row i of a family, divided by
-    its leading power: y^(N-1) F^(1)_i for family 1, F^(2)_i / y = 1/d_i for
-    family 2."""
+def taylor_rows(p, u, family, order, rows=None):
+    """Taylor series in y through y**order of the listed rows (default all)
+    of a family, divided by their leading power: y^(N-1) F^(1)_i for family
+    1, F^(2)_i / y = 1/d_i for family 2.  Family 1 takes every row from one
+    shell."""
     uu = _vals(u)
-    _check_row(uu, i)
+    rows = range(len(uu)) if rows is None else rows
     y = _y_series(p.ctx, order + 1)
     if family == 1:
-        return _cleared(p, y, uu, (i,))[0].shift(-1).truncate(order)
+        return [s.shift(-1).truncate(order) for s in _cleared(p, y, uu, rows)]
     if family == 2:
-        return (1 / _denominator(p.q, y, _sigma(p.q, uu[i]))).truncate(order)
+        return [(1 / _denominator(p.q, y, _sigma(p.q, uu[i]))).truncate(order) for i in rows]
     raise ValueError("family must be 1 or 2")
+
+
+def taylor_y(p, u, family, i, order):
+    """taylor_rows of row i alone."""
+    _check_row(_vals(u), i)
+    return taylor_rows(p, u, family, order, (i,))[0]
 
 
 def _z_series(ys, start, order):

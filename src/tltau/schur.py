@@ -10,11 +10,18 @@ partition is longer than the point set.
 
 The expansion engine reads Taylor coefficients of the two generating
 families off their series in the squared variable y = v^2
-(chain.taylor_y, from each family's leading power on), assembles Schur
-coefficients as minors of that coefficient table, and reconstructs the
-normalized tau sums
+(chain.taylor_rows, from each family's leading power on, every family-1 row
+from one shell), keeps that table on the Bethe ParameterVector, and
+assembles Schur coefficients as minors of it.  The normalized tau sums
 
-    tau~(a) = sum_lam c_lam(a) s_lam,      c_lam(a) = det f^(a)[i][lam_j - j + M].
+    tau~(a) = sum_lam c_lam(a) s_lam,      c_lam(a) = det f^(a)[i][lam_j - j + M],
+
+are built in one pass over the cycle types mu_k of the times' monomials t^k,
+
+    [tau~(a)]_k = sum_{|lam| = |mu_k|} c_lam(a) chi^lam(mu_k) / prod_m k_m!,
+
+of which one Schur polynomial is the case of a single partition.  On points
+the same sums are bialternants that share one Vandermonde and power table.
 
 `normalized_kernel_poly` divides the two reconstructions as graded Miwa
 series and `slavnov_schur_coeffs` reads the quotient's Schur coefficients
@@ -29,7 +36,7 @@ from functools import cache
 from math import factorial, prod
 
 from .algebra import MiwaPolynomial, det, miwa_series_invert, vandermonde
-from .chain import family_matrix_y, taylor_y
+from .chain import ParameterVector, family_matrix_y, taylor_rows
 
 
 # -- partitions ------------------------------------------------------------
@@ -49,7 +56,12 @@ def partition_normalize(lam):
 
 def partitions_bounded(maxweight, maxlen=None):
     """All partitions with |lam| <= maxweight and at most maxlen rows,
-    sorted by (weight, parts)."""
+    sorted by (weight, parts), as a new list."""
+    return list(_partitions(maxweight, maxlen))
+
+
+@cache
+def _partitions(maxweight, maxlen):
     out = []
 
     def rec(prefix, remaining, cap):
@@ -63,7 +75,7 @@ def partitions_bounded(maxweight, maxlen=None):
 
     rec([], maxweight, maxweight)
     out.sort(key=lambda lam: (sum(lam), lam))
-    return out
+    return tuple(out)
 
 
 def ell_indices(lam, npoints):
@@ -140,16 +152,36 @@ def schur_miwa(lam, cutoff, ctx, K=None):
     MiwaPolynomial(-1 t2 + 1/2 t1^2; cutoff=2)
     """
     parts = partition_normalize(lam)
+    if sum(parts) > cutoff:
+        raise ValueError("partition weight exceeds the cutoff")
+    return _character_sum([(parts, ctx.one())], cutoff, ctx, K)
+
+
+def _character_sum(coeffs, cutoff, ctx, K=None):
+    """sum_lam c_lam s_lam in the times t_1..t_K for (lam, c_lam) pairs of
+    weight at most cutoff, in one pass over the cycle types mu:
+
+        [sum_lam c_lam s_lam]_{t^k} = sum_{|lam| = |mu_k|} c_lam chi^lam(mu_k) / prod_m k_m!.
+    """
     if K is None:
         K = max(cutoff, 1)
-    weight = sum(parts)
-    if weight > cutoff:
-        raise ValueError("partition weight exceeds the cutoff")
+    by_weight = {}
+    for lam, c in coeffs:
+        by_weight.setdefault(sum(lam), []).append((lam, c))
     terms = {}
-    for mu in partitions_bounded(weight):
-        if sum(mu) == weight and max(mu, default=0) <= K:
-            key = tuple(mu.count(m) for m in range(1, K + 1))
-            terms[key] = ctx.embed(Fraction(_character(parts, mu), prod(map(factorial, key))))
+    for mu in _partitions(max(by_weight, default=0), None):
+        group = by_weight.get(sum(mu))
+        if group is None or max(mu, default=0) > K:
+            continue
+        key = tuple(mu.count(m) for m in range(1, K + 1))
+        denom = prod(map(factorial, key))
+        acc = None
+        for lam, c in group:
+            if chi := _character(lam, mu):
+                term = c * ctx.embed(Fraction(chi, denom))
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            terms[key] = acc
     return MiwaPolynomial(ctx, K, cutoff, terms)
 
 
@@ -161,13 +193,15 @@ def fhat_table(p, u, family, nmax):
 
     fhat[i][n] is the z-series coefficient of row i's generating function at
     exponent 2 n + start, where start is the family's fixed leading offset:
-    the coefficient of y**n in chain.taylor_y.
+    the coefficient of y**n in chain.taylor_rows.  A ParameterVector u keeps
+    the table, a tuple of row tuples, keyed by (p, family, nmax).
     """
-    table = []
-    for i in range(p.M):
-        ys = taylor_y(p, u, family, i, nmax)
-        table.append([ys.coeff(n) for n in range(nmax + 1)])
-    return table
+    memo = u._tables if isinstance(u, ParameterVector) else {}
+    key = (p, family, nmax)
+    if key not in memo:
+        series = taylor_rows(p, u, family, nmax)
+        memo[key] = tuple(tuple(s.coeff(n) for n in range(nmax + 1)) for s in series)
+    return memo[key]
 
 
 class SchurCoeffMap:
@@ -254,24 +288,23 @@ def cauchy_binet_coeffs(p, u, family, cutoff, variable="y"):
 
 def tau_schur_poly(p, u, family, cutoff, K=None):
     """Normalized tau sum as a Miwa polynomial: sum_lam c_lam s_lam(t)."""
-    if K is None:
-        K = max(cutoff, 1)
-    cmap = cauchy_binet_coeffs(p, u, family, cutoff)
-    acc = MiwaPolynomial(p.ctx, K, cutoff)
-    for lam, c in cmap.items():
-        acc = acc + schur_miwa(lam, cutoff, p.ctx, K).scale(c)
-    return acc
+    return _character_sum(cauchy_binet_coeffs(p, u, family, cutoff).items(), cutoff, p.ctx, K)
 
 
 def schur_sum_eval(cmap, points, ctx):
-    """Evaluate sum_lam c_lam s_lam on a point set (rows beyond the point
-    count contribute nothing)."""
-    npts = len(list(points))
+    """Evaluate sum_lam c_lam s_lam on a point set by bialternants that share
+    one Vandermonde and one power table (rows beyond the point count
+    contribute nothing)."""
+    pts = list(points)
+    vdm = vandermonde(pts, ctx)
+    if ctx.is_zero(vdm):
+        raise ValueError("repeated evaluation points")
+    powers = [[x**e for e in range(cmap.cutoff + len(pts))] for x in pts]
     acc = ctx.zero()
     for lam, c in cmap.items():
-        if len(lam) > npts:
-            continue
-        acc = acc + c * schur_points(lam, points, ctx)
+        if len(lam) <= len(pts):
+            cols = ell_indices(lam, len(pts))
+            acc = acc + c * (det([[row[e] for e in cols] for row in powers], ctx) / vdm)
     return acc
 
 

@@ -256,19 +256,29 @@ def hirota_apply(op, f, g):
     summed over the operator's terms with their coefficients.  The Miwa
     truncation rules make the result known through min(f.cutoff, g.cutoff)
     less the largest weight of the operator's terms.
+
+    On (f, f) with |alpha| even, the beta and alpha - beta terms are the same
+    product, so only beta <= alpha - beta is formed, the unequal ones twice.
     """
     if f.K != op.K or g.K != op.K:
         raise ValueError("operator and operands must share K")
     ctx = f.ctx
     out = MiwaPolynomial(ctx, f.K, min(f.cutoff, g.cutoff))
-    cf, cg = {}, {}
+    cf = {}
+    cg = cf if f is g else {}
     for alpha, c in op.terms.items():
+        paired = f is g and sum(alpha) % 2 == 0
         for beta in product(*(range(a + 1) for a in alpha)):
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            if paired and beta > gamma:
+                continue
             coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
             if sum(beta) % 2:
                 coeff = -coeff
+            if paired and beta < gamma:
+                coeff *= 2
             df = _iter_deriv(f, beta, cf)
-            dg = _iter_deriv(g, tuple(a - b for a, b in zip(alpha, beta)), cg)
+            dg = _iter_deriv(g, gamma, cg)
             out = out + (df * dg).scale(c * ctx.embed(coeff))
     return out
 

@@ -118,6 +118,9 @@ class TwoFractions:
 
     @staticmethod
     def float(x, d):
+        # a rational element has a float value in every field, imaginary ones too
+        if not x[1]:
+            return float(x[0])
         return float(x[0]) + float(x[1]) * math.sqrt(d)
 
     @staticmethod
@@ -331,6 +334,13 @@ class TestQuadraticNumber:
             assert (x == y) == (xref == yref) == (y == x)
 
         inner()
+
+    def test_float_of_a_rational_element_of_an_imaginary_field(self):
+        assert float(QuadraticNumber(2, 0, -3)) == 2.0
+        assert float(QuadraticNumber(F(-1, 3), 0, -1)) == -1 / 3
+        assert float(FieldContext("quadratic", d=-3).zero()) == 0.0
+        with pytest.raises(ValueError):
+            float(QuadraticNumber(2, 1, -3))
 
     def test_squarefree_kernel(self):
         assert squarefree_kernel(12) == (2, 3)

@@ -70,3 +70,38 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         tracer.uninstall()
     assert tracer.counters["algebra.qnum_mul.calls"] == 342
     assert tracer.counters["algebra.qnum_inverse.calls"] == 65
+
+
+def test_expansion_checks_build_each_taylor_table_once_and_pair_hirota_terms(monkeypatch):
+    # a second family-1 table per instance, or one shell per row, reads more
+    # series calls of the eigenvalue formula; the unpaired Hirota sum reads
+    # 12 Miwa products per family instead of 7
+    from tltau import chain
+
+    series_calls = []
+    cleared = chain._cleared
+
+    def counted(p, y, *args, **kwargs):
+        if isinstance(y, algebra.LaurentSeries):
+            series_calls.append(y.trunc)
+        return cleared(p, y, *args, **kwargs)
+
+    monkeypatch.setattr(chain, "_cleared", counted)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    counts = {}
+    try:
+        tracer.install()
+        for check in ("schur-expansion", "hirota"):
+            del series_calls[:]
+            cfg = tltau.cli.validate_config({"checks": [check], "seed": 1})
+            assert tltau.cli.run_suite(cfg)["summary"]["failed"] == 0
+            counts[check] = len(series_calls)
+    finally:
+        tracer.uninstall()
+    assert counts == {"schur-expansion": 1, "hirota": 1}
+    spans = tracer.spans
+    hirota = [i for i, span in enumerate(spans) if span[0] == "tau.hirota_apply"]
+    products = [sum(1 for span in spans if span[0] == "algebra.miwa_mul" and span[3] == i)
+                for i in hirota]
+    assert products == [7, 7]

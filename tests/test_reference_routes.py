@@ -1,0 +1,184 @@
+"""The expansion pipeline's shortcuts against the direct routes they replace.
+
+Each test keeps a local copy of the direct route: a Schur polynomial per
+partition summed with its coefficient, every beta of a Hirota operator on
+(tau, tau), one Taylor series per row, one bialternant per partition, and
+the Miwa product over all term pairs.  They are compared exactly on
+rational instances and on one instance over Q(sqrt 377).
+"""
+
+import math
+import random
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+
+from tltau.algebra import FieldContext, MiwaPolynomial, weighted_degree
+from tltau.chain import ChainParams, ParameterVector, taylor_y
+from tltau.cli import draw_instance
+from tltau.schur import (
+    _character,
+    cauchy_binet_coeffs,
+    fhat_table,
+    partitions_bounded,
+    schur_miwa,
+    schur_points,
+    schur_sum_eval,
+    tau_schur_poly,
+)
+from tltau.tau import BilinearOperator, hirota_apply, kp_operator
+
+RAT = FieldContext("rational")
+
+
+def _instances():
+    """(params, u) for three rational sizes and one quadratic one."""
+    out = []
+    for N, M, seed in ((2, 1, 3), (2, 2, 1), (3, 3, 7)):
+        p = ChainParams(N, M, 1, F(2), F(-2), RAT)
+        out.append((p, draw_instance(p, random.Random(seed), vcount=0)[0]))
+    p = ChainParams.from_boundary(N=2, M=2, spin_twice=2, Q=F(2), mode="quadratic")
+    out.append((p, draw_instance(p, random.Random(5), vcount=0)[0]))
+    return out
+
+
+INSTANCES = _instances()
+IDS = ["N2M1", "N2M2", "N3M3", "quadratic-N2M2"]
+
+
+# -- the direct routes --------------------------------------------------------
+
+
+def direct_schur_miwa(lam, cutoff, ctx, K):
+    weight = sum(lam)
+    terms = {}
+    for mu in partitions_bounded(weight):
+        if sum(mu) == weight and max(mu, default=0) <= K:
+            key = tuple(mu.count(m) for m in range(1, K + 1))
+            denom = math.prod(map(math.factorial, key))
+            terms[key] = ctx.embed(F(_character(lam, mu), denom))
+    return MiwaPolynomial(ctx, K, cutoff, terms)
+
+
+def direct_tau_schur_poly(p, u, family, cutoff, K):
+    acc = MiwaPolynomial(p.ctx, K, cutoff)
+    for lam, c in cauchy_binet_coeffs(p, u, family, cutoff).items():
+        acc = acc + direct_schur_miwa(lam, cutoff, p.ctx, K).scale(c)
+    return acc
+
+
+def direct_hirota_apply(op, f, g):
+    out = MiwaPolynomial(f.ctx, f.K, min(f.cutoff, g.cutoff))
+    for alpha, c in op.terms.items():
+        for beta in product(*(range(a + 1) for a in alpha)):
+            coeff = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+            if sum(beta) % 2:
+                coeff = -coeff
+            df, dg = f, g
+            for m, (a, b) in enumerate(zip(alpha, beta), 1):
+                for _ in range(b):
+                    df = df.deriv(m)
+                for _ in range(a - b):
+                    dg = dg.deriv(m)
+            out = out + (df * dg).scale(c * f.ctx.embed(coeff))
+    return out
+
+
+def direct_mul(f, g):
+    cutoff = min(f.cutoff, g.cutoff)
+    out = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            if weighted_degree(k1) + weighted_degree(k2) <= cutoff:
+                key = tuple(a + b for a, b in zip(k1, k2))
+                out[key] = out.get(key, f.ctx.zero()) + c1 * c2
+    return MiwaPolynomial(f.ctx, f.K, cutoff, out)
+
+
+def direct_schur_sum_eval(cmap, points, ctx):
+    acc = ctx.zero()
+    for lam, c in cmap.items():
+        if len(lam) <= len(points):
+            acc = acc + c * schur_points(lam, points, ctx)
+    return acc
+
+
+# -- comparisons -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, u", INSTANCES, ids=IDS)
+def test_one_character_pass_is_the_sum_of_schur_polynomials(p, u):
+    for family, cutoff, K in product((1, 2), (4, 7), (None, 3)):
+        want = direct_tau_schur_poly(p, u, family, cutoff, max(cutoff, 1) if K is None else K)
+        assert tau_schur_poly(p, u, family, cutoff, K) == want
+
+
+def test_schur_miwa_is_the_character_sum_of_one_partition():
+    for cutoff in (0, 3, 6):
+        for K in (1, 2, cutoff + 1):
+            for lam in partitions_bounded(cutoff):
+                for ctx in (RAT, INSTANCES[-1][0].ctx):
+                    assert schur_miwa(lam, cutoff, ctx, K) == direct_schur_miwa(lam, cutoff, ctx, K)
+
+
+@pytest.mark.parametrize("p, u", INSTANCES, ids=IDS)
+def test_paired_hirota_terms_match_every_beta(p, u):
+    ctx = p.ctx
+    ops = [
+        kp_operator(ctx, 6),
+        BilinearOperator(ctx, 6, {(2, 1): ctx.embed(5), (0, 0, 0, 2): ctx.one(),
+                                  (1, 1, 0, 0, 0, 1): ctx.embed(F(-1, 3))}),
+        BilinearOperator(ctx, 6, {(3,): ctx.one(), (1, 1): ctx.embed(2)}),
+    ]
+    for family in (1, 2):
+        tau = tau_schur_poly(p, u, family, 6)
+        twin = MiwaPolynomial(ctx, tau.K, tau.cutoff, tau.terms)
+        for op in ops:
+            want = direct_hirota_apply(op, tau, twin)
+            assert hirota_apply(op, tau, tau) == want
+            assert hirota_apply(op, tau, twin) == want
+
+
+@pytest.mark.parametrize("p, u", INSTANCES, ids=IDS)
+def test_memoised_taylor_table_matches_per_row_series(p, u):
+    for family in (1, 2):
+        table = fhat_table(p, u, family, 6)
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+        assert fhat_table(p, u, family, 6) is table
+        assert fhat_table(p, list(u), family, 6) == table
+        for i in range(p.M):
+            series = taylor_y(p, u, family, i, 6)
+            assert table[i] == tuple(series.coeff(n) for n in range(7))
+    assert fhat_table(p, u, 1, 4) == tuple(row[:5] for row in fhat_table(p, u, 1, 6))
+
+
+@pytest.mark.parametrize("p, u", INSTANCES, ids=IDS)
+def test_schur_sum_eval_matches_per_partition_bialternants(p, u):
+    ctx = p.ctx
+    rng = random.Random(p.N * 10 + p.M)
+    for family in (1, 2):
+        cmap = cauchy_binet_coeffs(p, u, family, 6)
+        for npts in (1, 2, 3):
+            pts = [ctx.embed(F(rng.randint(1, 9), rng.randint(10, 30)) * (k + 1))
+                   for k in range(npts)]
+            assert schur_sum_eval(cmap, pts, ctx) == direct_schur_sum_eval(cmap, pts, ctx)
+
+
+@pytest.mark.parametrize("p, u", INSTANCES, ids=IDS)
+def test_weight_sorted_miwa_product_matches_all_pairs(p, u):
+    taus = [tau_schur_poly(p, u, family, 7, K) for family in (1, 2) for K in (3, 7)]
+    for f, g in product(taus, repeat=2):
+        if f.K != g.K:
+            continue
+        # the right operand also with its terms heaviest first
+        heavy_first = MiwaPolynomial(g.ctx, g.K, g.cutoff, dict(reversed(g.terms.items())))
+        for a, b in ((f, g), (f, heavy_first), (f.restrict(4), g), (f.deriv(1), g.deriv(2))):
+            assert a * b == direct_mul(a, b)
+
+
+def test_a_plain_list_of_roots_keeps_no_table():
+    p = ChainParams(2, 2, 1, F(2), F(-2), RAT)
+    u = ParameterVector([F(3), F(5)], "bethe")
+    assert fhat_table(p, [F(3), F(5)], 1, 3) == fhat_table(p, u, 1, 3)
+    assert list(u._tables) == [(p, 1, 3)]
