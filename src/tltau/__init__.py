@@ -6,7 +6,8 @@ Temperley-Lieb spin chain from exact scalar arithmetic, expands both
 determinant families into Schur series, and mechanically certifies the
 identities that tie them together: the tau-quotient form of the product,
 bilinear (Hirota/Pluecker) relations, the residue form of the integral
-representation, and the strict-diagram counting of admissible expansions.
+representation, the Schur expansions, the Baker-Akhiezer quotient, the
+strict-diagram counting of admissible expansions and the on-shell roots.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +19,6 @@ from .algebra import (
     MiwaPolynomial,
     det,
     det_ring,
-    series_invert,
     vandermonde,
 )
 from .chain import (
@@ -43,11 +43,11 @@ from .schur import (
     tau_schur_poly,
 )
 from .tau import (
-    MiwaTimes,
     baker_akhiezer,
     hirota_apply,
     hirota_kp_check,
     kp_operator,
+    miwa_map,
     pluecker_residual,
     tau_det,
     tau_residue,
@@ -62,7 +62,6 @@ __all__ = [
     "MiwaPolynomial",
     "det",
     "det_ring",
-    "series_invert",
     "vandermonde",
     "ChainParams",
     "ParameterVector",
@@ -81,11 +80,11 @@ __all__ = [
     "schur_points",
     "slavnov_schur_coeffs",
     "tau_schur_poly",
-    "MiwaTimes",
     "baker_akhiezer",
     "hirota_apply",
     "hirota_kp_check",
     "kp_operator",
+    "miwa_map",
     "pluecker_residual",
     "tau_det",
     "tau_residue",

@@ -517,14 +517,6 @@ class LaurentSeries:
                 clean[int(e)] = c
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, ctx, trunc):
-        return cls(ctx, {}, trunc)
-
-    @classmethod
-    def monomial(cls, ctx, coeff, exp, trunc):
-        return cls(ctx, {exp: coeff}, trunc)
-
     def min_exp(self):
         """Lowest stored exponent; the truncation order for the zero series."""
         return min(self.coeffs) if self.coeffs else self.trunc
@@ -630,11 +622,6 @@ class LaurentSeries:
             "%d: %s" % (e, self.ctx.to_string(c)) for e, c in sorted(self.coeffs.items())
         )
         return "LaurentSeries({%s}, trunc=%d)" % (terms, self.trunc)
-
-
-def series_invert(s):
-    """Inverse of a truncated Laurent series; see LaurentSeries.invert."""
-    return s.invert()
 
 
 @cache

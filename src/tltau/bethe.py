@@ -59,11 +59,7 @@ def closed_form_single_roots(p):
         if k == p.N:
             continue
         zeta = mp.expjpi(mp.mpf(k) / p.N)
-        u2 = (1 - zeta * q) / (q * (q - zeta))
-        root = mp.sqrt(u2)
-        if mp.re(root) < 0 or (mp.re(root) == 0 and mp.im(root) < 0):
-            root = -root
-        out.append(root)
+        out.append(_half_plane(mp.sqrt((1 - zeta * q) / (q * (q - zeta)))))
     dedup = []
     for r in out:
         if all(abs(r - s) > mp.mpf("1e-30") for s in dedup):
@@ -142,15 +138,15 @@ def solve_bethe(p, guess, tol=None, maxiter=80):
     return BetheSolution(roots, res, converged, maxiter, "converged" if converged else "iteration limit")
 
 
-def is_regular(p, roots, floor="1e-8"):
+def is_regular(p, roots):
     """True when no root sits on a spurious zero of the residue prefactor.
 
     The residue carries the overall factor w(u_j^2) w(u_j^2 q^2) / w(u_j^2 q)^2,
     so Newton can converge to points with u_j^2 in {+-1, +-1/q^2} where the
     residue vanishes without the bracket doing so.  Those are excluded
-    points of the model, not on-shell roots.
+    points of the model, not on-shell roots; "sits on" means within 1e-8.
     """
-    floor = mp.mpf(floor)
+    floor = mp.mpf("1e-8")
     q = p.q
     for r in roots:
         r = mp.mpc(r)
@@ -189,10 +185,10 @@ _PALETTE = (
 )
 
 
-def solve_bethe_grid(p, tol=None, maxiter=80, max_guesses=64):
-    """Run the solver from a deterministic palette of starting points and
-    return the distinct converged solutions (roots normalized to the right
-    half-plane, solutions deduplicated as sets)."""
+def solve_bethe_grid(p, tol=None, maxiter=80):
+    """Run the solver from at most 64 starting sets drawn from a deterministic
+    palette and return the distinct converged solutions (roots normalized to
+    the right half-plane, solutions deduplicated as sets)."""
     from itertools import combinations
 
     if p.M == 0:
@@ -202,7 +198,7 @@ def solve_bethe_grid(p, tol=None, maxiter=80, max_guesses=64):
     else:
         guesses = [list(c) for c in combinations(_PALETTE, p.M)]
     found = []
-    for g in guesses[:max_guesses]:
+    for g in guesses[:64]:
         try:
             sol = solve_bethe(p, g, tol=tol, maxiter=maxiter)
         except ValueError:
@@ -215,13 +211,15 @@ def solve_bethe_grid(p, tol=None, maxiter=80, max_guesses=64):
     return [sol for _, sol in found]
 
 
+def _half_plane(r):
+    """The one of +-r with re > 0, or re = 0 and im >= 0."""
+    if mp.re(r) < 0 or (mp.re(r) == 0 and mp.im(r) < 0):
+        return -r
+    return r
+
+
 def _canonical_roots(roots):
-    out = []
-    for r in roots:
-        if mp.re(r) < 0 or (mp.re(r) == 0 and mp.im(r) < 0):
-            r = -r
-        out.append(r)
-    return sorted(out, key=lambda z: (mp.re(z), mp.im(z)))
+    return sorted(map(_half_plane, roots), key=lambda z: (mp.re(z), mp.im(z)))
 
 
 def _root_set_distance(a, b):

@@ -307,11 +307,6 @@ def _cleared(p, y, uu, rows=(None,), pole=None):
     return out
 
 
-def lambda_y(p, y, u):
-    """Lambda evaluated at v = sqrt(y); u may be empty."""
-    return _cleared(p, y, _vals(u))[0] / y**p.N
-
-
 def lambda_du_y(p, i, y, u):
     """d Lambda / d u_i at v = sqrt(y)."""
     uu = _vals(u)
@@ -319,30 +314,16 @@ def lambda_du_y(p, i, y, u):
     return _cleared(p, y, uu, (i,))[0] / y**p.N
 
 
-def f2_eval_y(p, i, y, u):
-    """Family-2 value at v = sqrt(y): y / d_i = 1/(w(v/u_i) w(q v u_i))."""
-    uu = _vals(u)
-    _check_row(uu, i)
-    if not y:
-        raise PoleError("w(v)", "y is zero")
-    return y / _denominator(p.q, y, _sigma(p.q, uu[i]))
-
-
-def f_eval_y(p, family, i, y, u):
-    if family == 1:
-        return lambda_du_y(p, i, y, u)
-    if family == 2:
-        return f2_eval_y(p, i, y, u)
-    raise ValueError("family must be 1 or 2")
-
-
 def _column(p, uu, family, y):
-    """Column y of a family: every row's value at one point."""
+    """Column y of a family: every row's value at one point; family 2 is
+    y / d_i = 1/(w(v/u_i) w(q v u_i))."""
     if family == 1:
         yN = y**p.N
         return [c / yN for c in _cleared(p, y, uu, range(len(uu)))]
     if family == 2:
-        return [f2_eval_y(p, i, y, uu) for i in range(len(uu))]
+        if not y:
+            raise PoleError("w(v)", "y is zero")
+        return [y / _denominator(p.q, y, _sigma(p.q, ui)) for ui in uu]
     raise ValueError("family must be 1 or 2")
 
 
@@ -398,7 +379,8 @@ def lambda_eval(p, v, u):
 
     Poles w(v), w(q v^2) and the dressing denominators raise PoleError.
     """
-    return lambda_y(p, v * v, u)
+    y = v * v
+    return _cleared(p, y, _vals(u))[0] / y**p.N
 
 
 def lambda_du(p, i, v, u):
@@ -408,12 +390,9 @@ def lambda_du(p, i, v, u):
 
 def f2_eval(p, i, v, u):
     """Family-2 value 1/(w(v/u_i) w(q v u_i))."""
-    return f2_eval_y(p, i, v * v, u)
-
-
-def f_eval(p, family, i, v, u):
-    """Pointwise value of F^(family)_i at v."""
-    return f_eval_y(p, family, i, v * v, u)
+    uu = _vals(u)
+    _check_row(uu, i)
+    return _column(p, (uu[i],), 2, v * v)[0]
 
 
 def family_matrix(p, u, family, points):
@@ -499,12 +478,6 @@ def taylor_rows(p, u, family, order, rows=None):
     raise ValueError("family must be 1 or 2")
 
 
-def taylor_y(p, u, family, i, order):
-    """taylor_rows of row i alone."""
-    _check_row(_vals(u), i)
-    return taylor_rows(p, u, family, order, (i,))[0]
-
-
 def _z_series(ys, start, order):
     """sum_n c_n z^(2n + start) for the y-series sum_n c_n y^n, through z**order."""
     return LaurentSeries(
@@ -536,7 +509,8 @@ def f_series(p, u, family, i, order):
     start = (2 - 2 * p.N) if family == 1 else 2
     if order < start:
         raise ValueError("order %d is below the family's starting exponent %d" % (order, start))
-    return _z_series(taylor_y(p, u, family, i, (order - start) // 2), start, order)
+    _check_row(_vals(u), i)
+    return _z_series(taylor_rows(p, u, family, (order - start) // 2, (i,))[0], start, order)
 
 
 def pole_radius_y(p, u):

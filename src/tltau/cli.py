@@ -151,16 +151,17 @@ def _draw_distinct(rng, count):
     return out
 
 
-def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None, tries=500):
+def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None):
     """Draw admissible (u, v) for the chain, rejecting excluded values.
 
-    Rejection covers the model's pole sets.  An optional accept(u, v)
-    callback lets the caller reject draws with singular derived quantities
-    (it should raise to reject).  Deterministic given the rng state.
+    Rejection covers the model's pole sets, for up to 500 draws.  An
+    optional accept(u, v) callback lets the caller reject draws with singular
+    derived quantities (it should raise to reject).  Deterministic given the
+    rng state.
     """
     ctx = p.ctx
     vcount = p.M if vcount is None else vcount
-    for _ in range(tries):
+    for _ in range(500):
         try:
             if fixed_u is None:
                 uraw = _draw_distinct(rng, p.M)
@@ -298,12 +299,13 @@ def check_schur_expansion(cfg, p, seed):
     # bialternant vs characters on random points, all |lam| <= 6, 1..3 points
     worst = ctx.zero()
     ok_pts = True
+    polys = [(lam, _schur.schur_miwa(lam, 6, ctx, 6)) for lam in _schur.partitions_bounded(6)]
     for npts in (1, 2, 3):
         pts = [ctx.embed(x) for x in _draw_distinct(rng, npts)]
-        times = _tau.miwa_map(pts, 6, ctx).values
-        for lam in _schur.partitions_bounded(6):
+        times = _tau.miwa_map(pts, 6, ctx)
+        for lam, poly in polys:
             lhs = _schur.schur_points(lam, pts, ctx)
-            rhs = _schur.schur_miwa(lam, 6, ctx, 6).evaluate(times)
+            rhs = poly.evaluate(times)
             resid = lhs - rhs
             if not ctx.residual_ok(resid, lhs):
                 ok_pts = False
@@ -316,7 +318,7 @@ def check_schur_expansion(cfg, p, seed):
 
     u, _ = draw_instance(p, rng, _fixed_vector(cfg, p, "u", "bethe"), vcount=0)
     cutoff = cfg["schur_cutoff"]
-    wsets = _sample_ysets(p, u, rng, samples=3)
+    wsets = _sample_ysets(p, u, rng)
 
     for family in (1, 2):
         hi = _schur.cauchy_binet_coeffs(p, u, family, cutoff + 2)
@@ -341,13 +343,18 @@ def _shrink_record(ctx, hi, cutoff, samples, blob, seed):
 
     `_sample_ysets` keeps every point below R/16, R the smallest pole radius,
     so two more weights should cut the error by a factor of 16**2 or more.
+    The terms come by weight, so the low sum is a prefix of the high one.
     """
-    lo = hi.restrict(cutoff)
     shrank = True
     worst_pair = (0.0, 0.0)
     for w, pref, direct in samples:
-        dlo = ctx.magnitude(pref * _schur.schur_sum_eval(lo, w, ctx) - direct)
-        dhi = ctx.magnitude(pref * _schur.schur_sum_eval(hi, w, ctx) - direct)
+        lo = acc = ctx.zero()
+        for weight, term in _schur._schur_terms(hi, w, ctx):
+            acc = acc + term
+            if weight <= cutoff:
+                lo = acc
+        dlo = ctx.magnitude(pref * lo - direct)
+        dhi = ctx.magnitude(pref * acc - direct)
         if not dhi * 16 <= dlo:
             shrank = False
         if dhi > worst_pair[1]:
@@ -355,13 +362,14 @@ def _shrink_record(ctx, hi, cutoff, samples, blob, seed):
     return _record("schur-expansion", blob, seed, "%g -> %g" % worst_pair, shrank)
 
 
-def _sample_ysets(p, u, rng, samples=3):
-    """Distinct rational y-points strictly inside the smallest pole radius."""
+def _sample_ysets(p, u, rng):
+    """Up to three sets of distinct rational y-points strictly inside the
+    smallest pole radius."""
     radius = pole_radius_y(p, u)
     ctx = p.ctx
     sets = []
     denom = max(2, int(4 / radius) + 1)
-    for s in range(samples):
+    for s in range(3):
         pts = []
         for i in range(p.M):
             num = 1 + rng.randint(0, 2)
@@ -377,9 +385,13 @@ def check_diagram_counts(cfg, p, seed):
     lam1 = cfg.get("lambda1_max")
     if lam1 is None:
         lam1 = {1: 12, 2: 13, 3: 12}.get(M, 11 + (M % 2))
+    lam = (M + 1) % 2
+    if lam1 < lam:
+        return [_record("diagram-counts", {"M": M, "lambda1_max": lam1}, seed, None, False,
+                        error="lambda1_max %d is below %d, the least lambda_1 with the parity "
+                              "of M + 1" % (lam1, lam))]
     lam1 -= (lam1 - (M + 1)) % 2
     out = []
-    lam = (M + 1) % 2
     while lam <= lam1:
         enumerated = len(_diagrams.enumerate_admissible(M, lam))
         closed = _diagrams.count_closed(M, lam)

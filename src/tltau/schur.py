@@ -23,12 +23,11 @@ are built in one pass over the cycle types mu_k of the times' monomials t^k,
 of which one Schur polynomial is the case of a single partition.  On points
 the same sums are bialternants that share one Vandermonde and power table.
 
-`normalized_kernel_poly` divides the two reconstructions as graded Miwa
-series and `slavnov_schur_coeffs` reads the quotient's Schur coefficients
-back off, for partitions with at most M rows, by the Hall inner product
-(Macdonald I.4): the Schur functions are orthonormal, so each coefficient is
-one pairing of the quotient with the character form of s_lam, and no change
-of basis is solved.
+`slavnov_schur_coeffs` divides the two reconstructions as graded Miwa series
+and reads the quotient's Schur coefficients back off, for partitions with at
+most M rows, by the Hall inner product (Macdonald I.4): the Schur functions
+are orthonormal, so each coefficient is one pairing of the quotient with the
+character form of s_lam, and no change of basis is solved.
 """
 
 from fractions import Fraction
@@ -224,11 +223,6 @@ class SchurCoeffMap:
     def coeff(self, lam):
         return self.entries.get(partition_normalize(lam), self.ctx.zero())
 
-    def restrict(self, maxweight):
-        """The coefficients of weight at most maxweight."""
-        kept = {lam: c for lam, c in self.entries.items() if sum(lam) <= maxweight}
-        return SchurCoeffMap(self.ctx, maxweight, kept)
-
     def partitions(self):
         return sorted(self.entries, key=lambda lam: (sum(lam), lam))
 
@@ -242,12 +236,6 @@ class SchurCoeffMap:
         if not isinstance(other, SchurCoeffMap):
             return NotImplemented
         return self.cutoff == other.cutoff and self.entries == other.entries
-
-    def to_jsonable(self):
-        return [
-            {"partition": list(lam), "coeff": self.ctx.to_string(c)}
-            for lam, c in self.items()
-        ]
 
     def __repr__(self):
         return "SchurCoeffMap(cutoff=%d, %d entries)" % (self.cutoff, len(self.entries))
@@ -295,17 +283,24 @@ def schur_sum_eval(cmap, points, ctx):
     """Evaluate sum_lam c_lam s_lam on a point set by bialternants that share
     one Vandermonde and one power table (rows beyond the point count
     contribute nothing)."""
+    acc = ctx.zero()
+    for _, term in _schur_terms(cmap, points, ctx):
+        acc = acc + term
+    return acc
+
+
+def _schur_terms(cmap, points, ctx):
+    """(|lam|, c_lam s_lam(points)) for the terms of cmap that the points
+    see, in cmap's order, which is by weight."""
     pts = list(points)
     vdm = vandermonde(pts, ctx)
     if ctx.is_zero(vdm):
         raise ValueError("repeated evaluation points")
     powers = [[x**e for e in range(cmap.cutoff + len(pts))] for x in pts]
-    acc = ctx.zero()
     for lam, c in cmap.items():
         if len(lam) <= len(pts):
             cols = ell_indices(lam, len(pts))
-            acc = acc + c * (det([[row[e] for e in cols] for row in powers], ctx) / vdm)
-    return acc
+            yield sum(lam), c * (det([[row[e] for e in cols] for row in powers], ctx) / vdm)
 
 
 def tau_tilde_direct(p, u, family, points):
@@ -346,25 +341,22 @@ def poly_to_schur(poly, maxlen):
     if poly.K < poly.cutoff:
         raise ValueError("need K >= cutoff for a Schur-basis expansion")
     acc = {lam: ctx.zero() for lam in partitions_bounded(poly.cutoff, maxlen)}
+    by_weight = {}
+    for lam in acc:
+        by_weight.setdefault(sum(lam), []).append(lam)
     for key, c in poly.terms.items():
         mu = tuple(m for m in range(poly.K, 0, -1) for _ in range(key[m - 1]))
         denom = prod(m**k for m, k in enumerate(key, 1))
-        for lam in acc:
-            if sum(lam) == sum(mu) and (chi := _character(lam, mu)):
+        for lam in by_weight.get(sum(mu), ()):
+            if chi := _character(lam, mu):
                 acc[lam] = acc[lam] + ctx.embed(Fraction(chi, denom)) * c
     return {lam: a for lam, a in acc.items() if not ctx.is_zero(a)}
 
 
-def normalized_kernel_poly(p, u, cutoff):
-    """The quotient of the two normalized tau sums as a graded Miwa series,
-    correct through the weighted-degree cutoff."""
-    tau1 = tau_schur_poly(p, u, 1, cutoff)
-    tau2 = tau_schur_poly(p, u, 2, cutoff)
-    return tau1 * miwa_series_invert(tau2)
-
-
 def slavnov_schur_coeffs(p, u, cutoff):
-    """Schur coefficients A_lam of the normalized kernel quotient for
-    partitions with at most M rows (the rest cannot contribute on M
-    points)."""
-    return SchurCoeffMap(p.ctx, cutoff, poly_to_schur(normalized_kernel_poly(p, u, cutoff), p.M))
+    """Schur coefficients A_lam of the quotient of the two normalized tau sums,
+    a graded Miwa series correct through the weighted-degree cutoff, for
+    partitions with at most M rows (the rest cannot contribute on M points)."""
+    tau1 = tau_schur_poly(p, u, 1, cutoff)
+    quotient = tau1 * miwa_series_invert(tau_schur_poly(p, u, 2, cutoff))
+    return SchurCoeffMap(p.ctx, cutoff, poly_to_schur(quotient, p.M))

@@ -3,8 +3,7 @@
 A tau function here is a ratio tau(v) = det F_i(v_j) / Delta(v) built from one
 of the two generating families F of the chain module.  This module gives:
 
-  * the Miwa map from point sets to times, and the [x]-shift on both times
-    and polynomials;
+  * the Miwa map from point sets to times;
   * two independent constructions of tau (Vandermonde quotient and a
     partial-fraction residue determinant) that must agree identically;
   * the Pluecker exchange residual on point sets, zero for any family;
@@ -29,50 +28,8 @@ from . import schur as _schur
 # -- Miwa map ----------------------------------------------------------------
 
 
-class MiwaTimes:
-    """A finite vector of times t_1 .. t_K."""
-
-    __slots__ = ("ctx", "values")
-
-    def __init__(self, ctx, values):
-        self.ctx = ctx
-        self.values = tuple(values)
-
-    @classmethod
-    def from_points(cls, ctx, points, K):
-        return cls(ctx, _times_of_points(ctx, points, K))
-
-    @property
-    def K(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, MiwaTimes) and self.values == other.values
-
-    def shift(self, x, sign):
-        """t_p -> t_p + sign * x**p / p."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        ctx = self.ctx
-        out = []
-        for p in range(1, len(self.values) + 1):
-            out.append(self.values[p - 1] + ctx.embed(Fraction(sign, p)) * x ** p)
-        return MiwaTimes(ctx, out)
-
-    def __repr__(self):
-        return "MiwaTimes(%s)" % (", ".join(self.ctx.to_string(v) for v in self.values),)
-
-
-def _times_of_points(ctx, points, K):
+def miwa_map(points, K, ctx):
+    """Times of a point set as a tuple: t_m = (1/m) sum_i x_i^m, m = 1..K."""
     pts = list(points)
     out = []
     for m in range(1, K + 1):
@@ -80,25 +37,7 @@ def _times_of_points(ctx, points, K):
         for x in pts:
             acc = acc + x ** m
         out.append(acc * ctx.embed(Fraction(1, m)))
-    return out
-
-
-def miwa_map(points, K, ctx):
-    """Times of a point set: t_m = (1/m) sum_i x_i^m."""
-    return MiwaTimes.from_points(ctx, points, K)
-
-
-def miwa_shift(obj, x, sign):
-    """Shift by the one-point Miwa vector [x]: t_p -> t_p + sign x^p / p.
-
-    Acts on either a MiwaTimes vector or a MiwaPolynomial (where it
-    substitutes into the argument, never raising weighted degree).
-    """
-    if isinstance(obj, MiwaTimes):
-        return obj.shift(x, sign)
-    if isinstance(obj, MiwaPolynomial):
-        return obj.shift_times(x, sign)
-    raise TypeError("miwa_shift acts on MiwaTimes or MiwaPolynomial")
+    return tuple(out)
 
 
 # -- tau functions -------------------------------------------------------------
@@ -213,19 +152,6 @@ class BilinearOperator:
         return "BilinearOperator(%s)" % (" + ".join(bits) or "0")
 
 
-def op_d(ctx, K, m, power=1):
-    """The single symbol D_m ** power."""
-    key = [0] * K
-    key[m - 1] = power
-    return BilinearOperator(ctx, K, {tuple(key): ctx.one()})
-
-
-def op_d1_cubed_minus_4d3(ctx, K):
-    if K < 3:
-        raise ValueError("need K >= 3")
-    return BilinearOperator(ctx, K, {(3,): ctx.one(), (0, 0, 1): ctx.embed(-4)})
-
-
 def kp_operator(ctx, K):
     """D_1^4 + 3 D_2^2 - 4 D_1 D_3."""
     if K < 3:
@@ -294,19 +220,19 @@ def hirota_kp_check(tau):
 
 def baker_akhiezer(p, u, a, b, times, z=None, cutoff=8):
     """psi_ab(t, z) = tau_a(t - [1/z]) / tau_b(t) on the Schur-reconstructed
-    tau sums, with z=None meaning the point at infinity (no shift)."""
-    if not isinstance(times, MiwaTimes):
-        raise TypeError("times must be a MiwaTimes")
+    tau sums at the times t_1..t_K, with z=None meaning the point at infinity
+    (no shift)."""
     ctx = p.ctx
-    K = times.K
+    times = tuple(times)
+    K = len(times)
     num = _schur.tau_schur_poly(p, u, a, cutoff, K)
     den = _schur.tau_schur_poly(p, u, b, cutoff, K)
     if z is not None:
         num = num.shift_times(ctx.one() / z, -1)
-    dval = den.evaluate(times.values)
+    dval = den.evaluate(times)
     if ctx.is_zero(dval):
         raise ZeroDivisionError("denominator tau vanishes at these times")
-    return num.evaluate(times.values) / dval
+    return num.evaluate(times) / dval
 
 
 # -- moment-determinant symmetrization ------------------------------------------

@@ -25,9 +25,6 @@ from tltau.chain import (
     PoleError,
     boundary_sum,
     f2_eval,
-    f2_eval_y,
-    f_eval,
-    f_eval_y,
     f_series,
     family_matrix,
     family_matrix_y,
@@ -39,7 +36,6 @@ from tltau.chain import (
     lambda_eval,
     lambda_residue,
     lambda_series,
-    lambda_y,
     pole_radius_y,
     slavnov,
     validate_uv,
@@ -48,6 +44,7 @@ from tltau.chain import (
 from tltau.schur import fhat_table
 
 RAT = FieldContext("rational")
+POINTWISE = {1: lambda_du, 2: f2_eval}  # F^(family)_i(v) as (p, i, v, u) -> value
 
 
 def params(N, M, q=F(2), Q=F(-2)):
@@ -339,25 +336,18 @@ class TestFamilies:
 
     def test_f2_y_agrees_with_squared_argument(self):
         p = params(2, 1)
-        assert f2_eval_y(p, 0, F(9), roots(2)) == f2_eval(p, 0, F(3), roots(2))
-
-    def test_families_dispatch(self):
-        p = params(2, 2)
-        u = roots(2, 3)
-        v = F(5)
-        assert f_eval(p, 1, 0, v, u) == lambda_du(p, 0, v, u)
-        assert f_eval(p, 2, 1, v, u) == f2_eval(p, 1, v, u)
+        assert family_matrix_y(p, roots(2), 2, [F(9)]) == [[f2_eval(p, 0, F(3), roots(2))]]
 
     def test_y_route_matches_v_route(self):
         p = params(2, 2)
         u = roots(2, 3)
         for v in (F(5), F(7, 2), F(9, 4)):
             y = v * v
-            assert lambda_y(p, y, u) == lambda_eval(p, v, u)
             for i in range(2):
                 assert lambda_du_y(p, i, y, u) == lambda_du(p, i, v, u)
-                assert f_eval_y(p, 1, i, y, u) == f_eval(p, 1, i, v, u)
-                assert f_eval_y(p, 2, i, y, u) == f_eval(p, 2, i, v, u)
+            for family, value in POINTWISE.items():
+                want = [[value(p, i, v, u)] for i in range(2)]
+                assert family_matrix_y(p, tuple(u), family, [y]) == want
 
     def test_matrices_consistent(self):
         p = params(2, 2)
@@ -375,8 +365,8 @@ class TestFamilies:
         u = ParameterVector([ctx.embed(2)], "bethe")
         v = ParameterVector([ctx.embed(3)], "free")
         k = kernel(p, u, v)
-        n = f_eval(p, 1, 0, ctx.embed(3), u)
-        d = f_eval(p, 2, 0, ctx.embed(3), u)
+        n = lambda_du(p, 0, ctx.embed(3), u)
+        d = f2_eval(p, 0, ctx.embed(3), u)
         assert k == n / d
         # cross-check against an independent sympy tree with the exact radical,
         # compared at 60 digits (simplify on nested radicals is too slow)
@@ -419,7 +409,7 @@ class TestColumns:
         pts = [ctx.embed(x) for x in (F(5), F(7, 2), F(9, 4), F(11, 3))[: M + 1]]
         validate_uv(p, u, pts)
         for family in (1, 2):
-            want = [[f_eval(p, family, i, x, tuple(u)) for x in pts] for i in range(M)]
+            want = [[POINTWISE[family](p, i, x, tuple(u)) for x in pts] for i in range(M)]
             assert family_matrix(p, u, family, pts) == want
             assert family_matrix(p, u, family, pts) == want
             assert family_matrix(p, u, family, pts[::-1]) == [row[::-1] for row in want]
@@ -531,7 +521,7 @@ class TestLaurentData:
         v = F(1, 50)
         for fam in (1, 2):
             s = f_series(p, u, fam, 0, 26)
-            exact = f_eval(p, fam, 0, v, u)
+            exact = POINTWISE[fam](p, 0, v, u)
             err = RAT.magnitude(s.evaluate(v) - exact)
             assert err < 1e-18 * max(1.0, RAT.magnitude(exact))
 

@@ -75,6 +75,20 @@ class TestSuite:
         assert report["summary"]["failed"] == 0
         assert all(r["check"] == "diagram-counts" for r in report["records"])
 
+    def test_diagram_counts_fail_on_an_empty_range(self, tmp_path, capsys):
+        # at even M the least lambda_1 with the parity of M + 1 is 1, so
+        # lambda1_max 0 leaves nothing to count; at odd M it counts lambda_1 = 0
+        raw = {"checks": ["diagram-counts"], "lambda1_max": 0}
+        (rec,) = run_suite(validate_config(raw))["records"]
+        assert not rec["pass"]
+        assert "lambda1_max 0 is below 1" in rec["error"]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(raw))
+        assert main(["count-diagrams", "--config", str(path), "--text"]) == 1
+        assert "summary: 0/1 passed" in capsys.readouterr().out
+        summary = run_suite(validate_config(dict(raw, M=1)))["summary"]
+        assert summary == {"total": 1, "passed": 1, "failed": 0}
+
     def test_repeated_roots_become_error_record(self):
         cfg = validate_config(
             {"checks": ["theorem-quotient"], "M": 2, "u": ["2", "2"], "instances": 1}
@@ -124,6 +138,18 @@ class TestSuite:
 
         monkeypatch.setattr(schur, "poly_to_schur", wrong_weight)
         assert not _schur_record("kernel-expansion")["pass"]
+
+    def test_points_vs_times_builds_each_schur_polynomial_once(self, monkeypatch):
+        built = []
+        original = schur.schur_miwa
+
+        def counted(lam, *args):
+            built.append(lam)
+            return original(lam, *args)
+
+        monkeypatch.setattr(schur, "schur_miwa", counted)
+        assert _schur_record("points-vs-times")["pass"]
+        assert sorted(built) == sorted(schur.partitions_bounded(6))
 
     def test_points_vs_times_sees_a_flipped_hook_height_sign(self, monkeypatch):
         # (-1)^(height + 1) for every removed rim hook turns chi^lam(mu) into

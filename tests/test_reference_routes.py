@@ -2,9 +2,12 @@
 
 Each test keeps a local copy of the direct route: a Schur polynomial per
 partition summed with its coefficient, every beta of a Hirota operator on
-(tau, tau), one Taylor series per row, one bialternant per partition, and
-the Miwa product over all term pairs.  They are compared exactly on
-rational instances and on one instance over Q(sqrt 377).
+(tau, tau), one Taylor series per row, one bialternant per partition, the
+Miwa product over all term pairs, the Hall pairing of every partition with
+every monomial, and a schur-expansion record from two separate Schur sums.
+They are compared exactly on rational instances and on one instance over
+Q(sqrt 377); the last two also in float mode, where the order of the sums
+shows.
 """
 
 import math
@@ -14,14 +17,17 @@ from itertools import product
 
 import pytest
 
-from tltau.algebra import FieldContext, MiwaPolynomial, weighted_degree
-from tltau.chain import ChainParams, ParameterVector, taylor_y
+from tltau import cli
+from tltau.algebra import FieldContext, MiwaPolynomial, miwa_series_invert, weighted_degree
+from tltau.chain import ChainParams, ParameterVector, taylor_rows
 from tltau.cli import draw_instance
 from tltau.schur import (
+    SchurCoeffMap,
     _character,
     cauchy_binet_coeffs,
     fhat_table,
     partitions_bounded,
+    poly_to_schur,
     schur_miwa,
     schur_points,
     schur_sum_eval,
@@ -45,6 +51,7 @@ def _instances():
 
 INSTANCES = _instances()
 IDS = ["N2M1", "N2M2", "N3M3", "quadratic-N2M2"]
+QUADRATIC = {"field_mode": "quadratic", "spin_twice": 2, "Q": "2"}
 
 
 # -- the direct routes --------------------------------------------------------
@@ -104,6 +111,33 @@ def direct_schur_sum_eval(cmap, points, ctx):
     return acc
 
 
+def direct_poly_to_schur(poly, maxlen):
+    ctx = poly.ctx
+    acc = {lam: ctx.zero() for lam in partitions_bounded(poly.cutoff, maxlen)}
+    for key, c in poly.terms.items():
+        mu = tuple(m for m in range(poly.K, 0, -1) for _ in range(key[m - 1]))
+        denom = math.prod(m**k for m, k in enumerate(key, 1))
+        for lam in acc:
+            if sum(lam) == sum(mu) and (chi := _character(lam, mu)):
+                acc[lam] = acc[lam] + ctx.embed(F(chi, denom)) * c
+    return {lam: a for lam, a in acc.items() if not ctx.is_zero(a)}
+
+
+def direct_shrink_record(ctx, hi, cutoff, samples, blob, seed):
+    lo = SchurCoeffMap(ctx, cutoff, {lam: c for lam, c in hi.entries.items()
+                                     if sum(lam) <= cutoff})
+    shrank = True
+    worst_pair = (0.0, 0.0)
+    for w, pref, direct in samples:
+        dlo = ctx.magnitude(pref * schur_sum_eval(lo, w, ctx) - direct)
+        dhi = ctx.magnitude(pref * schur_sum_eval(hi, w, ctx) - direct)
+        if not dhi * 16 <= dlo:
+            shrank = False
+        if dhi > worst_pair[1]:
+            worst_pair = (dlo, dhi)
+    return cli._record("schur-expansion", blob, seed, "%g -> %g" % worst_pair, shrank)
+
+
 # -- comparisons -------------------------------------------------------------------
 
 
@@ -148,7 +182,7 @@ def test_memoised_taylor_table_matches_per_row_series(p, u):
         assert fhat_table(p, u, family, 6) is table
         assert fhat_table(p, list(u), family, 6) == table
         for i in range(p.M):
-            series = taylor_y(p, u, family, i, 6)
+            series = taylor_rows(p, u, family, 6, (i,))[0]
             assert table[i] == tuple(series.coeff(n) for n in range(7))
     assert fhat_table(p, u, 1, 4) == tuple(row[:5] for row in fhat_table(p, u, 1, 6))
 
@@ -182,3 +216,22 @@ def test_a_plain_list_of_roots_keeps_no_table():
     u = ParameterVector([F(3), F(5)], "bethe")
     assert fhat_table(p, [F(3), F(5)], 1, 3) == fhat_table(p, u, 1, 3)
     assert list(u._tables) == [(p, 1, 3)]
+
+
+@pytest.mark.parametrize("p, u", INSTANCES + [(None, None)], ids=IDS + ["float-N2M2"])
+def test_hall_pairing_by_weight_matches_every_pair(p, u):
+    if p is None:
+        p = ChainParams.from_boundary(2, 2, 1, F(-2), mode="float")
+        u = draw_instance(p, random.Random(1), vcount=0)[0]
+    quotient = tau_schur_poly(p, u, 1, 6) * miwa_series_invert(tau_schur_poly(p, u, 2, 6))
+    for maxlen in (p.M, None):
+        assert poly_to_schur(quotient, maxlen) == direct_poly_to_schur(quotient, maxlen)
+
+
+@pytest.mark.parametrize("raw", [{}, QUADRATIC, {"field_mode": "float"}, {"N": 3, "M": 3}],
+                         ids=["rational", "quadratic", "float", "N3M3"])
+def test_shrink_record_reads_the_low_sum_off_the_high_one(raw, monkeypatch):
+    cfg = cli.validate_config(dict(raw, checks=["schur-expansion"], schur_cutoff=4, seed=2))
+    got = cli.run_suite(cfg)["records"]
+    monkeypatch.setattr(cli, "_shrink_record", direct_shrink_record)
+    assert got == cli.run_suite(cfg)["records"]

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from tltau.algebra import FieldContext, MiwaPolynomial, QuadraticNumber, det_ring
-from tltau.chain import ChainParams, ParameterVector, taylor_y
+from tltau.chain import ChainParams, ParameterVector, taylor_rows
 from tltau.schur import (
     SchurCoeffMap,
     cauchy_binet_coeffs,
@@ -30,7 +30,7 @@ from tltau.schur import (
     tau_schur_poly,
     tau_tilde_direct,
 )
-from tltau.tau import MiwaTimes
+from tltau.tau import miwa_map
 
 RAT = FieldContext("rational")
 QUAD = FieldContext("quadratic", d=377)
@@ -165,7 +165,7 @@ class TestMiwaSchur:
             for pts in ptsets:
                 want = schur_points(lam, pts, RAT)
                 poly = schur_miwa(lam, 7, RAT)
-                got = poly.evaluate(MiwaTimes.from_points(RAT, pts, poly.K).values)
+                got = poly.evaluate(miwa_map(pts, poly.K, RAT))
                 assert got == want, (lam, pts)
 
     def test_matches_jacobi_trudi(self):
@@ -213,9 +213,6 @@ class TestCoeffMap:
         assert m1 == m2
         assert m1.coeff((2,)) == F(0)
         assert len(m1) == 2
-        blob = m1.to_jsonable()
-        assert {"partition": [], "coeff": "1"} in blob
-        assert {"partition": [1], "coeff": "5"} in blob
 
 
 class TestPolyToSchur:
@@ -318,7 +315,7 @@ class TestKernelExpansion:
         u = roots(2)
         cutoff = 6
         amap = slavnov_schur_coeffs(p, u, cutoff)
-        rat = taylor_y(p, u, 1, 0, cutoff) / taylor_y(p, u, 2, 0, cutoff)
+        rat = taylor_rows(p, u, 1, cutoff)[0] / taylor_rows(p, u, 2, cutoff)[0]
         assert len(amap) == cutoff + 1
         for n in range(cutoff + 1):
             lam = (n,) if n else ()

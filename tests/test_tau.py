@@ -12,11 +12,10 @@ from fractions import Fraction as F
 import pytest
 
 from tltau.algebra import FieldContext, MiwaPolynomial, det, vandermonde
-from tltau.chain import ChainParams, ParameterVector, f_eval, family_matrix, kernel
+from tltau.chain import ChainParams, ParameterVector, family_matrix, kernel, lambda_du
 from tltau.schur import tau_schur_poly
 from tltau.tau import (
     BilinearOperator,
-    MiwaTimes,
     andreev_residual,
     baker_akhiezer,
     det_family,
@@ -24,15 +23,15 @@ from tltau.tau import (
     hirota_kp_check,
     kp_operator,
     miwa_map,
-    miwa_shift,
-    op_d,
-    op_d1_cubed_minus_4d3,
     pluecker_residual,
     tau_det,
     tau_residue,
 )
 
 RAT = FieldContext("rational")
+# Hirota operators D1, D2, D3 and D1^3 - 4 D3 as {exponent tuple: coefficient}
+D1, D2, D3 = {(1,): F(1)}, {(0, 1): F(1)}, {(0, 0, 1): F(1)}
+D1_CUBED_MINUS_4D3 = {(3,): F(1), (0, 0, 1): F(-4)}
 
 
 def params(N, M):
@@ -45,30 +44,15 @@ def roots(*vals):
 
 class TestMiwaTimes:
     def test_from_points(self):
-        t = MiwaTimes.from_points(RAT, [F(2)], 3)
-        assert list(t) == [F(2), F(2), F(8, 3)]
+        assert miwa_map([F(2)], 3, RAT) == (F(2), F(2), F(8, 3))
         t2 = miwa_map([F(2), F(3)], 4, RAT)
         assert t2[0] == F(5)
         assert t2[1] == F(13, 2)
 
-    def test_shift_removes_a_point(self):
-        # t(X) - [x] = t(X without x) for the power-sum times
-        tfull = MiwaTimes.from_points(RAT, [F(2), F(3)], 6)
-        tless = MiwaTimes.from_points(RAT, [F(2)], 6)
-        assert tfull.shift(F(3), -1) == tless
-        assert miwa_shift(tfull, F(3), -1) == tless
-
-    def test_shift_first_component(self):
-        t = MiwaTimes(RAT, [F(0)] * 4)
-        assert t.shift(F(5), 1)[0] == F(5)
-        assert t.shift(F(5), -1)[0] == F(-5)
-        assert t.shift(F(5), 1)[1] == F(25, 2)
-
     def test_polynomial_shift_dispatch(self):
         poly = MiwaPolynomial.time_var(RAT, 4, 4, 1)
-        shifted = miwa_shift(poly, F(5), -1)
-        zero = MiwaTimes(RAT, [F(0)] * 4)
-        assert shifted.evaluate(zero.values) == F(-5)
+        shifted = poly.shift_times(F(5), -1)
+        assert shifted.evaluate((F(0),) * 4) == F(-5)
 
     def test_deleted_point_identity_on_tau(self):
         # shifting the polynomial and evaluating at the full point set equals
@@ -79,10 +63,8 @@ class TestMiwaTimes:
         K = 8
         for fam in (1, 2):
             poly = tau_schur_poly(p, u, fam, 8, K)
-            tfull = MiwaTimes.from_points(RAT, pts, K)
-            tless = MiwaTimes.from_points(RAT, [pts[0]], K)
-            lhs = miwa_shift(poly, pts[1], -1).evaluate(tfull.values)
-            rhs = poly.evaluate(tless.values)
+            lhs = poly.shift_times(pts[1], -1).evaluate(miwa_map(pts, K, RAT))
+            rhs = poly.evaluate(miwa_map([pts[0]], K, RAT))
             assert lhs == rhs
 
 
@@ -114,7 +96,7 @@ class TestTauQuotient:
         u = roots(2, 3)
         pts = [F(5), F(7, 2)]
         mat = family_matrix(p, u, 1, pts)
-        assert mat[0][1] == f_eval(p, 1, 0, pts[1], u)
+        assert mat[0][1] == lambda_du(p, 0, pts[1], u)
         assert det_family(p, u, 1, pts) == det(mat, RAT)
         dv = vandermonde(pts, RAT)
         assert tau_det(p, u, 1, pts) == det(mat, RAT) / dv
@@ -198,7 +180,7 @@ class TestHirota:
         K = 3
         f = MiwaPolynomial.time_var(RAT, K, 6, 1)
         g = f * f
-        out = hirota_apply(op_d(RAT, K, 1), f, g)
+        out = hirota_apply(BilinearOperator(RAT, K, D1), f, g)
         want = (f * f).scale(F(1)).restrict(5)
         assert out == want
 
@@ -211,8 +193,8 @@ class TestHirota:
             f = f + MiwaPolynomial.time_var(RAT, K, 8, 1).scale(
                 F(rng.randint(-5, 5), rng.randint(1, 3))
             )
-        for op in (op_d(RAT, K, 1), op_d(RAT, K, 2), op_d1_cubed_minus_4d3(RAT, K)):
-            assert hirota_apply(op, f, f).is_zero()
+        for terms in (D1, D2, D1_CUBED_MINUS_4D3):
+            assert hirota_apply(BilinearOperator(RAT, K, terms), f, f).is_zero()
 
     def test_random_polynomial_diagonal(self):
         rng = random.Random(17)
@@ -222,8 +204,8 @@ class TestHirota:
                     (1, 1, 0, 0), (0, 0, 1, 0), (3, 0, 0, 0)):
             terms[key] = F(rng.randint(-9, 9), rng.randint(1, 4))
         f = MiwaPolynomial(RAT, K, 8, terms)
-        for op in (op_d(RAT, K, 1), op_d(RAT, K, 3), op_d1_cubed_minus_4d3(RAT, K)):
-            assert hirota_apply(op, f, f).is_zero()
+        for terms in (D1, D3, D1_CUBED_MINUS_4D3):
+            assert hirota_apply(BilinearOperator(RAT, K, terms), f, f).is_zero()
 
     def test_kp_on_trivial_taus(self):
         one = MiwaPolynomial.constant(RAT, 4, 8, F(1))
@@ -277,8 +259,9 @@ class TestHirota:
         K = 4
         f = MiwaPolynomial.constant(RAT, K, 8, F(1)) + MiwaPolynomial.time_var(RAT, K, 8, 2)
         g = MiwaPolynomial.constant(RAT, K, 6, F(2)) + MiwaPolynomial.time_var(RAT, K, 6, 1)
-        for op, weight in ((op_d(RAT, K, 1), 1), (op_d(RAT, K, 2), 2),
-                           (op_d1_cubed_minus_4d3(RAT, K), 3), (kp_operator(RAT, K), 4)):
+        for terms, weight in ((D1, 1), (D2, 2), (D1_CUBED_MINUS_4D3, 3),
+                              (kp_operator(RAT, K).terms, 4)):
+            op = BilinearOperator(RAT, K, terms)
             assert hirota_apply(op, f, g).cutoff == 6 - weight
             assert hirota_apply(op, g, f).cutoff == 6 - weight
 
@@ -296,21 +279,21 @@ class TestHirota:
         f = MiwaPolynomial.constant(RAT, 3, 6, F(1))
         g = MiwaPolynomial.constant(RAT, 4, 6, F(1))
         with pytest.raises(ValueError):
-            hirota_apply(op_d(RAT, 3, 1), f, g)
+            hirota_apply(BilinearOperator(RAT, 3, D1), f, g)
 
 
 class TestBakerAkhiezer:
     def test_diagonal_normalization(self):
         p = params(2, 2)
         u = roots(2, 3)
-        t = MiwaTimes.from_points(RAT, [F(1, 9), F(1, 11)], 8)
+        t = miwa_map([F(1, 9), F(1, 11)], 8, RAT)
         for fam in (1, 2):
             assert baker_akhiezer(p, u, fam, fam, t) == F(1)
 
     def test_off_diagonal_product(self):
         p = params(2, 2)
         u = roots(2, 3)
-        t = MiwaTimes.from_points(RAT, [F(1, 9), F(1, 11)], 8)
+        t = miwa_map([F(1, 9), F(1, 11)], 8, RAT)
         a = baker_akhiezer(p, u, 1, 2, t)
         b = baker_akhiezer(p, u, 2, 1, t)
         assert a * b == F(1)
@@ -318,14 +301,10 @@ class TestBakerAkhiezer:
     def test_shifted_argument_runs(self):
         p = params(2, 1)
         u = roots(2)
-        t = MiwaTimes.from_points(RAT, [F(1, 9)], 8)
-        val = baker_akhiezer(p, u, 1, 2, t, z=F(100))
+        t = miwa_map([F(1, 9)], 8, RAT)
+        val = baker_akhiezer(p, u, 1, 2, list(t), z=F(100))
         assert val != 0
-
-    def test_requires_times(self):
-        p = params(2, 1)
-        with pytest.raises(TypeError):
-            baker_akhiezer(p, roots(2), 1, 2, [F(1, 9)])
+        assert val == baker_akhiezer(p, u, 1, 2, t, z=F(100))
 
 
 class TestAndreev:
