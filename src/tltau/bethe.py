@@ -16,7 +16,7 @@ spurious).
 
 from mpmath import mp
 
-from .chain import PoleError, lambda_residue, _vals
+from .chain import PoleError, lambda_residue, w_eval, _vals
 
 
 class BetheSolution:
@@ -151,10 +151,7 @@ def is_regular(p, roots):
     for r in roots:
         r = mp.mpc(r)
         u2 = r * r
-        if abs(u2 - 1 / u2) < floor:
-            return False
-        y = u2 * q * q
-        if abs(y - 1 / y) < floor:
+        if abs(w_eval(u2)) < floor or abs(w_eval(u2 * q * q)) < floor:
             return False
     return True
 

@@ -72,6 +72,18 @@ def w_eval(x):
     return x - 1 / x
 
 
+def _refuse_pm(a, b, factor, detail):
+    """Raise PoleError(factor, detail) when a = +-b, where w(a/b) vanishes."""
+    if a == b or a == -b:
+        raise PoleError(factor, detail)
+
+
+def _w_nonzero(x, factor, detail):
+    """w(x), after refusing x = +-1, where it vanishes."""
+    _refuse_pm(x, 1, factor, detail)
+    return w_eval(x)
+
+
 def boundary_sum(Q, spin_twice):
     """sum of Q^{2k} for k = -s..s, with 2s = spin_twice."""
     acc = None
@@ -219,31 +231,24 @@ def validate_uv(p, u=None, v=None):
     avoid +-1 (each makes two rows or columns of F equal up to sign); every
     v_i must avoid {+-u_j, +-1/(q u_j)} and the eigenvalue poles w(q v^2) = 0.
     """
-    one = p.ctx.one()
     q = p.q
     uu = _vals(u) if u is not None else ()
     vv = _vals(v) if v is not None else ()
     for i in range(len(uu)):
         for j in range(i + 1, len(uu)):
+            ij = "i=%d j=%d" % (i, j)
             prod = uu[i] * uu[j]
-            if prod == one or prod == -one:
-                raise PoleError("w(u_i*u_j)", "i=%d j=%d" % (i, j))
-            if prod * q == one or prod * q == -one:
-                raise PoleError("w(q*u_i*u_j)", "i=%d j=%d" % (i, j))
-            if uu[i] == uu[j] or uu[i] == -uu[j]:
-                raise PoleError("w(u_i/u_j)", "i=%d j=%d" % (i, j))
+            _refuse_pm(prod, 1, "w(u_i*u_j)", ij)
+            _refuse_pm(prod * q, 1, "w(q*u_i*u_j)", ij)
+            _refuse_pm(uu[i], uu[j], "w(u_i/u_j)", ij)
     for i, x in enumerate(vv):
-        xq2 = x * x * q
-        if xq2 == one or xq2 == -one:
-            raise PoleError("w(q*v^2)", "i=%d" % i)
+        _refuse_pm(x * x * q, 1, "w(q*v^2)", "i=%d" % i)
         for j, y in enumerate(vv[:i]):
-            if x == y or x == -y:
-                raise PoleError("w(v_i/v_j)", "i=%d j=%d" % (j, i))
+            _refuse_pm(x, y, "w(v_i/v_j)", "i=%d j=%d" % (j, i))
         for j, y in enumerate(uu):
-            if x == y or x == -y:
-                raise PoleError("w(v_i/u_j)", "i=%d j=%d" % (i, j))
-            if x * y * q == one or x * y * q == -one:
-                raise PoleError("w(q*v_i*u_j)", "i=%d j=%d" % (i, j))
+            ij = "i=%d j=%d" % (i, j)
+            _refuse_pm(x, y, "w(v_i/u_j)", ij)
+            _refuse_pm(x * y * q, 1, "w(q*v_i*u_j)", ij)
 
 
 def _check_row(uu, i):
@@ -366,8 +371,7 @@ def lambda_residue(p, u, j):
     if not uj:
         raise PoleError("w(u_j)", "root is zero")
     y = uj * uj
-    if p.ctx.is_zero(w_eval(y * p.q)):
-        raise PoleError("w(q*u_j^2)")
+    _refuse_pm(y * p.q, 1, "w(q*u_j^2)", "")
     return _cleared(p, y, uu, pole=j)[0] / (2 * uj * y**p.N)
 
 
@@ -434,24 +438,15 @@ def g_prefactor(p, u, v):
         raise ValueError("g_prefactor needs len(u) = len(v) >= 1")
     out = ctx.embed(Fraction(1, 2**M)) * p.Q ** (-M * p.spin_twice)
     for j in range(M):
-        wu = w_eval(uu[j])
-        if ctx.is_zero(wu):
-            raise PoleError("w(u_j)", "j=%d" % j)
-        wu2 = w_eval(uu[j] * uu[j])
-        if ctx.is_zero(wu2):
-            raise PoleError("w(u_j^2)", "j=%d" % j)
-        wv2 = w_eval(vv[j] * vv[j] * q * q)
-        if ctx.is_zero(wv2):
-            raise PoleError("w(q^2*v_j^2)", "j=%d" % j)
+        wu = _w_nonzero(uu[j], "w(u_j)", "j=%d" % j)
+        wu2 = _w_nonzero(uu[j] * uu[j], "w(u_j^2)", "j=%d" % j)
+        wv2 = _w_nonzero(vv[j] * vv[j] * q * q, "w(q^2*v_j^2)", "j=%d" % j)
         out = out * uu[j] * wu ** (2 * p.N) * wu2 / (wu2 * wv2)
     for i in range(M):
         for j in range(i):
-            num = w_eval(uu[i] * uu[j] * q * q)
-            if ctx.is_zero(num):
-                raise PoleError("w(q^2*u_i*u_j)", "i=%d j=%d" % (i, j))
-            den = w_eval(uu[i] * uu[j])
-            if ctx.is_zero(den):
-                raise PoleError("w(u_i*u_j)", "i=%d j=%d" % (i, j))
+            ij = "i=%d j=%d" % (i, j)
+            num = _w_nonzero(uu[i] * uu[j] * q * q, "w(q^2*u_i*u_j)", ij)
+            den = _w_nonzero(uu[i] * uu[j], "w(u_i*u_j)", ij)
             out = out * num / den
     return out
 

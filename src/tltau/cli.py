@@ -29,7 +29,6 @@ import zlib
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import jsonschema
 from mpmath import mp
 
 from . import __version__
@@ -60,40 +59,27 @@ CHECK_NAMES = (
     "bethe",
 )
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "field_mode": {"enum": ["rational", "quadratic", "float"]},
-        "N": {"type": "integer", "minimum": 1},
-        "M": {"type": "integer", "minimum": 0},
-        "spin_twice": {"type": "integer", "minimum": 1},
-        "Q": {"type": "string"},
-        "u": {"type": "array", "items": {"type": "string"}},
-        "v": {"type": "array", "items": {"type": "string"}},
-        "instances": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "miwa_cutoff": {"type": "integer", "minimum": 4},
-        "schur_cutoff": {"type": "integer", "minimum": 2},
-        "lambda1_max": {"type": "integer", "minimum": 0},
-        "precision_bits": {"type": "integer", "minimum": 128},
-        "checks": {"type": "array", "items": {"enum": list(CHECK_NAMES)}},
-        "out": {"type": "string"},
-    },
-}
+FIELD_MODES = ("rational", "quadratic", "float")
 
-DEFAULTS = {
-    "field_mode": "rational",
-    "N": 2,
-    "M": 2,
-    "spin_twice": 1,
-    "Q": "-2",
-    "instances": 20,
-    "seed": 1,
-    "miwa_cutoff": 8,
-    "schur_cutoff": 8,
-    "precision_bits": 192,
-    "checks": list(CHECK_NAMES),
+# Every config key once, with its default (None: none) and its rule: an int
+# is an integer key's minimum, str asks for a string, a tuple lists the allowed
+# values and a one-item list asks for a list whose items keep that rule.
+KEYS = {
+    "field_mode": ("rational", FIELD_MODES),
+    "N": (2, 1),
+    "M": (2, 0),
+    "spin_twice": (1, 1),
+    "Q": ("-2", str),
+    "u": (None, [str]),
+    "v": (None, [str]),
+    "instances": (20, 1),
+    "seed": (1, 0),
+    "miwa_cutoff": (8, 4),
+    "schur_cutoff": (8, 2),
+    "lambda1_max": (None, 0),
+    "precision_bits": (192, 128),
+    "checks": (list(CHECK_NAMES), [CHECK_NAMES]),
+    "out": (None, str),
 }
 
 
@@ -101,24 +87,41 @@ class ConfigError(ValueError):
     pass
 
 
-def validate_config(raw):
-    """Schema-check a raw config dict and fill in defaults.
+def _violation(rule, x):
+    """What is wrong with the value x under a KEYS rule, or None."""
+    if isinstance(rule, list):
+        if not isinstance(x, list):
+            return "%r is not a list" % (x,)
+        return next(filter(None, (_violation(rule[0], item) for item in x)), None)
+    if isinstance(rule, tuple):
+        return None if x in rule else "%r is not one of %s" % (x, ", ".join(rule))
+    if rule is str:
+        return None if isinstance(x, str) else "%r is not a string" % (x,)
+    if not isinstance(x, int) or isinstance(x, bool):
+        return "%r is not an integer" % (x,)
+    return "%d is less than the minimum of %d" % (x, rule) if x < rule else None
 
-    Collects every violation, naming the offending key paths.
+
+def validate_config(raw):
+    """Check a raw config against KEYS and fill in the defaults.
+
+    Collects every violation, one "config key <name>: ..." line each, sorted
+    by key; an unknown key is one.  Then u and v must have M entries each.
     """
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    if not isinstance(raw, dict):
+        raise ConfigError("config: expected a JSON object, not %s" % type(raw).__name__)
     problems = []
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        where = "/".join(str(x) for x in err.absolute_path) or "<root>"
-        problems.append("config key %s: %s" % (where, err.message))
+    for key in sorted(raw):
+        bad = _violation(KEYS[key][1], raw[key]) if key in KEYS else "unknown key"
+        if bad:
+            problems.append("config key %s: %s" % (key, bad))
+    if not problems:
+        cfg = {key: default for key, (default, _) in KEYS.items() if default is not None}
+        cfg.update(raw)
+        problems = ["config key %s: expected %d entries for M=%d" % (key, cfg["M"], cfg["M"])
+                    for key in ("u", "v") if key in cfg and len(cfg[key]) != cfg["M"]]
     if problems:
         raise ConfigError("\n".join(problems))
-    cfg = dict(DEFAULTS)
-    cfg.update(raw)
-    if "u" in cfg and len(cfg["u"]) != cfg["M"]:
-        raise ConfigError("config key u: expected %d entries for M=%d" % (cfg["M"], cfg["M"]))
-    if "v" in cfg and len(cfg["v"]) != cfg["M"]:
-        raise ConfigError("config key v: expected %d entries for M=%d" % (cfg["M"], cfg["M"]))
     return cfg
 
 
@@ -567,8 +570,7 @@ def format_text(report):
 def _base_flags(sp):
     sp.add_argument("--config", help="JSON config file")
     sp.add_argument("--seed", type=int, help="override the config seed")
-    sp.add_argument("--field", choices=["rational", "quadratic", "float"],
-                    help="override the field mode")
+    sp.add_argument("--field", choices=FIELD_MODES, help="override the field mode")
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--text", dest="fmt", action="store_const", const="text")
@@ -609,18 +611,15 @@ def main(argv=None):
         except (OSError, json.JSONDecodeError) as exc:
             print("cannot read config: %s" % exc, file=sys.stderr)
             return 2
+    overrides = {"seed": args.seed, "field_mode": args.field,
+                 "checks": SUBCOMMAND_CHECKS[args.command]}
+    if isinstance(raw, dict):  # validate_config refuses anything else
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         cfg = validate_config(raw)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.field is not None:
-        cfg["field_mode"] = args.field
-    only = SUBCOMMAND_CHECKS[args.command]
-    if only is not None:
-        cfg["checks"] = only
     report = run_suite(cfg)
     text = format_text(report) if args.fmt == "text" else format_json(report)
     sys.stdout.write(text)

@@ -241,29 +241,14 @@ class SchurCoeffMap:
         return "SchurCoeffMap(cutoff=%d, %d entries)" % (self.cutoff, len(self.entries))
 
 
-def cauchy_binet_coeffs(p, u, family, cutoff, variable="y"):
+def cauchy_binet_coeffs(p, u, family, cutoff):
     """Schur coefficients of the normalized tau sum as minors of the Taylor
-    table: c_lam = det fhat[i][lam_j - j + M].
-
-    variable="y" expands in the squared variable; variable="z" works on the
-    unsquared exponent lattice where odd columns vanish identically, so only
-    partitions whose labels lam_j - j + M are all even survive.
+    table in the squared variable: c_lam = det fhat[i][lam_j - j + M].
     """
     M = p.M
     if M < 1:
         raise ValueError("need at least one row")
-    if variable not in ("y", "z"):
-        raise ValueError("variable must be 'y' or 'z'")
-    nmax = cutoff + M - 1
-    if variable == "y":
-        table = fhat_table(p, u, family, nmax)
-    else:
-        half = fhat_table(p, u, family, nmax // 2)
-        zero = p.ctx.zero()
-        table = [
-            [half[i][n // 2] if n % 2 == 0 else zero for n in range(nmax + 1)]
-            for i in range(M)
-        ]
+    table = fhat_table(p, u, family, cutoff + M - 1)
     entries = {}
     for lam in partitions_bounded(cutoff, M):
         cols = ell_indices(lam, M)

@@ -57,8 +57,9 @@ def test_tracer_wraps_every_named_function_and_restores_it():
 
 
 def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
-    # pinned on the two-Fraction carrier; a fast path that multiplied or
-    # inverted without the counted methods would make these read lower
+    # pinned on the integer carrier, with validate_uv forming each product
+    # once; a fast path that multiplied or inverted without the counted
+    # methods would make these read lower
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -68,7 +69,7 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 342
+    assert tracer.counters["algebra.qnum_mul.calls"] == 315
     assert tracer.counters["algebra.qnum_inverse.calls"] == 65
 
 

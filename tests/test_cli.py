@@ -3,6 +3,9 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -52,6 +55,26 @@ class TestConfig:
             validate_config({"checks": ["not-a-check"]})
         cfg = validate_config({"checks": ["pluecker"]})
         assert cfg["checks"] == ["pluecker"]
+
+    @pytest.mark.parametrize("key, value", [("instances", 2.0), ("miwa_cutoff", 8.0),
+                                            ("N", 2.0), ("seed", True)])
+    def test_integer_keys_take_only_ints(self, key, value):
+        # an integral float used to pass as an integer and then break every
+        # check that counts with it
+        with pytest.raises(ConfigError) as e:
+            validate_config({key: value})
+        assert str(e.value) == "config key %s: %r is not an integer" % (key, value)
+
+    def test_both_vector_lengths_named(self):
+        with pytest.raises(ConfigError) as e:
+            validate_config({"M": 2, "u": ["2"], "v": ["3", "5", "7"]})
+        assert str(e.value).splitlines() == ["config key u: expected 2 entries for M=2",
+                                             "config key v: expected 2 entries for M=2"]
+
+    def test_import_needs_no_schema_engine(self):
+        code = "import sys; sys.modules['jsonschema'] = None; import tltau.cli"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def _schur_record(part):
@@ -309,6 +332,16 @@ class TestMain:
             blob.pop("timestamp")
             outs.append(json.dumps(blob, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"N": 2}]))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    def test_flag_overrides_are_validated(self, capsys):
+        assert main(["count-diagrams", "--seed", "-3"]) == 2
+        assert "config key seed" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
