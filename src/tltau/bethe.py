@@ -6,30 +6,43 @@ eigenvalue formula itself; it carries the overall factor
 
     -(u_j / 2) w(u_j^2 q^2) w(u_j^2) / w(u_j^2 q)^2,
 
-and a root vector is on shell exactly when every residue vanishes.  The
-solver runs damped Newton iteration on the residue vector in float mode
-with a finite-difference Jacobian.  For a single root the condition is
-solvable in closed form: u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any
-2N-th root of unity other than +-1 (those two make w(u^2 q) vanish and are
-spurious).
+and a root vector is on shell exactly when every residue vanishes through
+the rest of it, the pole bracket: the residue over w(u_j^2) w(q^2 u_j^2).
+The prefactor's own zeros, u_j^2 in {+-1, +-1/q^2}, are excluded points of
+the model, and the bracket does not vanish there.  The solver drives the
+brackets to zero by damped Newton iteration, in two stages of one loop: a
+search in complex doubles, then a refinement at working precision that
+starts from the search's root and reuses its Jacobian for chord steps.
+For a single root the condition is solvable in closed form:
+u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
+than +-1 (those two make w(u^2 q) vanish and are spurious).
 """
+
+from collections import namedtuple
 
 from mpmath import mp
 
+from .algebra import solve_linear
 from .chain import PoleError, lambda_residue, w_eval, _vals
 
 
 class BetheSolution:
-    """Outcome of a Newton run: roots, final residuals, and bookkeeping."""
+    """Outcome of a solver run: roots, their pole brackets, and bookkeeping.
 
-    __slots__ = ("roots", "residuals", "converged", "iterations", "message")
+    `iterations` counts the working-precision steps, `search_iterations`
+    the complex-double steps before them.
+    """
 
-    def __init__(self, roots, residuals, converged, iterations, message):
+    __slots__ = ("roots", "residuals", "converged", "iterations", "message",
+                 "search_iterations")
+
+    def __init__(self, roots, residuals, converged, iterations, message, search_iterations=0):
         self.roots = tuple(roots)
         self.residuals = tuple(residuals)
         self.converged = converged
         self.iterations = iterations
         self.message = message
+        self.search_iterations = search_iterations
 
     def max_residual(self):
         return max((abs(r) for r in self.residuals), default=mp.mpf(0))
@@ -68,74 +81,120 @@ def closed_form_single_roots(p):
 
 
 def solve_bethe(p, guess, tol=None, maxiter=80):
-    """Damped Newton iteration on the residue vector, float mode only.
+    """Drive the pole brackets to zero from one start, float mode only.
 
-    The Jacobian is a forward finite difference; steps are halved when the
-    residual norm fails to drop or when roots threaten to collide.  Returns
-    a BetheSolution whether or not the run converged.
+    The search runs the damped Newton loop in complex doubles until the
+    brackets fall below 1e-12 or the Newton step below 1e-12 of the roots
+    (where rounding in doubles can keep the brackets above 1e-12 at a
+    root); a start that stalls or runs out of steps there ends with
+    converged False.  The refinement runs the same loop at working precision
+    from the search's root (from the guess itself when the search took no
+    step) until the brackets fall below `tol`, 2^(-prec/2) by default,
+    starting with chord steps on the search's last Jacobian.  `iterations`
+    counts the refinement's steps and `search_iterations` the search's; the
+    reported roots and brackets are the refinement's.
     """
     if p.ctx.mode != "float":
         raise ValueError("the root solver runs in float mode")
     if len(guess) != p.M:
         raise ValueError("need exactly M starting roots")
-    tol = mp.mpf("1e-12") if tol is None else mp.mpf(tol)
     roots = [mp.mpc(x) for x in guess]
-    if _min_separation(roots) < mp.mpf("1e-12"):
+    if _min_separation(roots) < 1e-12:
         raise ValueError("starting roots must be pairwise distinct")
     if not roots:
         return BetheSolution([], [], True, 0, "nothing to solve")
+    double = _Double(p.N, complex(p.q), p.ctx)
+    found, res, converged, steps, message, jac = _newton(
+        double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None, maxiter)
+    if not converged:
+        return BetheSolution(map(mp.mpc, found), map(mp.mpc, res), False, 0, message, steps)
+    if steps:
+        roots = [mp.mpc(x) for x in found]
+    half = mp.mpf(2) ** (-(p.ctx.prec // 2))
+    tol = half if tol is None else mp.mpf(tol)
+    roots, res, converged, iterations, message, _ = _newton(p, roots, tol, 0, half, jac, maxiter)
+    return BetheSolution(roots, res, converged, iterations, message, steps)
 
-    def residual_or_none(vec):
-        try:
-            return residue_vector(p, vec)
-        except (PoleError, ZeroDivisionError):
-            return None
 
-    res = residual_or_none(roots)
+# The search's stand-in for ChainParams: what `_brackets` and `solve_linear`
+# read, with q cast to a complex double.
+_Double = namedtuple("_Double", "N q ctx")
+
+
+def _newton(p, roots, tol, xtol, step, chord, maxiter):
+    """Damped Newton iteration on the brackets, in the carrier of p.q and roots.
+
+    Converged means the largest bracket is below `tol`, or every Newton
+    correction below `xtol` times max(1, |u_j|).  Each Jacobian is a forward
+    difference with step `step` times max(1, |u_j|); a given `chord`
+    Jacobian is used instead until a step fails to cut the error tenfold.
+    Steps are halved when the error fails to drop or when roots threaten to
+    collide.  Returns (roots, brackets, converged, steps, message, last
+    Jacobian).
+    """
+    res = _brackets(p, roots)
     if res is None:
-        raise ValueError("starting roots sit on a pole of the residue map")
+        raise ValueError("starting roots sit on a pole of the bracket map")
     err = max(abs(r) for r in res)
-    M = p.M
+    jac = chord
     for it in range(1, maxiter + 1):
         if err < tol:
-            return BetheSolution(roots, res, True, it - 1, "converged")
-        jac = mp.matrix(M, M)
-        for jcol in range(M):
-            h = mp.mpf("1e-20") * max(1, abs(roots[jcol]))
-            bumped = list(roots)
-            bumped[jcol] = bumped[jcol] + h
-            resb = residual_or_none(bumped)
-            if resb is None:
-                resb = res
-            for irow in range(M):
-                jac[irow, jcol] = (resb[irow] - res[irow]) / h
+            return roots, res, True, it - 1, "converged", jac
+        if chord is None:
+            jac = _jacobian(p, roots, res, step)
         try:
-            delta = mp.lu_solve(jac, mp.matrix(res))
+            delta = solve_linear(jac, res, p.ctx)
         except (ZeroDivisionError, ValueError):
-            return BetheSolution(roots, res, False, it, "singular jacobian")
-        lam = mp.mpf(1)
+            return roots, res, False, it, "singular jacobian", jac
+        if all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
+            return roots, res, True, it - 1, "converged", jac
+        lam = 1.0
         moved = False
-        while lam >= mp.mpf(1) / 512:
-            trial = [roots[i] - lam * delta[i] for i in range(M)]
-            if _min_separation(trial) < mp.mpf("1e-12") or any(
-                abs(x) < mp.mpf("1e-12") for x in trial
-            ):
+        while lam >= 1 / 512:
+            trial = [r - lam * d for r, d in zip(roots, delta)]
+            if _min_separation(trial) < 1e-12 or any(abs(x) < 1e-12 for x in trial):
                 lam /= 2
                 continue
-            rest = residual_or_none(trial)
+            rest = _brackets(p, trial)
             if rest is None:
                 lam /= 2
                 continue
             errt = max(abs(r) for r in rest)
-            if errt < err or lam <= mp.mpf(1) / 256:
+            if errt < err or lam <= 1 / 256:
+                if chord is not None and errt * 10 > err:
+                    chord = None
                 roots, res, err = trial, rest, errt
                 moved = True
                 break
             lam /= 2
         if not moved:
-            return BetheSolution(roots, res, False, it, "step stalled (roots colliding or on a pole)")
+            return roots, res, False, it, "step stalled (roots colliding or on a pole)", jac
     converged = err < tol
-    return BetheSolution(roots, res, converged, maxiter, "converged" if converged else "iteration limit")
+    return roots, res, converged, maxiter, "converged" if converged else "iteration limit", jac
+
+
+def _brackets(p, u):
+    """The pole brackets residue_vector(p, u)[j] / (w(u_j^2) w(q^2 u_j^2)), on
+    any carrier of p.q and u, or None on a pole of the map."""
+    q2 = p.q * p.q
+    try:
+        return [r / (w_eval(x * x) * w_eval(q2 * x * x)) for r, x in zip(residue_vector(p, u), u)]
+    except (PoleError, ZeroDivisionError):
+        return None
+
+
+def _jacobian(p, roots, res, step):
+    """Rows d bracket_i / d u_j by forward differences; a bump onto a pole
+    leaves its column zero."""
+    jac = [[0] * len(roots) for _ in roots]
+    for jcol, x in enumerate(roots):
+        h = step * max(1, abs(x))
+        bumped = list(roots)
+        bumped[jcol] = x + h
+        resb = _brackets(p, bumped) or res
+        for irow, (b, r) in enumerate(zip(resb, res)):
+            jac[irow][jcol] = (b - r) / h
+    return jac
 
 
 def is_regular(p, roots):
@@ -157,7 +216,7 @@ def is_regular(p, roots):
 
 
 def _min_separation(roots):
-    best = mp.mpf("inf")
+    best = float("inf")
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             d = abs(roots[i] - roots[j])
@@ -202,8 +261,8 @@ def solve_bethe_grid(p, tol=None, maxiter=80):
             continue
         if not sol.converged:
             continue
-        canon = _canonical_roots(sol.roots)
-        if all(_root_set_distance(canon, other) > mp.mpf("1e-9") for other, _ in found):
+        canon = [complex(z) for z in _canonical_roots(sol.roots)]
+        if all(_root_set_distance(canon, other) > 1e-9 for other, _ in found):
             found.append((canon, sol))
     return [sol for _, sol in found]
 
@@ -221,5 +280,5 @@ def _canonical_roots(roots):
 
 def _root_set_distance(a, b):
     if len(a) != len(b):
-        return mp.mpf("inf")
-    return max((abs(x - y) for x, y in zip(a, b)), default=mp.mpf("inf"))
+        return float("inf")
+    return max((abs(x - y) for x, y in zip(a, b)), default=float("inf"))

@@ -26,6 +26,7 @@ import math
 import random
 import sys
 import zlib
+from copy import copy
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -116,7 +117,7 @@ def validate_config(raw):
         if bad:
             problems.append("config key %s: %s" % (key, bad))
     if not problems:
-        cfg = {key: default for key, (default, _) in KEYS.items() if default is not None}
+        cfg = {key: copy(default) for key, (default, _) in KEYS.items() if default is not None}
         cfg.update(raw)
         problems = ["config key %s: expected %d entries for M=%d" % (key, cfg["M"], cfg["M"])
                     for key in ("u", "v") if key in cfg and len(cfg[key]) != cfg["M"]]
@@ -443,7 +444,7 @@ def check_bethe(cfg, p, seed):
     tol = mp.mpf("1e-10")
     for s in sols:
         blob = {"N": pf.N, "M": pf.M, "roots": [ctx.to_string(r) for r in s.roots],
-                "iterations": s.iterations}
+                "iterations": s.iterations, "search_iterations": s.search_iterations}
         out.append(_record("bethe", blob, seed, mp.nstr(s.max_residual(), 8),
                            s.converged and s.max_residual() < tol))
     if pf.M == 1:

@@ -22,6 +22,7 @@ from tltau.bethe import (
     solve_bethe_grid,
 )
 from tltau.chain import ChainParams, ParameterVector, g_prefactor, kernel, lambda_eval, slavnov
+from tltau.cli import run_suite, validate_config
 
 RAT = FieldContext("rational")
 
@@ -165,6 +166,25 @@ class TestGrid:
             for w in want:
                 assert min(abs(g - w) for g in got) < mp.mpf("1e-25")
 
+    def test_grid_searches_in_complex_doubles(self, monkeypatch):
+        # 64 starts at (2, 2): the search runs in complex doubles, and each
+        # converged start takes about three bracket evaluations at working
+        # precision (215 in all).  Newton at working precision from every
+        # start reads 1,607.
+        from tltau import bethe
+
+        working = []
+        real = bethe.residue_vector
+
+        def counted(p, u):
+            if not isinstance(p.q, complex):
+                working.append(u)
+            return real(p, u)
+
+        monkeypatch.setattr(bethe, "residue_vector", counted)
+        assert len(solve_bethe_grid(fparams(2, 2))) > 0
+        assert len(working) <= 256
+
     def test_on_shell_identities_hold_in_float(self):
         # at an on-shell root the factorized inner product still matches
         # G times the determinant quotient to working precision
@@ -176,3 +196,52 @@ class TestGrid:
         lhs = slavnov(p, u, v)
         rhs = g_prefactor(p, u, v) * kernel(p, u, v)
         assert abs(lhs - rhs) <= mp.mpf("1e-20") * max(1, abs(lhs))
+
+
+def bethe_records(N, M):
+    recs = run_suite(validate_config({"checks": ["bethe"], "N": N, "M": M}))["records"]
+    assert not any("error" in r for r in recs)
+    return recs
+
+
+def bracket_terms(us, j, q, N):
+    """The two terms of the residue of Lambda at v = u_j, coded here from the
+    eigenvalue's product form, with the factor w(u_j^2) w(q^2 u_j^2) /
+    w(q u_j^2) they share left out."""
+    def w(x):
+        return x - 1 / x
+
+    u = us[j]
+    ta = w(q * u) ** (2 * N) * w(1 / q)
+    tb = w(u) ** (2 * N) * w(q)
+    for k, x in enumerate(us):
+        if k != j:
+            den = w(u / x) * w(q * u * x)
+            ta *= w(u / (q * x)) * w(u * x) / den
+            tb *= w(q * u / x) * w(q * q * u * x) / den
+    return ta, tb
+
+
+class TestCheckRecords:
+    def test_four_sites_match_the_closed_form(self):
+        recs = bethe_records(4, 1)
+        match = [r for r in recs if r["params"].get("part") == "closed-form-match"]
+        assert [(r["params"]["found"], r["params"]["expected"], r["pass"]) for r in match] == [
+            (6, 6, True)]
+
+    def test_passed_root_sets_cancel_the_bracket(self):
+        # at the excluded points u_j^2 in {+-1, +-1/q^2} the residue vanishes
+        # through its prefactor while the two bracket terms stay apart
+        passed = {}
+        with mp.workprec(256):
+            q = mp.mpf(2)
+            for N, M in ((2, 2), (3, 2)):
+                sets = [r["params"]["roots"] for r in bethe_records(N, M)
+                        if r["pass"] and "roots" in r["params"]]
+                for roots in sets:
+                    us = [mp.mpmathify(s.strip("()").replace(" ", "")) for s in roots]
+                    for j in range(M):
+                        ta, tb = bracket_terms(us, j, q, N)
+                        assert abs(ta + tb) / (abs(ta) + abs(tb)) < mp.mpf("1e-10"), roots
+                passed[N, M] = len(sets)
+        assert passed[2, 2] > 0

@@ -33,6 +33,10 @@ class TestConfig:
         assert cfg["N"] == 2 and cfg["M"] == 2
         assert cfg["checks"] == list(CHECK_NAMES)
 
+    def test_defaults_are_not_shared_between_configs(self):
+        validate_config({})["checks"].remove("bethe")
+        assert validate_config({})["checks"] == list(CHECK_NAMES)
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as e:
             validate_config({"bogus": 1})
@@ -236,6 +240,28 @@ class TestSuite:
         monkeypatch.setattr(module, name, namespace[name])
         verdicts = passes()
         assert verdicts.count(False) * 2 > len(verdicts), verdicts
+
+    def test_bethe_sees_a_seeded_fault_in_the_pole_bracket(self, monkeypatch):
+        # n2 = q^3 y^2 - sigma y + q^-3 with q^2 for q^3 moves the bracket's
+        # zero set: the solver then certifies roots of the wrong equation,
+        # which only the closed form of the single root can tell
+        from tltau import chain
+
+        def verdicts():
+            recs = run_suite(validate_config({"checks": ["bethe"], "M": 1}))["records"]
+            assert not any("error" in r for r in recs)
+            return [(r["params"].get("part", "roots"), r["pass"]) for r in recs]
+
+        clean = verdicts()
+        assert all(ok for _, ok in clean) and ("closed-form-match", True) in clean
+
+        old = "y * q3 - s"
+        source = textwrap.dedent(inspect.getsource(chain._cleared))
+        assert old in source
+        namespace = dict(vars(chain))
+        exec(source.replace(old, "y * q * q - s"), namespace)
+        monkeypatch.setattr(chain, "_cleared", namespace["_cleared"])
+        assert ("closed-form-match", False) in verdicts()
 
     def test_diagram_counts_see_a_wrong_two_row_closed_form(self, monkeypatch):
         # for odd lam, (lam + 1)(lam + 3) / 8 is an integer and (lam + 1)^2 / 8
