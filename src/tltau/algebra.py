@@ -2,7 +2,8 @@
 
 Three scalar modes drive everything downstream:
 
-* ``rational``  -- arbitrary-precision ``fractions.Fraction``;
+* ``rational``  -- ``Rational``, a ``fractions.Fraction`` whose arithmetic
+  runs on its integer numerator and denominator;
 * ``quadratic`` -- elements ``a + b*sqrt(d)`` of one fixed real or imaginary
   quadratic field, exact, held as integer numerators over one denominator;
 * ``float``     -- mpmath arbitrary-precision floats, complex allowed.
@@ -33,6 +34,105 @@ from functools import cache
 from operator import add, itemgetter
 
 import mpmath as mp
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db for reduced operands, in lowest terms by Knuth's gcd
+    form (TAOCP vol. 2, 4.5.1): only gcd(da, db) and one small gcd."""
+    g = math.gcd(da, db)
+    x = object.__new__(Rational)
+    if g == 1:
+        x._numerator, x._denominator = na * db + nb * da, da * db
+        return x
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    x._numerator, x._denominator = t // g2, s * (db // g2)
+    return x
+
+
+def _diff(na, da, nb, db):
+    return _sum(na, da, -nb, db)
+
+
+def _prod(na, da, nb, db):
+    """na/da * nb/db for reduced operands, in lowest terms by cross gcds."""
+    g1 = math.gcd(na, db)
+    g2 = math.gcd(nb, da)
+    x = object.__new__(Rational)
+    x._numerator, x._denominator = (na // g1) * (nb // g2), (da // g2) * (db // g1)
+    return x
+
+
+def _quot(na, da, nb, db):
+    if nb < 0:
+        nb, db = -nb, -db
+    elif not nb:
+        raise ZeroDivisionError("division by zero")
+    return _prod(na, da, db, nb)
+
+
+def _fast_operators(op, name):
+    """Forward and reflected methods that run op on the integer parts when
+    the other operand is an int or a Fraction, and hand any other operand
+    to Fraction's method of the same name."""
+
+    def forward(a, b):
+        if type(b) is Rational:
+            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+        if isinstance(b, (int, Fraction)):
+            return op(a._numerator, a._denominator, b.numerator, b.denominator)
+        return getattr(Fraction, name)(a, b)
+
+    def reverse(b, a):
+        if isinstance(a, (int, Fraction)):
+            return op(a.numerator, a.denominator, b._numerator, b._denominator)
+        return getattr(Fraction, "__r" + name[2:])(b, a)
+
+    return forward, reverse
+
+
+class Rational(Fraction):
+    """The rational-mode scalar: a Fraction whose + - * /, unary minus and
+    integer powers run on its integer numerator and denominator.
+
+    With an int, a Fraction or a Rational on the other side, each operation
+    builds its result directly in lowest terms with a positive denominator
+    and returns a Rational; any other operand goes to Fraction's own method.
+    Equality, hashing, ordering, str and float() are Fraction's, so a
+    Rational is interchangeable with the Fraction of the same value.
+
+    >>> x = Rational(3, 4)
+    >>> x * 2 - Fraction(1, 2) == 1, type(1 / x).__name__, x ** -2
+    (True, 'Rational', Rational(16, 9))
+    """
+
+    __slots__ = ()
+
+    __add__, __radd__ = _fast_operators(_sum, "__add__")
+    __sub__, __rsub__ = _fast_operators(_diff, "__sub__")
+    __mul__, __rmul__ = _fast_operators(_prod, "__mul__")
+    __truediv__, __rtruediv__ = _fast_operators(_quot, "__truediv__")
+
+    def __neg__(a):
+        return _rational(-a._numerator, a._denominator)
+
+    def __pow__(a, k):
+        if type(k) is not int:
+            return Fraction.__pow__(a, k)
+        n, d = a._numerator, a._denominator
+        if k < 0:
+            if not n:
+                raise ZeroDivisionError("zero to a negative power")
+            n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
+        return _rational(n**k, d**k)
+
+
+def _rational(n, d):
+    """Rational n/d from integers with gcd(n, d) = 1 and d > 0."""
+    x = object.__new__(Rational)
+    x._numerator, x._denominator = n, d
+    return x
 
 
 class QuadraticNumber:
@@ -265,10 +365,10 @@ class FieldContext:
     def embed(self, x):
         """Coerce an int, Fraction, or same-mode scalar into this field."""
         if self.mode == "rational":
-            if isinstance(x, Fraction):
+            if type(x) is Rational:
                 return x
-            if isinstance(x, int):
-                return Fraction(x)
+            if isinstance(x, (int, Fraction)):
+                return _rational(x.numerator, x.denominator)
             raise TypeError("cannot embed %r into the rational field" % (x,))
         if self.mode == "quadratic":
             if isinstance(x, QuadraticNumber):
@@ -546,10 +646,11 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             other = self._lift(other)
         t = min(self.trunc, other.trunc)
+        zero = self.ctx.zero()
         out = {e: c for e, c in self.coeffs.items() if e <= t}
         for e, c in other.coeffs.items():
             if e <= t:
-                out[e] = out.get(e, self.ctx.zero()) + c
+                out[e] = out.get(e, zero) + c
         return LaurentSeries(self.ctx, out, t)
 
     __radd__ = __add__
@@ -575,12 +676,13 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return self.scale(other)
         t = min(self.trunc + other.min_exp(), other.trunc + self.min_exp())
+        zero = self.ctx.zero()
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 if e <= t:
-                    out[e] = out.get(e, self.ctx.zero()) + c1 * c2
+                    out[e] = out.get(e, zero) + c1 * c2
         return LaurentSeries(self.ctx, out, t)
 
     __rmul__ = __mul__
@@ -688,9 +790,10 @@ class MiwaPolynomial:
         if not isinstance(other, MiwaPolynomial):
             return NotImplemented
         cutoff = self._compat(other)
+        zero = self.ctx.zero()
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, self.ctx.zero()) + c
+            out[k] = out.get(k, zero) + c
         return MiwaPolynomial(self.ctx, self.K, cutoff, out)
 
     def __sub__(self, other):
@@ -757,7 +860,7 @@ class MiwaPolynomial:
                     continue
                 s = shifts.get(p)
                 if s is None:
-                    s = ctx.embed(Fraction(sign, p)) * x**p
+                    s = ctx.embed(Rational(sign, p)) * x**p
                     shifts[p] = s
                 expanded = {}
                 for base, bc in partial.items():

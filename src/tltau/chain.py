@@ -46,7 +46,7 @@ from math import isqrt
 
 import mpmath as mp
 
-from .algebra import FieldContext, LaurentSeries, QuadraticNumber, det, squarefree_kernel
+from .algebra import FieldContext, LaurentSeries, QuadraticNumber, Rational, det, squarefree_kernel
 
 
 class PoleError(ZeroDivisionError):
@@ -66,7 +66,7 @@ class PoleError(ZeroDivisionError):
 def w_eval(x):
     """w(x) = x - 1/x.  Errors on x = 0."""
     if isinstance(x, int):
-        x = Fraction(x)
+        x = Rational(x)
     if not x:
         raise PoleError("w(0)", "argument is zero")
     return x - 1 / x
@@ -152,7 +152,7 @@ class ChainParams:
                     "c^2 - 4 = %s is not a rational square; use quadratic or float mode" % e
                 )
             ctx = FieldContext("rational")
-            q = (-c + Fraction(sn, sd)) / 2
+            q = ctx.embed((-c + Fraction(sn, sd)) / 2)
         elif mode == "quadratic":
             m = e.numerator * e.denominator
             if m == 0:
@@ -436,7 +436,7 @@ def g_prefactor(p, u, v):
     M = len(uu)
     if M < 1 or len(vv) != M:
         raise ValueError("g_prefactor needs len(u) = len(v) >= 1")
-    out = ctx.embed(Fraction(1, 2**M)) * p.Q ** (-M * p.spin_twice)
+    out = ctx.embed(Rational(1, 2**M)) * p.Q ** (-M * p.spin_twice)
     for j in range(M):
         wu = _w_nonzero(uu[j], "w(u_j)", "j=%d" % j)
         wu2 = _w_nonzero(uu[j] * uu[j], "w(u_j^2)", "j=%d" % j)

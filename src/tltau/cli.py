@@ -64,22 +64,23 @@ FIELD_MODES = ("rational", "quadratic", "float")
 
 # Every config key once, with its default (None: none) and its rule: an int
 # is an integer key's minimum, str asks for a string, a tuple lists the allowed
-# values and a one-item list asks for a list whose items keep that rule.
+# values and a list [rule, n] asks for a list of at least n items that each
+# keep that rule.
 KEYS = {
     "field_mode": ("rational", FIELD_MODES),
     "N": (2, 1),
     "M": (2, 0),
     "spin_twice": (1, 1),
     "Q": ("-2", str),
-    "u": (None, [str]),
-    "v": (None, [str]),
+    "u": (None, [str, 0]),
+    "v": (None, [str, 0]),
     "instances": (20, 1),
     "seed": (1, 0),
     "miwa_cutoff": (8, 4),
     "schur_cutoff": (8, 2),
     "lambda1_max": (None, 0),
     "precision_bits": (192, 128),
-    "checks": (list(CHECK_NAMES), [CHECK_NAMES]),
+    "checks": (list(CHECK_NAMES), [CHECK_NAMES, 1]),
     "out": (None, str),
 }
 
@@ -91,9 +92,12 @@ class ConfigError(ValueError):
 def _violation(rule, x):
     """What is wrong with the value x under a KEYS rule, or None."""
     if isinstance(rule, list):
+        item_rule, least = rule
         if not isinstance(x, list):
             return "%r is not a list" % (x,)
-        return next(filter(None, (_violation(rule[0], item) for item in x)), None)
+        if len(x) < least:
+            return "%r has fewer than the minimum of %d entries" % (x, least)
+        return next(filter(None, (_violation(item_rule, item) for item in x)), None)
     if isinstance(rule, tuple):
         return None if x in rule else "%r is not one of %s" % (x, ", ".join(rule))
     if rule is str:

@@ -30,11 +30,10 @@ are orthonormal, so each coefficient is one pairing of the quotient with the
 character form of s_lam, and no change of basis is solved.
 """
 
-from fractions import Fraction
 from functools import cache
 from math import factorial, prod
 
-from .algebra import MiwaPolynomial, det, miwa_series_invert, vandermonde
+from .algebra import MiwaPolynomial, Rational, det, miwa_series_invert, vandermonde
 from .chain import ParameterVector, family_matrix_y, taylor_rows
 
 
@@ -177,7 +176,7 @@ def _character_sum(coeffs, cutoff, ctx, K=None):
         acc = None
         for lam, c in group:
             if chi := _character(lam, mu):
-                term = c * ctx.embed(Fraction(chi, denom))
+                term = c * ctx.embed(Rational(chi, denom))
                 acc = term if acc is None else acc + term
         if acc is not None:
             terms[key] = acc
@@ -334,7 +333,7 @@ def poly_to_schur(poly, maxlen):
         denom = prod(m**k for m, k in enumerate(key, 1))
         for lam in by_weight.get(sum(mu), ()):
             if chi := _character(lam, mu):
-                acc[lam] = acc[lam] + ctx.embed(Fraction(chi, denom)) * c
+                acc[lam] = acc[lam] + ctx.embed(Rational(chi, denom)) * c
     return {lam: a for lam, a in acc.items() if not ctx.is_zero(a)}
 
 

@@ -17,10 +17,9 @@ of the two generating families F of the chain module.  This module gives:
 """
 
 import math
-from fractions import Fraction
 from itertools import product
 
-from .algebra import MiwaPolynomial, det, vandermonde
+from .algebra import MiwaPolynomial, Rational, det, vandermonde
 from .chain import family_matrix
 from . import schur as _schur
 
@@ -36,7 +35,7 @@ def miwa_map(points, K, ctx):
         acc = ctx.zero()
         for x in pts:
             acc = acc + x ** m
-        out.append(acc * ctx.embed(Fraction(1, m)))
+        out.append(acc * ctx.embed(Rational(1, m)))
     return tuple(out)
 
 
@@ -272,5 +271,5 @@ def andreev_residual(ctx, points, weights, fvals, gvals):
         fminor = [[fvals[i][k] for k in ks] for i in range(M)]
         gminor = [[gvals[i][k] for k in ks] for i in range(M)]
         acc = acc + mu * det(fminor, ctx) * det(gminor, ctx)
-    rhs = acc * ctx.embed(Fraction(1, math.factorial(M)))
+    rhs = acc * ctx.embed(Rational(1, math.factorial(M)))
     return lhs - rhs

@@ -18,6 +18,7 @@ from tltau.algebra import (
     LaurentSeries,
     MiwaPolynomial,
     QuadraticNumber,
+    Rational,
     det,
     det_ring,
     miwa_series_invert,
@@ -345,6 +346,84 @@ class TestQuadraticNumber:
         assert squarefree_kernel(12) == (2, 3)
         assert squarefree_kernel(377) == (1, 377)
         assert squarefree_kernel(49) == (7, 1)
+
+
+def same_as_fraction(got, want):
+    """Both raise ZeroDivisionError, or `got` is a Rational in lowest terms
+    that equals, hashes and prints as the Fraction `want()`."""
+    try:
+        expected = want()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            got()
+        return
+    value = got()
+    assert type(value) is Rational and type(expected) is F
+    assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+    assert value == expected and expected == value and hash(value) == hash(expected)
+    assert RAT.to_string(value) == RAT.to_string(expected) == str(expected)
+
+
+class TestRational:
+    """The rational-mode carrier against fractions.Fraction."""
+
+    def test_matches_fraction_for_every_operator_and_operand(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        small = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+        # the other operand is a Rational, an int or a plain Fraction
+        operand = st.one_of(small.map(Rational), st.integers(-50, 50), small)
+
+        @settings(max_examples=300, deadline=None)
+        @given(small, operand, st.integers(-6, 6))
+        def inner(xref, y, k):
+            x, yref = Rational(xref), F(y)
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                same_as_fraction(lambda: op(x, y), lambda: op(xref, yref))
+                same_as_fraction(lambda: op(y, x), lambda: op(yref, xref))
+            same_as_fraction(lambda: -x, lambda: -xref)
+            same_as_fraction(lambda: x**k, lambda: xref**k)
+
+        inner()
+
+    def test_division_by_zero_raises(self):
+        zero = Rational(0)
+        for thunk in (lambda: Rational(1, 2) / 0, lambda: Rational(1, 2) / F(0),
+                      lambda: 3 / zero, lambda: F(1, 3) / zero, lambda: zero / zero,
+                      lambda: zero**-1, lambda: zero**-3):
+            with pytest.raises(ZeroDivisionError):
+                thunk()
+
+    def test_other_operands_go_to_fraction(self):
+        half = Rational(1, 2)
+        assert half + 0.25 == 0.25 + half == 0.75
+        assert half ** F(2) == F(1, 4) and half ** 0.5 == 0.5**0.5
+        got = half + QuadraticNumber(0, 1, 5)
+        assert got == QuadraticNumber(F(1, 2), 1, 5) and type(got) is QuadraticNumber
+
+    def test_rational_mode_embeds_into_the_carrier(self):
+        for x in (3, F(-6, 4), Rational(5, 7), True):
+            got = RAT.embed(x)
+            assert type(got) is Rational and got == x
+        assert type(RAT.from_string("-3/12")) is Rational
+        for ctx in (FieldContext("quadratic", d=5), FieldContext("float")):
+            assert type(ctx.embed(Rational(3, 4))) is type(ctx.embed(F(3, 4)))
+
+    def test_fraction_internals_the_carrier_relies_on(self):
+        # Rational writes Fraction's two slots directly and overrides its
+        # operators; a Python whose Fraction differs fails here, not quietly
+        # on Fraction's slower paths
+        assert F.__slots__ == ("_numerator", "_denominator")
+        assert Rational.__slots__ == ()
+        x = Rational(3, 4)
+        assert not hasattr(x, "__dict__")
+        assert (x._numerator, x._denominator) == (x.numerator, x.denominator) == (3, 4)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+            assert vars(Rational)[name] is not vars(F)[name]
+        # a subclass's reflected method runs before Fraction's own
+        assert type(F(1, 2) + x) is type(F(1, 2) * x) is type(2 - x) is Rational
 
 
 class TestFieldContext:

@@ -89,11 +89,14 @@ def _schur_record(part):
 
 
 class TestSuite:
-    def test_empty_checks(self):
-        cfg = validate_config({"checks": []})
-        report = run_suite(cfg)
-        assert report["summary"]["total"] == 0
-        assert report["summary"]["failed"] == 0
+    def test_an_empty_check_list_is_refused(self, tmp_path, capsys):
+        # an empty list would certify nothing and report "0/0 passed"
+        with pytest.raises(ConfigError, match="config key checks: "):
+            validate_config({"checks": []})
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"checks": []}))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "config key checks: [] has fewer than" in capsys.readouterr().err
 
     def test_diagram_counts_all_pass(self):
         cfg = validate_config({"checks": ["diagram-counts"], "M": 2})

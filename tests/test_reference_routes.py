@@ -10,15 +10,23 @@ Q(sqrt 377); the last two also in float mode, where the order of the sums
 shows.
 """
 
+import importlib.util
 import math
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from tltau import cli
-from tltau.algebra import FieldContext, MiwaPolynomial, miwa_series_invert, weighted_degree
+from tltau.algebra import (
+    FieldContext,
+    MiwaPolynomial,
+    Rational,
+    miwa_series_invert,
+    weighted_degree,
+)
 from tltau.chain import ChainParams, ParameterVector, taylor_rows
 from tltau.cli import draw_instance
 from tltau.schur import (
@@ -235,3 +243,62 @@ def test_shrink_record_reads_the_low_sum_off_the_high_one(raw, monkeypatch):
     got = cli.run_suite(cfg)["records"]
     monkeypatch.setattr(cli, "_shrink_record", direct_shrink_record)
     assert got == cli.run_suite(cfg)["records"]
+
+
+# -- the rational carrier against plain Fraction ------------------------------------
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                      "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+                      "__rpow__", "__neg__", "__pos__", "__abs__")
+
+
+def expansion_units():
+    """Validated configs of the hirota/s1 and schur-expansion/s1 units of the
+    benchmark's rational expansions workload."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    units = {u.name: u.config for u in workloads.units_of("expansions-rational")}
+    return [cli.validate_config(units[name]) for name in ("hirota/s1", "schur-expansion/s1")]
+
+
+def records_and_fraction_operations(cfgs, monkeypatch):
+    """The records of each config, and how many operator calls ran Fraction's
+    own methods (Rational's fallbacks included) while they were made."""
+    calls = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            calls[0] += 1
+            return method(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in FRACTION_OPERATORS:
+            patch.setattr(F, name, counted(vars(F)[name]))
+        records = [cli.run_suite(cfg)["records"] for cfg in cfgs]
+    return records, calls[0]
+
+
+def test_rational_expansions_run_on_the_carrier(monkeypatch):
+    # tens of operations, from parsing the config; on plain Fraction one
+    # unit runs about ten thousand
+    _, plain = records_and_fraction_operations(expansion_units(), monkeypatch)
+    assert plain < 100
+
+
+def test_carrier_records_match_plain_fraction_records(monkeypatch):
+    cfgs = expansion_units()
+    got, _ = records_and_fraction_operations(cfgs, monkeypatch)
+    embed = FieldContext.embed
+
+    def embed_as_fraction(self, x):
+        out = embed(self, x)
+        return F(out) if isinstance(out, Rational) else out
+
+    monkeypatch.setattr(FieldContext, "embed", embed_as_fraction)
+    want, plain = records_and_fraction_operations(cfgs, monkeypatch)
+    assert plain > 10_000
+    assert got == want
