@@ -338,15 +338,6 @@ class FieldContext:
         else:
             self.tol = None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldContext)
-            and (self.mode, self.d, self.prec) == (other.mode, other.d, other.prec)
-        )
-
-    def __hash__(self):
-        return hash((self.mode, self.d, self.prec))
-
     def __repr__(self):
         if self.mode == "quadratic":
             return "FieldContext('quadratic', d=%d)" % self.d
@@ -415,10 +406,6 @@ class FieldContext:
         raise TypeError("cannot serialize %r" % (x,))
 
     # -- comparisons -------------------------------------------------------
-
-    def is_zero(self, x):
-        """Exact zero test, used for canonical-form storage in every mode."""
-        return not x
 
     def residual_ok(self, r, scale=1):
         """Verdict test: exact zero in exact modes, relative bound in float."""
@@ -513,16 +500,16 @@ def solve_linear(rows, rhs, ctx):
     for k in range(n):
         if ctx.mode == "float":
             piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-            if ctx.is_zero(m[piv][k]):
+            if not m[piv][k]:
                 raise ValueError("singular linear system")
         else:
-            piv = next((i for i in range(k, n) if not ctx.is_zero(m[i][k])), None)
+            piv = next((i for i in range(k, n) if m[i][k]), None)
             if piv is None:
                 raise ValueError("singular linear system")
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
         for i in range(k + 1, n):
-            if ctx.is_zero(m[i][k]):
+            if not m[i][k]:
                 continue
             f = m[i][k] / m[k][k]
             for j in range(k, n + 1):
@@ -613,7 +600,7 @@ class LaurentSeries:
         for e, c in coeffs.items():
             if e > self.trunc:
                 raise ValueError("coefficient beyond truncation order %d" % self.trunc)
-            if not ctx.is_zero(c):
+            if c:
                 clean[int(e)] = c
         self.coeffs = clean
 
@@ -764,7 +751,7 @@ class MiwaPolynomial:
                 raise ValueError("exponent tuple of wrong length")
             if weighted_degree(key) > self.cutoff:
                 continue
-            if not ctx.is_zero(c):
+            if c:
                 clean[tuple(key)] = c
         self.terms = clean
 
@@ -846,36 +833,20 @@ class MiwaPolynomial:
         needs.  The shift lowers weighted degree, so unknown terms above the
         cutoff would feed known weights: t1 + t1^2 known through weight 2
         shifts (x = 1) to constant 2, and through weight 1 to constant 1.
+        No product of shifted times outweighs the term it expands, so the
+        ring product at the same cutoff drops nothing.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        ctx = self.ctx
-        shifts = {}
-        out = {}
+        ctx, K, cutoff = self.ctx, self.K, self.cutoff
+        shifted = [MiwaPolynomial.time_var(ctx, K, cutoff, p)
+                   + MiwaPolynomial.constant(ctx, K, cutoff, ctx.embed(Rational(sign, p)) * x**p)
+                   for p in range(1, K + 1)]
+        out = MiwaPolynomial(ctx, K, cutoff)
         for key, c in self.terms.items():
-            partial = {tuple([0] * self.K): c}
-            for p in range(1, self.K + 1):
-                k = key[p - 1]
-                if not k:
-                    continue
-                s = shifts.get(p)
-                if s is None:
-                    s = ctx.embed(Rational(sign, p)) * x**p
-                    shifts[p] = s
-                expanded = {}
-                for base, bc in partial.items():
-                    spow = ctx.one()
-                    for j in range(k + 1):
-                        new = list(base)
-                        new[p - 1] += k - j
-                        coeff = bc * ctx.embed(math.comb(k, j)) * spow
-                        keyn = tuple(new)
-                        expanded[keyn] = expanded.get(keyn, ctx.zero()) + coeff
-                        spow = spow * s
-                partial = expanded
-            for keyn, cc in partial.items():
-                out[keyn] = out.get(keyn, ctx.zero()) + cc
-        return MiwaPolynomial(ctx, self.K, self.cutoff, out)
+            out = out + math.prod((t for t, k in zip(shifted, key) for _ in range(k)),
+                                  start=MiwaPolynomial.constant(ctx, K, cutoff, c))
+        return out
 
     def evaluate(self, times):
         if len(times) < self.K:

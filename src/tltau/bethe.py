@@ -63,7 +63,9 @@ def residue_vector(p, u):
 def closed_form_single_roots(p):
     """All on-shell values for one root: u^2 = (1 - zeta q)/(q (q - zeta))
     over the 2N-th roots of unity zeta != +-1, normalized to the half-plane
-    re u > 0 (or re u = 0, im u > 0); the sign partner is equivalent."""
+    re u > 0 (or re u = 0, im u > 0); the sign partner is equivalent.  The
+    2(N - 1) values are pairwise distinct: zeta -> u^2 is a Moebius map of
+    determinant -q (q^2 - 1) != 0, so it is one-to-one."""
     if p.ctx.mode != "float":
         raise ValueError("closed-form roots are produced in float mode")
     q = p.q
@@ -73,11 +75,7 @@ def closed_form_single_roots(p):
             continue
         zeta = mp.expjpi(mp.mpf(k) / p.N)
         out.append(_half_plane(mp.sqrt((1 - zeta * q) / (q * (q - zeta)))))
-    dedup = []
-    for r in out:
-        if all(abs(r - s) > mp.mpf("1e-30") for s in dedup):
-            dedup.append(r)
-    return dedup
+    return out
 
 
 def solve_bethe(p, guess, tol=None, maxiter=80):

@@ -117,11 +117,11 @@ class ChainParams:
         self.ctx = ctx
         self.q = q
         self.Q = Q
-        if ctx.is_zero(q):
+        if not q:
             raise ValueError("q must be nonzero")
-        if ctx.is_zero(q * q - ctx.one()):
+        if not q * q - ctx.one():
             raise ValueError("q must not be +1 or -1")
-        if ctx.is_zero(Q):
+        if not Q:
             raise ValueError("Q must be nonzero")
         lhs = boundary_sum(Q, self.spin_twice)
         rhs = -(q + ctx.one() / q)
@@ -357,7 +357,7 @@ def kernel_y(p, u, ypoints):
         raise ValueError("kernel_y needs len(u) = len(y) >= 1")
     num = det(family_matrix_y(p, u, 1, ys), p.ctx)
     den = det(family_matrix_y(p, u, 2, ys), p.ctx)
-    if p.ctx.is_zero(den):
+    if not den:
         raise PoleError("det(F2)", "singular denominator family")
     return num / den
 

@@ -17,7 +17,7 @@ Checks
                      kernel expansion discrepancies shrink with the cutoff
   diagram-counts     enumeration vs nested sum vs closed-form counts
   andreev            symmetrized multiple-sum identity on random data
-  bethe              root solver: convergence, closed-form match, on-shell
+  bethe              root solver: convergence and, at M = 1, closed-form match
 """
 
 import argparse
@@ -445,6 +445,9 @@ def check_bethe(cfg, p, seed):
     ctx = pf.ctx
     sols = [s for s in _bethe.solve_bethe_grid(pf) if _bethe.is_regular(pf, s.roots)]
     out = []
+    if not sols:
+        out.append(_record("bethe", {"N": pf.N, "M": pf.M}, seed, None, False,
+                           error="no regular root set converged from any palette start"))
     tol = mp.mpf("1e-10")
     for s in sols:
         blob = {"N": pf.N, "M": pf.M, "roots": [ctx.to_string(r) for r in s.roots],
@@ -460,20 +463,6 @@ def check_bethe(cfg, p, seed):
         out.append(_record("bethe", {"N": pf.N, "M": 1, "part": "closed-form-match",
                                      "found": len(sols), "expected": len(closed)},
                            seed, str(len(sols) - len(closed)), matched))
-    if sols:
-        rng = random.Random(seed)
-        u = ParameterVector(sols[0].roots, "bethe")
-        try:
-            _, v = draw_instance(pf, rng, fixed_u=u)
-            kv = kernel(pf, u, v)
-            resid = kv - _tau.tau_det(pf, u, 1, v) / _tau.tau_det(pf, u, 2, v)
-            ok = ctx.residual_ok(resid, kv)
-            out.append(_record("bethe", _params_blob(pf, u, v,
-                                                     extra={"part": "on-shell-quotient"}),
-                               seed, mp.nstr(abs(resid), 8), ok))
-        except RuntimeError:
-            out.append(_record("bethe", {"N": pf.N, "M": pf.M, "part": "on-shell-quotient"},
-                               seed, None, False, error="no admissible v found"))
     return out
 
 

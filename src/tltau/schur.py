@@ -78,11 +78,10 @@ def _partitions(maxweight, maxlen):
 
 def ell_indices(lam, npoints):
     """Strictly decreasing exponent labels l_j = lam_j - j + npoints of a
-    partition padded to npoints rows."""
-    parts = partition_normalize(lam)
-    if len(parts) > npoints:
+    partition in normal form (a tuple), padded to npoints rows."""
+    if len(lam) > npoints:
         raise ValueError("partition has more than %d rows" % npoints)
-    padded = parts + (0,) * (npoints - len(parts))
+    padded = lam + (0,) * (npoints - len(lam))
     return tuple(padded[j] - (j + 1) + npoints for j in range(npoints))
 
 
@@ -97,17 +96,22 @@ def schur_points(lam, points, ctx):
     """
     parts = partition_normalize(lam)
     pts = list(points)
-    npts = len(pts)
-    if len(parts) > npts:
+    if len(parts) > len(pts):
         return ctx.zero()
-    if npts == 0:
-        return ctx.one()
-    vdm = vandermonde(pts, ctx)
-    if ctx.is_zero(vdm):
+    return _bialternants([parts], pts, ctx)[0]
+
+
+def _bialternants(lams, points, ctx):
+    """s_lam(points) = det(x_i^(lam_j - j + n)) / det(x_i^(n - j)) for each
+    partition of at most n = len(points) rows, in normal form, with one
+    Vandermonde and one power table for all of them."""
+    vdm = vandermonde(points, ctx)
+    if not vdm:
         raise ValueError("repeated evaluation points")
-    exps = ell_indices(parts, npts)
-    mat = [[x ** e for e in exps] for x in pts]
-    return det(mat, ctx) / vdm
+    top = max((lam[0] for lam in lams if lam), default=0) + len(points)
+    powers = [[x**e for e in range(top)] for x in points]
+    return [det([[row[e] for e in ell_indices(lam, len(points))] for row in powers], ctx) / vdm
+            for lam in lams]
 
 
 @cache
@@ -215,7 +219,7 @@ class SchurCoeffMap:
             lam = partition_normalize(lam)
             if sum(lam) > cutoff:
                 raise ValueError("partition weight exceeds the cutoff")
-            if not ctx.is_zero(c):
+            if c:
                 store[lam] = c
         self.entries = store
 
@@ -253,7 +257,7 @@ def cauchy_binet_coeffs(p, u, family, cutoff):
         cols = ell_indices(lam, M)
         minor = [[table[i][n] for n in cols] for i in range(M)]
         c = det(minor, p.ctx)
-        if not p.ctx.is_zero(c):
+        if c:
             entries[lam] = c
     return SchurCoeffMap(p.ctx, cutoff, entries)
 
@@ -277,14 +281,9 @@ def _schur_terms(cmap, points, ctx):
     """(|lam|, c_lam s_lam(points)) for the terms of cmap that the points
     see, in cmap's order, which is by weight."""
     pts = list(points)
-    vdm = vandermonde(pts, ctx)
-    if ctx.is_zero(vdm):
-        raise ValueError("repeated evaluation points")
-    powers = [[x**e for e in range(cmap.cutoff + len(pts))] for x in pts]
-    for lam, c in cmap.items():
-        if len(lam) <= len(pts):
-            cols = ell_indices(lam, len(pts))
-            yield sum(lam), c * (det([[row[e] for e in cols] for row in powers], ctx) / vdm)
+    seen = [(lam, c) for lam, c in cmap.items() if len(lam) <= len(pts)]
+    values = _bialternants([lam for lam, _ in seen], pts, ctx)
+    return [(sum(lam), c * s) for (lam, c), s in zip(seen, values)]
 
 
 def tau_tilde_direct(p, u, family, points):
@@ -296,7 +295,7 @@ def tau_tilde_direct(p, u, family, points):
         raise ValueError("need exactly M points")
     ctx = p.ctx
     vdm = vandermonde(pts, ctx)
-    if ctx.is_zero(vdm):
+    if not vdm:
         raise ValueError("repeated evaluation points")
     power = 1 - p.N if family == 1 else 1
     pref = ctx.one()
@@ -334,7 +333,7 @@ def poly_to_schur(poly, maxlen):
         for lam in by_weight.get(sum(mu), ()):
             if chi := _character(lam, mu):
                 acc[lam] = acc[lam] + ctx.embed(Rational(chi, denom)) * c
-    return {lam: a for lam, a in acc.items() if not ctx.is_zero(a)}
+    return {lam: a for lam, a in acc.items() if a}
 
 
 def slavnov_schur_coeffs(p, u, cutoff):

@@ -54,7 +54,7 @@ def tau_det(p, u, family, points):
         raise ValueError("need exactly M points")
     ctx = p.ctx
     vdm = vandermonde(pts, ctx) if len(pts) > 1 else ctx.one()
-    if ctx.is_zero(vdm):
+    if not vdm:
         raise ValueError("repeated evaluation points")
     return det_family(p, u, family, pts) / vdm
 
@@ -76,7 +76,7 @@ def tau_residue(p, u, family, points):
         for m in range(M):
             if m != k:
                 acc = acc * (pts[k] - pts[m])
-        if ctx.is_zero(acc):
+        if not acc:
             raise ValueError("repeated evaluation points")
         denoms.append(acc)
     fmat = family_matrix(p, u, family, pts)
@@ -135,7 +135,7 @@ class BilinearOperator:
             if len(alpha) > K:
                 raise ValueError("operator key longer than K")
             alpha = alpha + (0,) * (K - len(alpha))
-            if not ctx.is_zero(c):
+            if c:
                 store[alpha] = c
         self.terms = store
 
@@ -229,7 +229,7 @@ def baker_akhiezer(p, u, a, b, times, z=None, cutoff=8):
     if z is not None:
         num = num.shift_times(ctx.one() / z, -1)
     dval = den.evaluate(times)
-    if ctx.is_zero(dval):
+    if not dval:
         raise ZeroDivisionError("denominator tau vanishes at these times")
     return num.evaluate(times) / dval
 

@@ -593,6 +593,12 @@ class TestMiwaPolynomial:
         times = [F(1, 2), F(5, 7)]
         shifted_times = [times[0] - x, times[1] - x ** 2 / 2]
         assert poly.shift_times(x, -1).evaluate(times) == poly.evaluate(shifted_times)
+        # three times, with mixed and squared monomials, shifted up
+        t1, t2, t3 = (MiwaPolynomial.time_var(RAT, 3, 6, m) for m in (1, 2, 3))
+        poly = t1 * t3 + t2 * t2.scale(F(-2)) + t1 * t1 * t2 + t3
+        times = [F(1, 2), F(5, 7), F(-3, 4)]
+        shifted_times = [t + x ** m / m for m, t in enumerate(times, 1)]
+        assert poly.shift_times(x, 1).evaluate(times) == poly.evaluate(shifted_times)
 
     def test_shift_times_reads_the_stored_terms_as_the_whole_polynomial(self):
         # the shift moves weight 2 down to weight 0, so the same series known

@@ -10,6 +10,8 @@ a benchmark run incorrect, and this test sees that without running it.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from tltau import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -37,3 +39,9 @@ def test_oracles_accept_a_hirota_unit():
 
 def test_oracles_accept_a_quadratic_theorem_quotient_unit():
     assert _check("identities-quadratic", "theorem-quotient/s1") == ([], [])
+
+
+@pytest.mark.parametrize("unit", ["bethe/N2M1", "bethe/N3M1"])
+def test_oracles_accept_a_single_root_bethe_unit(unit):
+    # the oracle recomputes the closed-form roots and the found/expected counts
+    assert _check("bethe-float", unit) == ([], [])

@@ -7,6 +7,7 @@ root family after filtering the prefactor zeros.
 """
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from mpmath import mp
@@ -85,11 +86,13 @@ class TestClosedForm:
                 assert abs(res) < mp.mpf("1e-40")
 
     def test_family_size(self):
-        # 2N-th roots of unity minus {+1, -1}, modulo u -> -u
-        p2 = fparams(2, 1)
-        assert len(closed_form_single_roots(p2)) == 2
-        p3 = fparams(3, 1)
-        assert len(closed_form_single_roots(p3)) == 4
+        # 2N-th roots of unity minus {+1, -1}, modulo u -> -u; zeta -> u^2 is
+        # a Moebius map of determinant -q (q^2 - 1) != 0, so no two coincide
+        for Q in (F(-2), F(3)):
+            for N in range(2, 7):
+                roots = closed_form_single_roots(ChainParams.from_boundary(N, 1, 1, Q, "float"))
+                assert len(roots) == 2 * (N - 1)
+                assert min(abs(a - b) for a, b in combinations(roots, 2)) > mp.mpf("1e-3")
 
     def test_float_mode_required(self):
         with pytest.raises(ValueError):
@@ -199,9 +202,13 @@ class TestGrid:
 
 
 def bethe_records(N, M):
+    # the one error a valid config may record is the search finding no root set
     recs = run_suite(validate_config({"checks": ["bethe"], "N": N, "M": M}))["records"]
-    assert not any("error" in r for r in recs)
+    assert all(r.get("error", NO_ROOTS) == NO_ROOTS for r in recs)
     return recs
+
+
+NO_ROOTS = "no regular root set converged from any palette start"
 
 
 def bracket_terms(us, j, q, N):

@@ -119,6 +119,16 @@ class TestSuite:
         summary = run_suite(validate_config(dict(raw, M=1)))["summary"]
         assert summary == {"total": 1, "passed": 1, "failed": 0}
 
+    def test_bethe_fails_when_no_root_set_converges(self, tmp_path, capsys):
+        # at (N, M) = (3, 2) every palette start stalls or ends on an excluded
+        # point; the run is one failing record, not a 0/0 pass
+        path = tmp_path / "noroots.json"
+        path.write_text(json.dumps({"checks": ["bethe"], "N": 3, "M": 2}))
+        assert main(["verify", "--config", str(path), "--json"]) == 1
+        (rec,) = json.loads(capsys.readouterr().out)["records"]
+        assert (rec["check"], rec["params"], rec["pass"]) == ("bethe", {"N": 3, "M": 2}, False)
+        assert rec["error"] == "no regular root set converged from any palette start"
+
     def test_repeated_roots_become_error_record(self):
         cfg = validate_config(
             {"checks": ["theorem-quotient"], "M": 2, "u": ["2", "2"], "instances": 1}

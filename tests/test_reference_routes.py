@@ -128,7 +128,7 @@ def direct_poly_to_schur(poly, maxlen):
         for lam in acc:
             if sum(lam) == sum(mu) and (chi := _character(lam, mu)):
                 acc[lam] = acc[lam] + ctx.embed(F(chi, denom)) * c
-    return {lam: a for lam, a in acc.items() if not ctx.is_zero(a)}
+    return {lam: a for lam, a in acc.items() if a}
 
 
 def direct_shrink_record(ctx, hi, cutoff, samples, blob, seed):

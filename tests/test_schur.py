@@ -120,6 +120,8 @@ class TestSchurValues:
 
     def test_too_long_vanishes(self):
         assert schur_points((1, 1, 1), [F(2), F(3)], RAT) == F(0)
+        # the row count decides before the repeated points are seen
+        assert schur_points((1, 1, 1), [F(2), F(2)], RAT) == F(0)
 
     def test_repeated_points_rejected(self):
         with pytest.raises(ValueError):
