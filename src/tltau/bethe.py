@@ -12,18 +12,20 @@ The prefactor's own zeros, u_j^2 in {+-1, +-1/q^2}, are excluded points of
 the model, and the bracket does not vanish there.  The solver drives the
 brackets to zero by damped Newton iteration, in two stages of one loop: a
 search in complex doubles, then a refinement at working precision that
-starts from the search's root and reuses its Jacobian for chord steps.
+starts there with chord steps on a central-difference Jacobian taken in
+complex doubles.  A bracket vector's M residues share one pass over sigma_j.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from mpmath import mp
 
 from .algebra import solve_linear
-from .chain import PoleError, lambda_residue, w_eval, _vals
+from .chain import PoleError, lambda_residue, w_eval, _residues, _vals
 
 
 class BetheSolution:
@@ -56,8 +58,9 @@ class BetheSolution:
 
 
 def residue_vector(p, u):
+    """[lambda_residue(p, u, j) for each j], from one sigma pass."""
     uu = _vals(u)
-    return [lambda_residue(p, uu, j) for j in range(len(uu))]
+    return _residues(p, uu, range(len(uu)))
 
 
 def closed_form_single_roots(p):
@@ -87,10 +90,12 @@ def solve_bethe(p, guess, tol=None, maxiter=80):
     root); a start that stalls or runs out of steps there ends with
     converged False.  The refinement runs the same loop at working precision
     from the search's root (from the guess itself when the search took no
-    step) until the brackets fall below `tol`, 2^(-prec/2) by default,
-    starting with chord steps on the search's last Jacobian.  `iterations`
-    counts the refinement's steps and `search_iterations` the search's; the
-    reported roots and brackets are the refinement's.
+    step) until the brackets fall below `tol`, 2^(-prec/2) by default.  Its
+    chord steps use a central difference in complex doubles at the search's
+    root (step 2^-17 max(1, |u_j|), good to about 1e-10, so two steps reach
+    2^-96), or the search's last Jacobian when a central bump lands on a
+    pole.  `iterations` counts the refinement's steps and `search_iterations`
+    the search's; the reported roots and brackets are the refinement's.
     """
     if p.ctx.mode != "float":
         raise ValueError("the root solver runs in float mode")
@@ -106,6 +111,7 @@ def solve_bethe(p, guess, tol=None, maxiter=80):
         double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None, maxiter)
     if not converged:
         return BetheSolution(map(mp.mpc, found), map(mp.mpc, res), False, 0, message, steps)
+    jac = _central_jacobian(double, found, 2.0**-17) or jac
     if steps:
         roots = [mp.mpc(x) for x in found]
     half = mp.mpf(2) ** (-(p.ctx.prec // 2))
@@ -125,7 +131,8 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
     Converged means the largest bracket is below `tol`, or every Newton
     correction below `xtol` times max(1, |u_j|).  Each Jacobian is a forward
     difference with step `step` times max(1, |u_j|); a given `chord`
-    Jacobian is used instead until a step fails to cut the error tenfold.
+    Jacobian (in `solve_bethe`, the central-difference handoff) is used
+    instead until a step fails to cut the error tenfold.
     Steps are halved when the error fails to drop or when roots threaten to
     collide.  Returns (roots, brackets, converged, steps, message, last
     Jacobian).
@@ -144,10 +151,9 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
             delta = solve_linear(jac, res, p.ctx)
         except (ZeroDivisionError, ValueError):
             return roots, res, False, it, "singular jacobian", jac
-        if all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
+        if xtol and all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
             return roots, res, True, it - 1, "converged", jac
         lam = 1.0
-        moved = False
         while lam >= 1 / 512:
             trial = [r - lam * d for r, d in zip(roots, delta)]
             if _min_separation(trial) < 1e-12 or any(abs(x) < 1e-12 for x in trial):
@@ -162,10 +168,9 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
                 if chord is not None and errt * 10 > err:
                     chord = None
                 roots, res, err = trial, rest, errt
-                moved = True
                 break
             lam /= 2
-        if not moved:
+        else:
             return roots, res, False, it, "step stalled (roots colliding or on a pole)", jac
     converged = err < tol
     return roots, res, converged, maxiter, "converged" if converged else "iteration limit", jac
@@ -173,10 +178,13 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
 
 def _brackets(p, u):
     """The pole brackets residue_vector(p, u)[j] / (w(u_j^2) w(q^2 u_j^2)), on
-    any carrier of p.q and u, or None on a pole of the map."""
+    any carrier of p.q and u, or None on a pole of the map; the divisor is
+    (u_j^4 - 1)(q^4 u_j^4 - 1) / (q^2 u_j^4), one division per bracket."""
     q2 = p.q * p.q
+    q4 = q2 * q2
     try:
-        return [r / (w_eval(x * x) * w_eval(q2 * x * x)) for r, x in zip(residue_vector(p, u), u)]
+        return [r * q2 * x4 / ((x4 - 1) * (q4 * x4 - 1))
+                for r, x4 in zip(residue_vector(p, u), [(x * x) ** 2 for x in u])]
     except (PoleError, ZeroDivisionError):
         return None
 
@@ -193,6 +201,18 @@ def _jacobian(p, roots, res, step):
         for irow, (b, r) in enumerate(zip(resb, res)):
             jac[irow][jcol] = (b - r) / h
     return jac
+
+
+def _central_jacobian(p, roots, step):
+    """_jacobian by central differences, or None when a bump lands on a pole."""
+    cols = []
+    for jcol, x in enumerate(roots):
+        h = step * max(1, abs(x))
+        up, down = (_brackets(p, roots[:jcol] + [x + e] + roots[jcol + 1:]) for e in (h, -h))
+        if up is None or down is None:
+            return None
+        cols.append([(b - a) / (2 * h) for b, a in zip(up, down)])
+    return [list(row) for row in zip(*cols)]
 
 
 def is_regular(p, roots):
@@ -214,13 +234,7 @@ def is_regular(p, roots):
 
 
 def _min_separation(roots):
-    best = float("inf")
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if d < best:
-                best = d
-    return best
+    return min((abs(a - b) for a, b in combinations(roots, 2)), default=float("inf"))
 
 
 _PALETTE = (
@@ -243,24 +257,19 @@ def solve_bethe_grid(p, tol=None, maxiter=80):
     """Run the solver from at most 64 starting sets drawn from a deterministic
     palette and return the distinct converged solutions (roots normalized to
     the right half-plane, solutions deduplicated as sets)."""
-    from itertools import combinations
-
     if p.M == 0:
         return [BetheSolution([], [], True, 0, "nothing to solve")]
-    if p.M == 1:
-        guesses = [[z] for z in _PALETTE]
-    else:
-        guesses = [list(c) for c in combinations(_PALETTE, p.M)]
     found = []
-    for g in guesses[:64]:
+    for g in list(combinations(_PALETTE, p.M))[:64]:
         try:
             sol = solve_bethe(p, g, tol=tol, maxiter=maxiter)
         except ValueError:
             continue
         if not sol.converged:
             continue
-        canon = [complex(z) for z in _canonical_roots(sol.roots)]
-        if all(_root_set_distance(canon, other) > 1e-9 for other, _ in found):
+        canon = sorted(map(_half_plane, sol.roots), key=lambda z: (mp.re(z), mp.im(z)))
+        canon = [complex(z) for z in canon]
+        if all(max(abs(x - y) for x, y in zip(canon, other)) > 1e-9 for other, _ in found):
             found.append((canon, sol))
     return [sol for _, sol in found]
 
@@ -270,13 +279,3 @@ def _half_plane(r):
     if mp.re(r) < 0 or (mp.re(r) == 0 and mp.im(r) < 0):
         return -r
     return r
-
-
-def _canonical_roots(roots):
-    return sorted(map(_half_plane, roots), key=lambda z: (mp.re(z), mp.im(z)))
-
-
-def _root_set_distance(a, b):
-    if len(a) != len(b):
-        return float("inf")
-    return max((abs(x - y) for x, y in zip(a, b)), default=float("inf"))

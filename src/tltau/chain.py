@@ -21,9 +21,10 @@ polynomial in y with a nonzero constant term:
     d_j  = q y^2 - sigma_j y + 1/q        = y w(v/u_j) w(q v u_j),
     sigma_j = q u_j^2 + 1/(q u_j^2).
 
-Family 1 is F^(1)_i = d Lambda / d u_i.  The root u_i enters only through
-sigma_i, so it is the same formula with n/d_i replaced by
-d(n/d_i)/d sigma_i = y (n - d_i)/d_i^2, times sigma_i' = 2(q u_i - 1/(q u_i^3)).
+The formula reads the roots only through their sigma_j, formed once per root
+vector, so u_j -> -u_j and u_j -> 1/(q u_j) leave it unchanged.  Family 1 is
+F^(1)_i = d Lambda / d u_i: n/d_i becomes d(n/d_i)/d sigma_i = y (n - d_i)/d_i^2,
+times sigma_i' = 2(q u_i - 1/(q u_i^3)), applied by the callers that hold u_i.
 Family 2 is F^(2)_i = y/d_i = 1/(w(v/u_i) w(q v u_i)).  The residue of Lambda
 at v = u_j replaces d_j by its y-derivative 2 q y - sigma_j, which is
 w(q u_j^2) at y = u_j^2, and divides by 2 u_j y^N.
@@ -261,54 +262,60 @@ def _sigma(q, uj):
     return q * u2 + 1 / (q * u2)
 
 
-def _denominator(q, y, s):
-    """d_j = q y^2 - sigma_j y + 1/q."""
-    d = (y * q - s) * y + 1 / q
+def _sigmas(q, uu):
+    return tuple(_sigma(q, x) for x in uu)
+
+
+def _dsigma(q, ui):
+    """sigma_i' = d sigma_i / d u_i."""
+    return 2 * (q * ui - 1 / (q * ui * ui * ui))
+
+
+def _denominator(q, y, s, iq):
+    """d_j = q y^2 - sigma_j y + 1/q, with iq = 1/q."""
+    d = (y * q - s) * y + iq
     if not d:
         raise PoleError("w(v/u_j)*w(q*v*u_j)", "y-form denominator")
     return d
 
 
-def _shell(p, y):
-    """The root-independent factors W, A, B of the formula."""
-    q = p.q
+def _shell(p, y, iq):
+    """The root-independent factors W, A, B of the formula; iq = 1/q."""
     if not y:
         raise PoleError("w(v)", "y is zero")
-    qy = y * q
-    W = qy * y - 1 / q
+    qy = y * p.q
+    W = qy * y - iq
     if not W:
         raise PoleError("w(q*v^2)")
     e = 2 * p.N + 1
-    return W, (qy + 1 / q) * (qy - 1 / q) ** e, (y + 1) * (y - 1) ** e
+    return W, (qy + iq) * (qy - iq) ** e, (y + 1) * (y - 1) ** e
 
 
-def _cleared(p, y, uu, rows=(None,), pole=None):
-    """y^N Lambda at y, a field scalar or a series in y (see the module doc).
+def _cleared(p, y, ss, rows=(None,), pole=None):
+    """y^N Lambda at y, a field scalar or a series in y, from the roots'
+    sigma-tuple ss (see the module doc).
 
     Returns one value per entry of rows: None gives y^N Lambda, i gives
-    y^N d Lambda / d u_i.  pole=j replaces d_j by its y-derivative, for the
-    residue at y = u_j^2.
+    y^N d Lambda / d sigma_i, which sigma_i' turns into y^N d Lambda / d u_i.
+    pole=j replaces d_j by its y-derivative, for the residue at y = u_j^2.
     """
     q = p.q
     q3 = q * q * q
-    W, A, B = _shell(p, y)
+    iq, iq3 = 1 / q, 1 / q3
+    W, A, B = _shell(p, y, iq)
     factors = []
-    for j, uj in enumerate(uu):
-        s = _sigma(q, uj)
-        d = 2 * q * y - s if j == pole else _denominator(q, y, s)
-        factors.append(((y / q - s) * y + q, (y * q3 - s) * y + 1 / q3, d))
+    for j, s in enumerate(ss):
+        d = 2 * q * y - s if j == pole else _denominator(q, y, s, iq)
+        factors.append(((y / q - s) * y + q, (y * q3 - s) * y + iq3, d))
     out = []
-    for du in rows:
+    for ds in rows:
         a, b, den = A, B, W
         for j, (n1, n2, d) in enumerate(factors):
-            if j == du:
+            if j == ds:
                 n1, n2, d = n1 - d, n2 - d, d * d
             a, b, den = a * n1, b * n2, den * d
         val = -(a + b) / den
-        if du is not None:
-            ui = uu[du]
-            val = val * y * (2 * (q * ui - 1 / (q * ui * ui * ui)))
-        out.append(val)
+        out.append(val if ds is None else val * y)
     return out
 
 
@@ -316,7 +323,7 @@ def lambda_du_y(p, i, y, u):
     """d Lambda / d u_i at v = sqrt(y)."""
     uu = _vals(u)
     _check_row(uu, i)
-    return _cleared(p, y, uu, (i,))[0] / y**p.N
+    return _cleared(p, y, _sigmas(p.q, uu), (i,))[0] * _dsigma(p.q, uu[i]) / y**p.N
 
 
 def _column(p, uu, family, y):
@@ -324,11 +331,13 @@ def _column(p, uu, family, y):
     y / d_i = 1/(w(v/u_i) w(q v u_i))."""
     if family == 1:
         yN = y**p.N
-        return [c / yN for c in _cleared(p, y, uu, range(len(uu)))]
+        cols = _cleared(p, y, _sigmas(p.q, uu), range(len(uu)))
+        return [c * _dsigma(p.q, ui) / yN for c, ui in zip(cols, uu)]
     if family == 2:
         if not y:
             raise PoleError("w(v)", "y is zero")
-        return [y / _denominator(p.q, y, _sigma(p.q, ui)) for ui in uu]
+        iq = 1 / p.q
+        return [y / _denominator(p.q, y, _sigma(p.q, ui), iq) for ui in uu]
     raise ValueError("family must be 1 or 2")
 
 
@@ -367,12 +376,20 @@ def lambda_residue(p, u, j):
     uu = _vals(u)
     if not 0 <= j < len(uu):
         raise ValueError("index j=%d outside the %d roots" % (j, len(uu)))
-    uj = uu[j]
-    if not uj:
+    return _residues(p, uu, (j,))[0]
+
+
+def _residues(p, uu, js):
+    """The residues of Lambda at v = u_j for j in js, from one sigma pass."""
+    if not all(uu):
         raise PoleError("w(u_j)", "root is zero")
-    y = uj * uj
-    _refuse_pm(y * p.q, 1, "w(q*u_j^2)", "")
-    return _cleared(p, y, uu, pole=j)[0] / (2 * uj * y**p.N)
+    ss = _sigmas(p.q, uu)
+    out = []
+    for j in js:
+        y = uu[j] * uu[j]
+        _refuse_pm(y * p.q, 1, "w(q*u_j^2)", "")
+        out.append(_cleared(p, y, ss, pole=j)[0] / (2 * uu[j] * y**p.N))
+    return out
 
 
 # -- the v-form: the y-form at y = v*v --------------------------------------
@@ -384,7 +401,7 @@ def lambda_eval(p, v, u):
     Poles w(v), w(q v^2) and the dressing denominators raise PoleError.
     """
     y = v * v
-    return _cleared(p, y, _vals(u))[0] / y**p.N
+    return _cleared(p, y, _sigmas(p.q, _vals(u)))[0] / y**p.N
 
 
 def lambda_du(p, i, v, u):
@@ -467,9 +484,11 @@ def taylor_rows(p, u, family, order, rows=None):
     rows = range(len(uu)) if rows is None else rows
     y = _y_series(p.ctx, order + 1)
     if family == 1:
-        return [s.shift(-1).truncate(order) for s in _cleared(p, y, uu, rows)]
+        cols = _cleared(p, y, _sigmas(p.q, uu), rows)
+        return [(c * _dsigma(p.q, uu[i])).shift(-1).truncate(order) for c, i in zip(cols, rows)]
     if family == 2:
-        return [(1 / _denominator(p.q, y, _sigma(p.q, uu[i]))).truncate(order) for i in rows]
+        iq = 1 / p.q
+        return [(1 / _denominator(p.q, y, _sigma(p.q, uu[i]), iq)).truncate(order) for i in rows]
     raise ValueError("family must be 1 or 2")
 
 
@@ -488,7 +507,7 @@ def lambda_series(p, u, order=None):
     """
     if order is None:
         order = 2 * p.N + 10
-    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _vals(u))[0]
+    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _sigmas(p.q, _vals(u)))[0]
     return _z_series(ys, -2 * p.N, order)
 
 

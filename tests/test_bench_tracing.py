@@ -58,7 +58,8 @@ def test_tracer_wraps_every_named_function_and_restores_it():
 
 def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
     # pinned on the integer carrier, with validate_uv forming each product
-    # once; a fast path that multiplied or inverted without the counted
+    # once and each column forming 1/q once (each 1/q is one inverse and one
+    # product); a fast path that multiplied or inverted without the counted
     # methods would make these read lower
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -69,8 +70,8 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 315
-    assert tracer.counters["algebra.qnum_inverse.calls"] == 65
+    assert tracer.counters["algebra.qnum_mul.calls"] == 303
+    assert tracer.counters["algebra.qnum_inverse.calls"] == 53
 
 
 def test_expansion_checks_build_each_taylor_table_once_and_pair_hirota_terms(monkeypatch):

@@ -64,6 +64,13 @@ class TestResidueFormula:
         assert len(vec) == 2
         assert vec[0] == F(5335875, 11648)
 
+    def test_vector_shares_one_sigma_pass(self):
+        # residue_vector forms each sigma_j once for all M residues; it must
+        # agree exactly with the residues taken one root at a time
+        for N, u in ((2, (F(2), F(3))), (3, (F(2), F(3), F(5, 2)))):
+            p = params(N, len(u))
+            assert residue_vector(p, u) == [lambda_residue(p, u, j) for j in range(len(u))]
+
     def test_pole_of_the_formula_is_named(self):
         from tltau.chain import PoleError
 
@@ -170,10 +177,11 @@ class TestGrid:
                 assert min(abs(g - w) for g in got) < mp.mpf("1e-25")
 
     def test_grid_searches_in_complex_doubles(self, monkeypatch):
-        # 64 starts at (2, 2): the search runs in complex doubles, and each
-        # converged start takes about three bracket evaluations at working
-        # precision (215 in all).  Newton at working precision from every
-        # start reads 1,607.
+        # 64 starts at (2, 2): the search runs in complex doubles, and each of
+        # the 61 converged starts takes three bracket evaluations at working
+        # precision, two chord steps on the central-difference Jacobian handed
+        # over from the search (193 in all, 10 of them on one refinement that
+        # stalls).  Newton at working precision from every start reads 1,607.
         from tltau import bethe
 
         working = []
@@ -186,7 +194,23 @@ class TestGrid:
 
         monkeypatch.setattr(bethe, "residue_vector", counted)
         assert len(solve_bethe_grid(fparams(2, 2))) > 0
-        assert len(working) <= 256
+        assert len(working) <= 193
+
+        # at M = 1 every converged refinement reaches 2^-96 in two chord steps
+        steps = []
+        solve = bethe.solve_bethe
+
+        def logged(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            if sol.converged:
+                steps.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(bethe, "solve_bethe", logged)
+        for N in (2, 3, 4):
+            del steps[:]
+            assert solve_bethe_grid(fparams(N, 1))
+            assert steps and max(steps) <= 2, (N, steps)
 
     def test_on_shell_identities_hold_in_float(self):
         # at an on-shell root the factorized inner product still matches

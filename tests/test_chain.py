@@ -381,6 +381,38 @@ class TestFamilies:
         assert abs(got - want) < sympy.Float("1e-40") * max(1, abs(want))
 
 
+class TestSigmaReading:
+    # the formula reads each root only through sigma_j = q u_j^2 + 1/(q u_j^2),
+    # and u_j -> -u_j and u_j -> 1/(q u_j) keep sigma_j; a root read anywhere
+    # else would break these exact equalities
+    def test_eigenvalue_is_unchanged_in_the_sigma_fibre(self):
+        p = params(3, 2)
+        want = F(-12342777661119862899, 15388606849000000)
+        for u in ((F(2), F(3)), (F(1, 4), F(-3)), (F(-2), F(1, 6))):
+            assert lambda_eval(p, F(7, 5), u) == want
+
+    def test_family_columns_in_the_sigma_fibre(self):
+        # family 2 reads sigma_i alone; family 1 carries sigma_i', which is odd
+        # in u_i, so flipping u_1 flips row 1 only
+        p = params(3, 2)
+        pts = [F(7, 5), F(5, 2)]
+        want = family_matrix(p, (F(2), F(3)), 2, pts)
+        for u in ((F(1, 4), F(-3)), (F(-2), F(1, 6))):
+            assert family_matrix(p, u, 2, pts) == want
+        row0, row1 = family_matrix(p, (F(2), F(3)), 1, pts)
+        assert family_matrix(p, (F(2), F(-3)), 1, pts) == [row0, [-x for x in row1]]
+
+    def test_quadratic_field(self):
+        p = _mode_params("quadratic", 2)
+        ctx = p.ctx
+        u = (ctx.embed(2), ctx.embed(3))
+        v = ctx.embed(F(7, 5))
+        pts = [v, ctx.embed(F(5, 2))]
+        for w in ((1 / (p.q * u[0]), -u[1]), (-u[0], 1 / (p.q * u[1]))):
+            assert lambda_eval(p, v, w) == lambda_eval(p, v, u)
+            assert family_matrix(p, w, 2, pts) == family_matrix(p, u, 2, pts)
+
+
 def _mode_params(mode, M):
     if mode == "quadratic":
         return ChainParams.from_boundary(3, M, 2, F(2), mode="quadratic")
@@ -391,9 +423,9 @@ def _count_shells(monkeypatch):
     calls = []
     shell = chain._shell
 
-    def counted(p, y):
+    def counted(p, y, iq):
         calls.append(y)
-        return shell(p, y)
+        return shell(p, y, iq)
 
     monkeypatch.setattr(chain, "_shell", counted)
     return calls
@@ -555,8 +587,8 @@ class TestSeededFault:
         # one fault in the shared shell reaches values, series and residues
         shell = chain._shell
 
-        def doubled_b(p, y):
-            W, A, B = shell(p, y)
+        def doubled_b(p, y, iq):
+            W, A, B = shell(p, y, iq)
             return W, A, 2 * B
 
         monkeypatch.setattr(chain, "_shell", doubled_b)
