@@ -20,12 +20,11 @@ than +-1 (those two make w(u^2 q) vanish and are spurious).
 """
 
 from collections import namedtuple
-from itertools import combinations
 
 from mpmath import mp
 
 from .algebra import solve_linear
-from .chain import PoleError, lambda_residue, w_eval, _residues, _vals
+from .chain import PoleError, lambda_residue, w_eval, _residues, _vals  # lambda_residue: re-exported
 
 
 class BetheSolution:
@@ -58,7 +57,7 @@ class BetheSolution:
 
 
 def residue_vector(p, u):
-    """[lambda_residue(p, u, j) for each j], from one sigma pass."""
+    """The M residues of chain.lambda_residue, from one sigma pass (chain._residues)."""
     uu = _vals(u)
     return _residues(p, uu, range(len(uu)))
 
@@ -93,8 +92,8 @@ def solve_bethe(p, guess, tol=None, maxiter=80):
     step) until the brackets fall below `tol`, 2^(-prec/2) by default.  Its
     chord steps use a central difference in complex doubles at the search's
     root (step 2^-17 max(1, |u_j|), good to about 1e-10, so two steps reach
-    2^-96), or the search's last Jacobian when a central bump lands on a
-    pole.  `iterations` counts the refinement's steps and `search_iterations`
+    2^-96); when a central bump lands on a pole it runs plain Newton steps.
+    `iterations` counts the refinement's steps and `search_iterations`
     the search's; the reported roots and brackets are the refinement's.
     """
     if p.ctx.mode != "float":
@@ -107,16 +106,16 @@ def solve_bethe(p, guess, tol=None, maxiter=80):
     if not roots:
         return BetheSolution([], [], True, 0, "nothing to solve")
     double = _Double(p.N, complex(p.q), p.ctx)
-    found, res, converged, steps, message, jac = _newton(
+    found, res, converged, steps, message = _newton(
         double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None, maxiter)
     if not converged:
         return BetheSolution(map(mp.mpc, found), map(mp.mpc, res), False, 0, message, steps)
-    jac = _central_jacobian(double, found, 2.0**-17) or jac
+    chord = _central_jacobian(double, found, 2.0**-17)
     if steps:
         roots = [mp.mpc(x) for x in found]
     half = mp.mpf(2) ** (-(p.ctx.prec // 2))
     tol = half if tol is None else mp.mpf(tol)
-    roots, res, converged, iterations, message, _ = _newton(p, roots, tol, 0, half, jac, maxiter)
+    roots, res, converged, iterations, message = _newton(p, roots, tol, 0, half, chord, maxiter)
     return BetheSolution(roots, res, converged, iterations, message, steps)
 
 
@@ -134,8 +133,7 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
     Jacobian (in `solve_bethe`, the central-difference handoff) is used
     instead until a step fails to cut the error tenfold.
     Steps are halved when the error fails to drop or when roots threaten to
-    collide.  Returns (roots, brackets, converged, steps, message, last
-    Jacobian).
+    collide.  Returns (roots, brackets, converged, steps, message).
     """
     res = _brackets(p, roots)
     if res is None:
@@ -144,16 +142,17 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
     jac = chord
     for it in range(1, maxiter + 1):
         if err < tol:
-            return roots, res, True, it - 1, "converged", jac
+            return roots, res, True, it - 1, "converged"
         if chord is None:
             jac = _jacobian(p, roots, res, step)
         try:
             delta = solve_linear(jac, res, p.ctx)
         except (ZeroDivisionError, ValueError):
-            return roots, res, False, it, "singular jacobian", jac
-        if xtol and all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
-            return roots, res, True, it - 1, "converged", jac
+            return roots, res, False, it, "singular jacobian"
+        if all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
+            return roots, res, True, it - 1, "converged"
         lam = 1.0
+        moved = False
         while lam >= 1 / 512:
             trial = [r - lam * d for r, d in zip(roots, delta)]
             if _min_separation(trial) < 1e-12 or any(abs(x) < 1e-12 for x in trial):
@@ -168,12 +167,13 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
                 if chord is not None and errt * 10 > err:
                     chord = None
                 roots, res, err = trial, rest, errt
+                moved = True
                 break
             lam /= 2
-        else:
-            return roots, res, False, it, "step stalled (roots colliding or on a pole)", jac
+        if not moved:
+            return roots, res, False, it, "step stalled (roots colliding or on a pole)"
     converged = err < tol
-    return roots, res, converged, maxiter, "converged" if converged else "iteration limit", jac
+    return roots, res, converged, maxiter, "converged" if converged else "iteration limit"
 
 
 def _brackets(p, u):
@@ -234,7 +234,13 @@ def is_regular(p, roots):
 
 
 def _min_separation(roots):
-    return min((abs(a - b) for a, b in combinations(roots, 2)), default=float("inf"))
+    best = float("inf")
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            d = abs(roots[i] - roots[j])
+            if d < best:
+                best = d
+    return best
 
 
 _PALETTE = (
@@ -257,19 +263,24 @@ def solve_bethe_grid(p, tol=None, maxiter=80):
     """Run the solver from at most 64 starting sets drawn from a deterministic
     palette and return the distinct converged solutions (roots normalized to
     the right half-plane, solutions deduplicated as sets)."""
+    from itertools import combinations
+
     if p.M == 0:
         return [BetheSolution([], [], True, 0, "nothing to solve")]
+    if p.M == 1:
+        guesses = [[z] for z in _PALETTE]
+    else:
+        guesses = [list(c) for c in combinations(_PALETTE, p.M)]
     found = []
-    for g in list(combinations(_PALETTE, p.M))[:64]:
+    for g in guesses[:64]:
         try:
             sol = solve_bethe(p, g, tol=tol, maxiter=maxiter)
         except ValueError:
             continue
         if not sol.converged:
             continue
-        canon = sorted(map(_half_plane, sol.roots), key=lambda z: (mp.re(z), mp.im(z)))
-        canon = [complex(z) for z in canon]
-        if all(max(abs(x - y) for x, y in zip(canon, other)) > 1e-9 for other, _ in found):
+        canon = [complex(z) for z in _canonical_roots(sol.roots)]
+        if all(_root_set_distance(canon, other) > 1e-9 for other, _ in found):
             found.append((canon, sol))
     return [sol for _, sol in found]
 
@@ -279,3 +290,13 @@ def _half_plane(r):
     if mp.re(r) < 0 or (mp.re(r) == 0 and mp.im(r) < 0):
         return -r
     return r
+
+
+def _canonical_roots(roots):
+    return sorted(map(_half_plane, roots), key=lambda z: (mp.re(z), mp.im(z)))
+
+
+def _root_set_distance(a, b):
+    if len(a) != len(b):
+        return float("inf")
+    return max((abs(x - y) for x, y in zip(a, b)), default=float("inf"))
