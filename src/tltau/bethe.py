@@ -1,19 +1,14 @@
 """On-shell root finding for the eigenvalue's pole-cancellation conditions.
 
 Lambda(v) has simple pole candidates at v = u_j from the dressing
-denominators.  `chain.lambda_residue` gives the residue at v = u_j from the
-eigenvalue formula itself; it carries the overall factor
-
-    -(u_j / 2) w(u_j^2 q^2) w(u_j^2) / w(u_j^2 q)^2,
-
-and a root vector is on shell exactly when every residue vanishes through
-the rest of it, the pole bracket: the residue over w(u_j^2) w(q^2 u_j^2).
-The prefactor's own zeros, u_j^2 in {+-1, +-1/q^2}, are excluded points of
-the model, and the bracket does not vanish there.  The solver drives the
-brackets to zero by damped Newton iteration, in two stages of one loop: a
-search in complex doubles, then a refinement at working precision that
-starts there with chord steps on a central-difference Jacobian taken in
-complex doubles.  A bracket vector's M residues share one pass over sigma_j.
+denominators.  Its residue there, `chain.lambda_residue`, is w(u_j^2)
+w(q^2 u_j^2) times the pole bracket `chain.pole_brackets`, and a root vector
+is on shell exactly when every bracket vanishes.  The prefactor's zeros,
+u_j^2 in {+-1, +-1/q^2}, are excluded points of the model, and the bracket
+does not vanish there.  The solver drives the brackets to zero by damped
+Newton iteration, in two stages of one loop: a search in complex doubles,
+then a refinement at working precision that starts there with chord steps on
+a central-difference Jacobian taken in complex doubles.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
@@ -24,7 +19,7 @@ from collections import namedtuple
 from mpmath import mp
 
 from .algebra import solve_linear
-from .chain import PoleError, lambda_residue, w_eval, _residues, _vals  # lambda_residue: re-exported
+from .chain import PoleError, lambda_residue, pole_brackets, w_eval, _vals
 
 
 class BetheSolution:
@@ -57,9 +52,9 @@ class BetheSolution:
 
 
 def residue_vector(p, u):
-    """The M residues of chain.lambda_residue, from one sigma pass (chain._residues)."""
+    """The M residues chain.lambda_residue(p, u, j)."""
     uu = _vals(u)
-    return _residues(p, uu, range(len(uu)))
+    return [lambda_residue(p, uu, j) for j in range(len(uu))]
 
 
 def closed_form_single_roots(p):
@@ -80,7 +75,7 @@ def closed_form_single_roots(p):
     return out
 
 
-def solve_bethe(p, guess, tol=None, maxiter=80):
+def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
     """Drive the pole brackets to zero from one start, float mode only.
 
     The search runs the damped Newton loop in complex doubles until the
@@ -95,6 +90,8 @@ def solve_bethe(p, guess, tol=None, maxiter=80):
     2^-96); when a central bump lands on a pole it runs plain Newton steps.
     `iterations` counts the refinement's steps and `search_iterations`
     the search's; the reported roots and brackets are the refinement's.
+    A search root within 1e-9 of a set in `known` (each as _canonical_roots
+    gives it) is not refined: it ends with converged False and no steps.
     """
     if p.ctx.mode != "float":
         raise ValueError("the root solver runs in float mode")
@@ -108,6 +105,9 @@ def solve_bethe(p, guess, tol=None, maxiter=80):
     double = _Double(p.N, complex(p.q), p.ctx)
     found, res, converged, steps, message = _newton(
         double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None, maxiter)
+    canon = _canonical_roots(found)
+    if converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
+        converged, message = False, "repeats a root set already found"
     if not converged:
         return BetheSolution(map(mp.mpc, found), map(mp.mpc, res), False, 0, message, steps)
     chord = _central_jacobian(double, found, 2.0**-17)
@@ -177,14 +177,9 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
 
 
 def _brackets(p, u):
-    """The pole brackets residue_vector(p, u)[j] / (w(u_j^2) w(q^2 u_j^2)), on
-    any carrier of p.q and u, or None on a pole of the map; the divisor is
-    (u_j^4 - 1)(q^4 u_j^4 - 1) / (q^2 u_j^4), one division per bracket."""
-    q2 = p.q * p.q
-    q4 = q2 * q2
+    """chain.pole_brackets on any carrier of p.q and u, or None on a pole."""
     try:
-        return [r * q2 * x4 / ((x4 - 1) * (q4 * x4 - 1))
-                for r, x4 in zip(residue_vector(p, u), [(x * x) ** 2 for x in u])]
+        return pole_brackets(p, u)
     except (PoleError, ZeroDivisionError):
         return None
 
@@ -216,13 +211,9 @@ def _central_jacobian(p, roots, step):
 
 
 def is_regular(p, roots):
-    """True when no root sits on a spurious zero of the residue prefactor.
-
-    The residue carries the overall factor w(u_j^2) w(u_j^2 q^2) / w(u_j^2 q)^2,
-    so Newton can converge to points with u_j^2 in {+-1, +-1/q^2} where the
-    residue vanishes without the bracket doing so.  Those are excluded
-    points of the model, not on-shell roots; "sits on" means within 1e-8.
-    """
+    """True when no root is within 1e-8 of an excluded point, u_j^2 in
+    {+-1, +-1/q^2}, where the residue vanishes through its factor
+    w(u_j^2) w(q^2 u_j^2) and not through the pole bracket."""
     floor = mp.mpf("1e-8")
     q = p.q
     for r in roots:
@@ -271,18 +262,16 @@ def solve_bethe_grid(p, tol=None, maxiter=80):
         guesses = [[z] for z in _PALETTE]
     else:
         guesses = [list(c) for c in combinations(_PALETTE, p.M)]
-    found = []
+    known, found = [], []
     for g in guesses[:64]:
         try:
-            sol = solve_bethe(p, g, tol=tol, maxiter=maxiter)
+            sol = solve_bethe(p, g, tol=tol, maxiter=maxiter, known=known)
         except ValueError:
             continue
-        if not sol.converged:
-            continue
-        canon = [complex(z) for z in _canonical_roots(sol.roots)]
-        if all(_root_set_distance(canon, other) > 1e-9 for other, _ in found):
-            found.append((canon, sol))
-    return [sol for _, sol in found]
+        if sol.converged:
+            known.append(_canonical_roots(sol.roots))
+            found.append(sol)
+    return found
 
 
 def _half_plane(r):
@@ -293,10 +282,6 @@ def _half_plane(r):
 
 
 def _canonical_roots(roots):
-    return sorted(map(_half_plane, roots), key=lambda z: (mp.re(z), mp.im(z)))
+    """The roots as complex doubles in the half-plane, sorted."""
+    return sorted((complex(_half_plane(z)) for z in roots), key=lambda z: (z.real, z.imag))
 
-
-def _root_set_distance(a, b):
-    if len(a) != len(b):
-        return float("inf")
-    return max((abs(x - y) for x, y in zip(a, b)), default=float("inf"))

@@ -25,9 +25,9 @@ The formula reads the roots only through their sigma_j, formed once per root
 vector, so u_j -> -u_j and u_j -> 1/(q u_j) leave it unchanged.  Family 1 is
 F^(1)_i = d Lambda / d u_i: n/d_i becomes d(n/d_i)/d sigma_i = y (n - d_i)/d_i^2,
 times sigma_i' = 2(q u_i - 1/(q u_i^3)), applied by the callers that hold u_i.
-Family 2 is F^(2)_i = y/d_i = 1/(w(v/u_i) w(q v u_i)).  The residue of Lambda
-at v = u_j replaces d_j by its y-derivative 2 q y - sigma_j, which is
-w(q u_j^2) at y = u_j^2, and divides by 2 u_j y^N.
+Family 2 is F^(2)_i = y/d_i = 1/(w(v/u_i) w(q v u_i)).  At y = u_j^2, A n1_j
+and B n2_j share the factor w(y) w(q^2 y), so the residue of Lambda at v = u_j
+is that factor times a pole bracket, in which it is cancelled in closed form.
 
 The formula only adds, multiplies and divides, so one code path serves every
 carrier: field scalars for pointwise values (the v-form entry points evaluate
@@ -279,6 +279,34 @@ def _denominator(q, y, s, iq):
     return d
 
 
+def pole_brackets(p, u, js=None):
+    """Pole brackets at v = u_j for j in js (default all), one sigma pass: with
+    y = u_j^2 and i != j, -w(q) y^(1-N) [(y-1)^(2N) prod n2_i - (qy-1/q)^(2N)
+    prod n1_i] / (2 u_j w(qy)^2 prod d_i), finite where w(y) w(q^2 y), the
+    rest of the residue, vanishes.  Reads only p.N and p.q."""
+    uu = _vals(u)
+    if not all(uu):
+        raise PoleError("w(u_j)", "root is zero")
+    q = p.q
+    q3 = q * q * q
+    iq, iq3 = 1 / q, 1 / q3
+    ss = _sigmas(q, uu)
+    e = 2 * p.N
+    out = []
+    for j in range(len(uu)) if js is None else js:
+        y = uu[j] * uu[j]
+        qy = y * q
+        _refuse_pm(qy, 1, "w(q*u_j^2)", "")
+        wqy = qy - 1 / qy
+        a, b, den = (qy - iq) ** e, (y - 1) ** e, 2 * uu[j] * wqy * wqy * y ** (p.N - 1)
+        for i, s in enumerate(ss):
+            if i != j:
+                a, b = a * ((y * iq - s) * y + q), b * ((y * q3 - s) * y + iq3)
+                den = den * _denominator(q, y, s, iq)
+        out.append((iq - q) * (b - a) / den)
+    return out
+
+
 def _shell(p, y, iq):
     """The root-independent factors W, A, B of the formula; iq = 1/q."""
     if not y:
@@ -291,22 +319,20 @@ def _shell(p, y, iq):
     return W, (qy + iq) * (qy - iq) ** e, (y + 1) * (y - 1) ** e
 
 
-def _cleared(p, y, ss, rows=(None,), pole=None):
+def _cleared(p, y, ss, rows=(None,)):
     """y^N Lambda at y, a field scalar or a series in y, from the roots'
     sigma-tuple ss (see the module doc).
 
     Returns one value per entry of rows: None gives y^N Lambda, i gives
     y^N d Lambda / d sigma_i, which sigma_i' turns into y^N d Lambda / d u_i.
-    pole=j replaces d_j by its y-derivative, for the residue at y = u_j^2.
     """
     q = p.q
     q3 = q * q * q
     iq, iq3 = 1 / q, 1 / q3
     W, A, B = _shell(p, y, iq)
     factors = []
-    for j, s in enumerate(ss):
-        d = 2 * q * y - s if j == pole else _denominator(q, y, s, iq)
-        factors.append(((y / q - s) * y + q, (y * q3 - s) * y + iq3, d))
+    for s in ss:
+        factors.append(((y / q - s) * y + q, (y * q3 - s) * y + iq3, _denominator(q, y, s, iq)))
     out = []
     for ds in rows:
         a, b, den = A, B, W
@@ -372,24 +398,13 @@ def kernel_y(p, u, ypoints):
 
 
 def lambda_residue(p, u, j):
-    """Residue of Lambda at v = u_j, in any field mode."""
+    """Residue of Lambda at v = u_j, in any field mode: the pole bracket times
+    w(u_j^2) w(q^2 u_j^2)."""
     uu = _vals(u)
     if not 0 <= j < len(uu):
         raise ValueError("index j=%d outside the %d roots" % (j, len(uu)))
-    return _residues(p, uu, (j,))[0]
-
-
-def _residues(p, uu, js):
-    """The residues of Lambda at v = u_j for j in js, from one sigma pass."""
-    if not all(uu):
-        raise PoleError("w(u_j)", "root is zero")
-    ss = _sigmas(p.q, uu)
-    out = []
-    for j in js:
-        y = uu[j] * uu[j]
-        _refuse_pm(y * p.q, 1, "w(q*u_j^2)", "")
-        out.append(_cleared(p, y, ss, pole=j)[0] / (2 * uu[j] * y**p.N))
-    return out
+    y = uu[j] * uu[j]
+    return pole_brackets(p, uu, (j,))[0] * w_eval(y) * w_eval(p.q * p.q * y)
 
 
 # -- the v-form: the y-form at y = v*v --------------------------------------

@@ -12,17 +12,26 @@ from itertools import combinations
 import pytest
 from mpmath import mp
 
-from tltau.algebra import FieldContext
+from tltau.algebra import FieldContext, QuadraticNumber
 from tltau.bethe import (
     BetheSolution,
     closed_form_single_roots,
     is_regular,
-    lambda_residue,
     residue_vector,
     solve_bethe,
     solve_bethe_grid,
 )
-from tltau.chain import ChainParams, ParameterVector, g_prefactor, kernel, lambda_eval, slavnov
+from tltau.chain import (
+    ChainParams,
+    ParameterVector,
+    PoleError,
+    g_prefactor,
+    kernel,
+    lambda_eval,
+    lambda_residue,
+    pole_brackets,
+    slavnov,
+)
 from tltau.cli import run_suite, validate_config
 
 RAT = FieldContext("rational")
@@ -65,10 +74,12 @@ class TestResidueFormula:
         assert vec[0] == F(5335875, 11648)
 
     def test_vector_shares_one_sigma_pass(self):
-        # residue_vector forms each sigma_j once for all M residues; it must
-        # agree exactly with the residues taken one root at a time
+        # pole_brackets forms each sigma_j once for all M brackets; it must
+        # agree exactly with the brackets taken one root at a time, and so
+        # must the residues
         for N, u in ((2, (F(2), F(3))), (3, (F(2), F(3), F(5, 2)))):
             p = params(N, len(u))
+            assert pole_brackets(p, u) == [pole_brackets(p, u, (j,))[0] for j in range(len(u))]
             assert residue_vector(p, u) == [lambda_residue(p, u, j) for j in range(len(u))]
 
     def test_pole_of_the_formula_is_named(self):
@@ -79,6 +90,56 @@ class TestResidueFormula:
         with pytest.raises(PoleError) as e:
             lambda_residue(p, (mp.sqrt(mp.mpf("0.5")),), 0)
         assert e.value.factor == "w(q*u_j^2)"
+
+
+class TestPoleBracket:
+    # the bracket is the residue with w(u_j^2) w(q^2 u_j^2) cancelled in
+    # closed form; the reference codes the residue from the product form
+    # (bracket_terms below): -(u_j / 2) w(u_j^2) w(q^2 u_j^2) / w(q u_j^2)^2
+    # times the sum of its two terms
+    def test_residue_is_prefactor_times_bracket(self):
+        def w(x):
+            return x - 1 / x
+
+        quad = ChainParams.from_boundary(2, 2, 2, F(2), mode="quadratic")
+        assert quad.q.d == 377
+        cases = [(params(2, 2), (F(2), F(3))),
+                 (params(3, 3), (F(2), F(3), F(5, 2))),
+                 (params(4, 2), (F(3, 2), F(-5, 3))),
+                 (quad, (quad.ctx.embed(2), quad.q + 1))]
+        for p, u in cases:
+            brackets = pole_brackets(p, u)
+            for j, x in enumerate(u):
+                ta, tb = bracket_terms(u, j, p.q, p.N)
+                wq = w(p.q * x * x)
+                want = -x * (ta + tb) / (2 * wq * wq)
+                assert brackets[j] == want
+                assert lambda_residue(p, u, j) == w(x * x) * w(p.q * p.q * x * x) * want
+        assert lambda_residue(params(2, 2), (F(2), F(3)), 0) == F(5335875, 11648)
+
+    def test_bracket_stays_finite_where_the_residue_vanishes(self):
+        # at q = 2, u = 1 and i zero w(u^2) and u = 1/2 zeros w(q^2 u^2): the
+        # residue vanishes there, the bracket does not
+        gauss = FieldContext("quadratic", d=-1)
+        for N in (2, 3):
+            cases = [(params(N, 1), F(1)), (params(N, 1), F(1, 2)),
+                     (ChainParams(N, 1, 1, gauss.embed(2), gauss.embed(-2), gauss),
+                      QuadraticNumber(0, 1, -1))]
+            for p, u in cases:
+                assert lambda_residue(p, (u,), 0) == 0
+                assert pole_brackets(p, (u,))[0] != 0
+
+    def test_poles_are_named(self):
+        # a zero root, and q u^2 = +-1 (q = +-4, u = 1/2), where w(q u^2) in
+        # the bracket's denominator vanishes
+        for q, u, factor in ((F(2), (F(3), F(0)), "w(u_j)"),
+                             (F(4), (F(1, 2), F(3)), "w(q*u_j^2)"),
+                             (F(-4), (F(1, 2), F(3)), "w(q*u_j^2)")):
+            p = ChainParams(2, 2, 1, q, -q, RAT)
+            for call in (pole_brackets, residue_vector, lambda p, u: lambda_residue(p, u, 0)):
+                with pytest.raises(PoleError) as e:
+                    call(p, u)
+                assert e.value.factor == factor
 
 
 class TestClosedForm:
@@ -178,23 +239,30 @@ class TestGrid:
 
     def test_grid_searches_in_complex_doubles(self, monkeypatch):
         # 64 starts at (2, 2): the search runs in complex doubles, and each of
-        # the 61 converged starts takes three bracket evaluations at working
+        # the 61 converged starts takes three bracket vectors at working
         # precision, two chord steps on the central-difference Jacobian handed
         # over from the search (193 in all, 10 of them on one refinement that
         # stalls).  Newton at working precision from every start reads 1,607.
+        # At M = 1 a start whose search lands on a root already found is not
+        # refined, so each distinct root costs three.
         from tltau import bethe
 
         working = []
-        real = bethe.residue_vector
+        real = bethe._brackets
 
         def counted(p, u):
             if not isinstance(p.q, complex):
                 working.append(u)
             return real(p, u)
 
-        monkeypatch.setattr(bethe, "residue_vector", counted)
+        monkeypatch.setattr(bethe, "_brackets", counted)
         assert len(solve_bethe_grid(fparams(2, 2))) > 0
         assert len(working) <= 193
+        for N in (2, 3, 4):
+            del working[:]
+            distinct = len(solve_bethe_grid(fparams(N, 1)))
+            assert distinct == 2 * (N - 1)
+            assert len(working) <= 3 * distinct, (N, len(working))
 
         # at M = 1 every converged refinement reaches 2^-96 in two chord steps
         steps = []

@@ -255,10 +255,11 @@ class TestSuite:
         assert verdicts.count(False) * 2 > len(verdicts), verdicts
 
     def test_bethe_sees_a_seeded_fault_in_the_pole_bracket(self, monkeypatch):
-        # n2 = q^3 y^2 - sigma y + q^-3 with q^2 for q^3 moves the bracket's
-        # zero set: the solver then certifies roots of the wrong equation,
-        # which only the closed form of the single root can tell
-        from tltau import chain
+        # q^2 y - 1/q for q y - 1/q in the bracket's A term moves its zero
+        # set: the solver then certifies roots of the wrong equation, which
+        # only the closed form of the single root can tell.  (The n2_i
+        # factors hold only the other roots, so at M = 1 they are absent.)
+        from tltau import bethe, chain
 
         def verdicts():
             recs = run_suite(validate_config({"checks": ["bethe"], "M": 1}))["records"]
@@ -268,12 +269,12 @@ class TestSuite:
         clean = verdicts()
         assert all(ok for _, ok in clean) and ("closed-form-match", True) in clean
 
-        old = "y * q3 - s"
-        source = textwrap.dedent(inspect.getsource(chain._cleared))
+        old = "(qy - iq) ** e"
+        source = textwrap.dedent(inspect.getsource(chain.pole_brackets))
         assert old in source
         namespace = dict(vars(chain))
-        exec(source.replace(old, "y * q * q - s"), namespace)
-        monkeypatch.setattr(chain, "_cleared", namespace["_cleared"])
+        exec(source.replace(old, "(qy * q - iq) ** e"), namespace)
+        monkeypatch.setattr(bethe, "pole_brackets", namespace["pole_brackets"])
         assert ("closed-form-match", False) in verdicts()
 
     def test_diagram_counts_see_a_wrong_two_row_closed_form(self, monkeypatch):
