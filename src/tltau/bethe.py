@@ -7,14 +7,17 @@ is on shell exactly when every bracket vanishes.  The prefactor's zeros,
 u_j^2 in {+-1, +-1/q^2}, are excluded points of the model, and the bracket
 does not vanish there.  The solver drives the brackets to zero by damped
 Newton iteration, in two stages of one loop: a search in complex doubles,
-then a refinement at working precision that starts there with chord steps on
-a central-difference Jacobian taken in complex doubles.
+then a refinement at working precision on `_Complex` (two Decimal parts) that
+starts there with chord steps on a central-difference Jacobian in doubles.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
 """
 
+import math
 from collections import namedtuple
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from itertools import combinations
 
 from mpmath import mp
 
@@ -88,6 +91,7 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
     chord steps use a central difference in complex doubles at the search's
     root (step 2^-17 max(1, |u_j|), good to about 1e-10, so two steps reach
     2^-96); when a central bump lands on a pole it runs plain Newton steps.
+    It runs in a fresh decimal context of ceil(prec log10 2) + 6 digits.
     `iterations` counts the refinement's steps and `search_iterations`
     the search's; the reported roots and brackets are the refinement's.
     A search root within 1e-9 of a set in `known` (each as _canonical_roots
@@ -102,7 +106,7 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
         raise ValueError("starting roots must be pairwise distinct")
     if not roots:
         return BetheSolution([], [], True, 0, "nothing to solve")
-    double = _Double(p.N, complex(p.q), p.ctx)
+    double = _StandIn(p.N, complex(p.q), p.ctx)
     found, res, converged, steps, message = _newton(
         double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None, maxiter)
     canon = _canonical_roots(found)
@@ -111,17 +115,84 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
     if not converged:
         return BetheSolution(map(mp.mpc, found), map(mp.mpc, res), False, 0, message, steps)
     chord = _central_jacobian(double, found, 2.0**-17)
-    if steps:
-        roots = [mp.mpc(x) for x in found]
-    half = mp.mpf(2) ** (-(p.ctx.prec // 2))
-    tol = half if tol is None else mp.mpf(tol)
-    roots, res, converged, iterations, message = _newton(p, roots, tol, 0, half, chord, maxiter)
+    with localcontext(Context(math.ceil(p.ctx.prec * math.log10(2)) + 6, ROUND_HALF_EVEN)):
+        half = Decimal(2) ** -(p.ctx.prec // 2)
+        roots, res, converged, iterations, message = _newton(
+            _StandIn(p.N, _Complex.of(p.q), p.ctx),
+            [_Complex.of(x) for x in (found if steps else roots)],
+            half if tol is None else _Complex.of(mp.mpf(tol)).re, 0, half,
+            chord and [[_Complex.of(x) for x in row] for row in chord], maxiter)
+        roots, res = ([mp.mpc(str(z.re), str(z.im)) for z in v] for v in (roots, res))
     return BetheSolution(roots, res, converged, iterations, message, steps)
 
 
-# The search's stand-in for ChainParams: what `_brackets` and `solve_linear`
-# read, with q cast to a complex double.
-_Double = namedtuple("_Double", "N q ctx")
+# Each stage's stand-in for ChainParams: what `_brackets` and `solve_linear`
+# read, with q on the stage's carrier (a complex double, then a `_Complex`).
+_StandIn = namedtuple("_StandIn", "N q ctx")
+
+
+def _part_operators(op):
+    """Forward and reflected methods running op on the Decimal parts of the
+    operands; an int, float or Decimal operand enters exactly."""
+
+    def forward(x, y):
+        y = y if type(y) is _Complex else _Complex(Decimal(y))
+        return _Complex(*op(x.re, x.im, y.re, y.im))
+
+    return forward, lambda x, y: forward(_Complex(Decimal(y)), x)
+
+
+def _quotient(a, b, c, d):
+    n = c * c + d * d
+    if not n:
+        raise ZeroDivisionError("division by a zero _Complex")
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+class _Complex:
+    """Two Decimal parts, rounded in the current decimal context; a zero
+    divisor raises ZeroDivisionError, which `_brackets` maps to a pole."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=Decimal(0)):
+        self.re, self.im = re, im
+
+    @classmethod
+    def of(cls, z):
+        """An int, float, complex, mpf or mpc, exactly (mpf by man_exp)."""
+        parts = []
+        for x in (z.real, z.imag):
+            if isinstance(x, mp.mpf):
+                man, exp = x.man_exp
+                man = -man if x < 0 else man
+                x = Decimal(man << exp) if exp >= 0 else Decimal("%dE%d" % (man * 5**-exp, exp))
+            parts.append(Decimal(x))
+        return cls(*parts)
+
+    __add__, __radd__ = _part_operators(lambda a, b, c, d: (a + c, b + d))
+    __sub__, __rsub__ = _part_operators(lambda a, b, c, d: (a - c, b - d))
+    __mul__, __rmul__ = _part_operators(lambda a, b, c, d: (a * c - b * d, a * d + b * c))
+    __truediv__, __rtruediv__ = _part_operators(_quotient)
+
+    def __neg__(self):
+        return _Complex(-self.re, -self.im)
+
+    def __pow__(self, n):
+        out = _Complex(Decimal(1))
+        for bit in bin(abs(n))[2:]:
+            out = out * out * self if bit == "1" else out * out
+        return out if n >= 0 else 1 / out
+
+    def __eq__(self, o):
+        o = o if type(o) is _Complex else _Complex(Decimal(o))
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __abs__(self):
+        return (self.re * self.re + self.im * self.im).sqrt()
 
 
 def _newton(p, roots, tol, xtol, step, chord, maxiter):
@@ -225,13 +296,7 @@ def is_regular(p, roots):
 
 
 def _min_separation(roots):
-    best = float("inf")
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if d < best:
-                best = d
-    return best
+    return min((abs(a - b) for a, b in combinations(roots, 2)), default=float("inf"))
 
 
 _PALETTE = (
@@ -254,8 +319,6 @@ def solve_bethe_grid(p, tol=None, maxiter=80):
     """Run the solver from at most 64 starting sets drawn from a deterministic
     palette and return the distinct converged solutions (roots normalized to
     the right half-plane, solutions deduplicated as sets)."""
-    from itertools import combinations
-
     if p.M == 0:
         return [BetheSolution([], [], True, 0, "nothing to solve")]
     if p.M == 1:

@@ -6,12 +6,15 @@ cross-checked against a Richardson-extrapolated numerical limit of
 root family after filtering the prefactor zeros.
 """
 
+import decimal
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 from mpmath import mp
 
+from tltau import bethe
 from tltau.algebra import FieldContext, QuadraticNumber
 from tltau.bethe import (
     BetheSolution,
@@ -142,6 +145,52 @@ class TestPoleBracket:
                 assert e.value.factor == factor
 
 
+class TestDecimalCarrier:
+    # the refinement evaluates the unchanged pole_brackets on bethe._Complex;
+    # 64 digits is the solver's rule for 192 bits, ceil(192 log10 2) + 6
+    def test_brackets_agree_with_mpmath(self):
+        rng = random.Random(19)
+        cases = [(2, 2), (3, 1), (4, 2), (5, 2), (3, 3)]
+        with mp.workprec(192):
+            for Q in (F(-2), F(3)):
+                for N, M in cases:
+                    p = ChainParams.from_boundary(N, M, 1, Q, "float")
+                    for _ in range(4):
+                        u = [mp.mpc(rng.choice((-1, 1)) * rng.uniform(0.3, 2),
+                                    rng.choice((-1, 1)) * rng.uniform(0.3, 2)) for _ in range(M)]
+                        want = pole_brackets(p, u)
+                        with decimal.localcontext(decimal.Context(prec=64)):
+                            stand = bethe._StandIn(N, bethe._Complex.of(p.q), p.ctx)
+                            got = pole_brackets(stand, [bethe._Complex.of(x) for x in u])
+                            got = [mpc_of(z) for z in got]
+                        for g, w in zip(got, want):
+                            assert abs(g - w) <= abs(w) * mp.mpf(2) ** -185, (Q, N, M, u)
+
+    def test_zero_divisor_is_a_pole(self):
+        zero = bethe._Complex(decimal.Decimal(0))
+        with decimal.localcontext(decimal.Context(prec=64)):
+            for num in (bethe._Complex(decimal.Decimal(1)), zero, 1, 0.5):
+                with pytest.raises(ZeroDivisionError):
+                    num / zero
+            # q = 0 sends pole_brackets' 1/q through the carrier's division
+            stand = bethe._StandIn(2, zero, fparams(2, 2).ctx)
+            assert bethe._brackets(stand, [bethe._Complex.of(2), bethe._Complex.of(3)]) is None
+
+    def test_arithmetic_matches_mpmath(self):
+        a, b = mp.mpc(1.25, -0.75), mp.mpc(-0.5, 2.0)
+        x, y = bethe._Complex.of(a), bethe._Complex.of(b)
+        with mp.workprec(192), decimal.localcontext(decimal.Context(prec=64)):
+            for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b), (x / y, a / b),
+                              (x ** 5, a ** 5), (x ** -3, a ** -3), (-x, -a),
+                              (2 - x, 2 - a), (0.5 * x, 0.5 * a), (3 / x, 3 / a)):
+                assert abs(mpc_of(got) - want) <= abs(want) * mp.mpf(2) ** -190
+            assert abs(mp.mpf(str(abs(x))) - abs(a)) <= mp.mpf(2) ** -190
+            assert x == x * 1 and x != y and bethe._Complex.of(2) == 2
+            assert bool(x) and not bethe._Complex(decimal.Decimal(0))
+            with pytest.raises(TypeError):
+                x + a
+
+
 class TestClosedForm:
     def test_roots_kill_the_residue(self):
         for N in (2, 3):
@@ -185,6 +234,48 @@ class TestSolver:
         sol = solve_bethe(p, [root])
         assert sol.converged
         assert sol.iterations == 0
+
+    def test_refinement_digits_follow_the_precision(self):
+        # the decimal context holds ceil(prec log10 2) + 6 digits, so at 400
+        # bits the default tol 2^-200 is met, and a tol of 2^-350, beyond
+        # what 192 bits could resolve, is met too
+        for bits in (128, 400):
+            with mp.workprec(bits):
+                ctx = FieldContext("float", prec=bits)
+                p = ChainParams(3, 1, 1, ctx.embed(2), ctx.embed(-2), ctx)
+                want = closed_form_single_roots(p)
+                sols = [s for s in solve_bethe_grid(p) if is_regular(p, s.roots)]
+                assert len(sols) == len(want)
+                close = mp.mpf(2) ** (16 - bits // 2)
+                for s in sols:
+                    assert s.max_residual() < mp.mpf(2) ** -(bits // 2)
+                    assert min(min(abs(s.roots[0] - w), abs(s.roots[0] + w)) for w in want) < close
+        with mp.workprec(400):
+            ctx = FieldContext("float", prec=400)
+            p = ChainParams(3, 1, 1, ctx.embed(2), ctx.embed(-2), ctx)
+            root = closed_form_single_roots(p)[0]
+            sol = solve_bethe(p, [root * (1 + mp.mpf("1e-3"))], tol=mp.mpf(2) ** -350)
+            assert sol.converged and sol.max_residual() < mp.mpf(2) ** -350
+            assert min(abs(sol.roots[0] - root), abs(sol.roots[0] + root)) < mp.mpf(2) ** -330
+
+    def test_records_ignore_process_history(self):
+        # a caller's decimal context (5 digits, rounding down) and a wider
+        # float context made earlier leave the bethe records, and the
+        # solver's roots and brackets to the last bit, unchanged
+        def run():
+            with mp.workprec(192):
+                sols = solve_bethe_grid(fparams(2, 2))
+            records = [bethe_records(N, M) for N, M in ((2, 2), (3, 1))]
+            return records, [(s.roots, s.residuals) for s in sols]
+
+        clean = run()
+        saved = mp.prec
+        try:
+            with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)):
+                FieldContext("float", prec=400)
+                assert run() == clean
+        finally:
+            mp.prec = saved
 
     def test_input_validation(self):
         p = fparams(2, 2)
@@ -244,25 +335,27 @@ class TestGrid:
         # over from the search (193 in all, 10 of them on one refinement that
         # stalls).  Newton at working precision from every start reads 1,607.
         # At M = 1 a start whose search lands on a root already found is not
-        # refined, so each distinct root costs three.
-        from tltau import bethe
-
+        # refined, so each distinct root costs three.  Every working-precision
+        # vector is taken on the decimal carrier at 64 digits (192 bits).
         working = []
         real = bethe._brackets
 
         def counted(p, u):
             if not isinstance(p.q, complex):
-                working.append(u)
+                working.append((type(p.q), {type(x) for x in u}, decimal.getcontext().prec))
             return real(p, u)
 
+        on_carrier = (bethe._Complex, {bethe._Complex}, 64)
         monkeypatch.setattr(bethe, "_brackets", counted)
         assert len(solve_bethe_grid(fparams(2, 2))) > 0
-        assert len(working) <= 193
+        assert 0 < len(working) <= 193
+        assert all(w == on_carrier for w in working)
         for N in (2, 3, 4):
             del working[:]
             distinct = len(solve_bethe_grid(fparams(N, 1)))
             assert distinct == 2 * (N - 1)
             assert len(working) <= 3 * distinct, (N, len(working))
+            assert working and all(w == on_carrier for w in working)
 
         # at M = 1 every converged refinement reaches 2^-96 in two chord steps
         steps = []
@@ -291,6 +384,11 @@ class TestGrid:
         lhs = slavnov(p, u, v)
         rhs = g_prefactor(p, u, v) * kernel(p, u, v)
         assert abs(lhs - rhs) <= mp.mpf("1e-20") * max(1, abs(lhs))
+
+
+def mpc_of(z):
+    """A bethe._Complex as the mpc it rounds to, as solve_bethe hands roots back."""
+    return mp.mpc(str(z.re), str(z.im))
 
 
 def bethe_records(N, M):
