@@ -514,7 +514,7 @@ def solve_linear(rows, rhs, ctx):
             f = m[i][k] / m[k][k]
             for j in range(k, n + 1):
                 m[i][j] = m[i][j] - f * m[k][j]
-    x = [ctx.zero()] * n
+    x = [None] * n
     for k in range(n - 1, -1, -1):
         acc = m[k][n]
         for j in range(k + 1, n):
@@ -755,6 +755,15 @@ class MiwaPolynomial:
                 clean[tuple(key)] = c
         self.terms = clean
 
+    def _result(self, terms, cutoff=None):
+        """A result with this K whose keys lie within the cutoff (this one's by
+        default), as operations build them: only zero coefficients drop."""
+        out = object.__new__(MiwaPolynomial)
+        out.ctx, out.K = self.ctx, self.K
+        out.cutoff = self.cutoff if cutoff is None else cutoff
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
+
     @classmethod
     def constant(cls, ctx, K, cutoff, c):
         return cls(ctx, K, cutoff, {(0,) * K: ctx.embed(c) if isinstance(c, (int, Fraction)) else c})
@@ -781,7 +790,9 @@ class MiwaPolynomial:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, zero) + c
-        return MiwaPolynomial(self.ctx, self.K, cutoff, out)
+        if self.cutoff != other.cutoff:
+            return MiwaPolynomial(self.ctx, self.K, cutoff, out)
+        return self._result(out)
 
     def __sub__(self, other):
         if not isinstance(other, MiwaPolynomial):
@@ -789,10 +800,10 @@ class MiwaPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return MiwaPolynomial(self.ctx, self.K, self.cutoff, {k: -c for k, c in self.terms.items()})
+        return self._result({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        return MiwaPolynomial(self.ctx, self.K, self.cutoff, {k: c * v for k, v in self.terms.items()})
+        return self._result({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MiwaPolynomial):
@@ -810,7 +821,7 @@ class MiwaPolynomial:
                     break
                 key = tuple(map(add, k1, k2))
                 out[key] = out.get(key, zero) + c1 * c2
-        return MiwaPolynomial(self.ctx, self.K, cutoff, out)
+        return self._result(out, cutoff)
 
     __rmul__ = __mul__
 
@@ -825,7 +836,7 @@ class MiwaPolynomial:
                 new = list(key)
                 new[m - 1] = k - 1
                 out[tuple(new)] = c * k
-        return MiwaPolynomial(self.ctx, self.K, self.cutoff - m, out)
+        return self._result(out, self.cutoff - m)
 
     def shift_times(self, x, sign):
         """Substitute t_p -> t_p + sign * x**p / p for every p, taking the

@@ -339,7 +339,7 @@ def solve_bethe_grid(p, tol=None, maxiter=80):
 
 def _half_plane(r):
     """The one of +-r with re > 0, or re = 0 and im >= 0."""
-    if mp.re(r) < 0 or (mp.re(r) == 0 and mp.im(r) < 0):
+    if r.real < 0 or (r.real == 0 and r.imag < 0):
         return -r
     return r
 

@@ -23,17 +23,18 @@ are built in one pass over the cycle types mu_k of the times' monomials t^k,
 of which one Schur polynomial is the case of a single partition.  On points
 the same sums are bialternants that share one Vandermonde and power table.
 
-`slavnov_schur_coeffs` divides the two reconstructions as graded Miwa series
-and reads the quotient's Schur coefficients back off, for partitions with at
-most M rows, by the Hall inner product (Macdonald I.4): the Schur functions
-are orthonormal, so each coefficient is one pairing of the quotient with the
-character form of s_lam, and no change of basis is solved.
+`slavnov_schur_coeffs` divides the two tau sums in Lambda_M = Q[e_1..e_M],
+the symmetric functions of M variables: restriction to M variables kills
+exactly the s_lam of more than M rows, which M points cannot see, and keeps
+the rest independent (Macdonald I.2-I.3).  `poly_to_schur` reads Schur
+coefficients of a Miwa polynomial by the Hall inner product (Macdonald I.4).
 """
 
 from functools import cache
 from math import factorial, prod
 
-from .algebra import MiwaPolynomial, Rational, det, miwa_series_invert, vandermonde
+from .algebra import (FieldContext, MiwaPolynomial, Rational, det, det_ring, miwa_series_invert,
+                      vandermonde)
 from .chain import ParameterVector, family_matrix_y, taylor_rows
 
 
@@ -336,10 +337,43 @@ def poly_to_schur(poly, maxlen):
     return {lam: a for lam, a in acc.items() if a}
 
 
+@cache
+def _schur_e(lam, M):
+    """s_lam (at most M rows) in Lambda_M as (key, int) pairs, key[m - 1] the
+    power of e_m: Jacobi-Trudi det(h_(lam_i - i + j)) of the complete
+    symmetric functions h_n = sum_{k=1}^M (-1)^(k-1) e_k h_(n-k), h_0 = 1 and
+    h_(n<0) = 0, held as Miwa polynomials of K = M (e_m has weight m)."""
+    ctx, w = FieldContext("rational"), sum(lam)
+    zero = MiwaPolynomial(ctx, M, w)
+    e = [MiwaPolynomial.time_var(ctx, M, w, k) for k in range(1, M + 1)]
+    h = [zero] * (M - 1) + [MiwaPolynomial.constant(ctx, M, w, 1)]  # h_n at n + M - 1
+    while len(h) < w + 2 * M - 1:
+        h.append(sum(((-1) ** (k - 1) * e[k - 1] * h[-k] for k in range(1, M + 1)), zero))
+    rows = [h[l : l + M] for l in ell_indices(lam, M)]
+    return tuple((key, int(c)) for key, c in det_ring(rows, zero).terms.items())
+
+
 def slavnov_schur_coeffs(p, u, cutoff):
-    """Schur coefficients A_lam of the quotient of the two normalized tau sums,
-    a graded Miwa series correct through the weighted-degree cutoff, for
-    partitions with at most M rows (the rest cannot contribute on M points)."""
-    tau1 = tau_schur_poly(p, u, 1, cutoff)
-    quotient = tau1 * miwa_series_invert(tau_schur_poly(p, u, 2, cutoff))
-    return SchurCoeffMap(p.ctx, cutoff, poly_to_schur(quotient, p.M))
+    """Schur coefficients A_lam, |lam| <= cutoff, at most M rows (the rest
+    cannot contribute on M points), of the quotient of the two normalized tau
+    sums divided as graded series in Lambda_M, read off heaviest partition
+    first (lex order) as the coefficient of s_lam's leading monomial
+    prod_m e_m^(lam_m - lam_(m+1)), with A_lam s_lam then subtracted."""
+    ctx, M, zero = p.ctx, p.M, p.ctx.zero()
+
+    def restricted(family):
+        terms = {}
+        for lam, c in cauchy_binet_coeffs(p, u, family, cutoff).items():
+            for key, k in _schur_e(lam, M):
+                terms[key] = terms.get(key, zero) + c * k
+        return MiwaPolynomial(ctx, M, cutoff, terms)
+
+    rest = (restricted(1) * miwa_series_invert(restricted(2))).terms
+    out = {}
+    for lam in reversed(_partitions(cutoff, M)):
+        padded = lam + (0,) * (M + 1 - len(lam))
+        if a := rest.get(tuple(padded[m] - padded[m + 1] for m in range(M))):
+            out[lam] = a
+            for key, k in _schur_e(lam, M):
+                rest[key] = rest.get(key, zero) - a * k
+    return SchurCoeffMap(ctx, cutoff, out)

@@ -4,22 +4,26 @@ Each test keeps a local copy of the direct route: a Schur polynomial per
 partition summed with its coefficient, every beta of a Hirota operator on
 (tau, tau), one Taylor series per row, one bialternant per partition, the
 Miwa product over all term pairs, the Hall pairing of every partition with
-every monomial, and a schur-expansion record from two separate Schur sums.
+every monomial, the tau quotient formed in all the times (not in the
+symmetric functions of M variables) and read back by that pairing, and a
+schur-expansion record from two separate Schur sums.
 They are compared exactly on rational instances and on one instance over
-Q(sqrt 377); the last two also in float mode, where the order of the sums
+Q(sqrt 377); the last three also in float mode, where the order of the sums
 shows.
 """
 
 import importlib.util
+import inspect
 import math
 import random
+import textwrap
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from tltau import cli
+from tltau import cli, schur
 from tltau.algebra import (
     FieldContext,
     MiwaPolynomial,
@@ -39,6 +43,7 @@ from tltau.schur import (
     schur_miwa,
     schur_points,
     schur_sum_eval,
+    slavnov_schur_coeffs,
     tau_schur_poly,
 )
 from tltau.tau import BilinearOperator, hirota_apply, kp_operator
@@ -234,6 +239,43 @@ def test_hall_pairing_by_weight_matches_every_pair(p, u):
     quotient = tau_schur_poly(p, u, 1, 6) * miwa_series_invert(tau_schur_poly(p, u, 2, 6))
     for maxlen in (p.M, None):
         assert poly_to_schur(quotient, maxlen) == direct_poly_to_schur(quotient, maxlen)
+
+
+def test_hall_pairing_sees_a_wrong_pairing_weight():
+    # dividing each [f]_k by prod k_m! as well puts the pairing weight
+    # <t^k, t^k> = prod k_m!/m^k_m off by that factor
+    p, u = INSTANCES[1]
+    quotient = tau_schur_poly(p, u, 1, 6) * miwa_series_invert(tau_schur_poly(p, u, 2, 6))
+    source = textwrap.dedent(inspect.getsource(schur.poly_to_schur))
+    assert "prod(m**k for" in source
+    namespace = dict(vars(schur))
+    exec(source.replace("prod(m**k for", "prod(m**k * factorial(k) for"), namespace)
+    assert namespace["poly_to_schur"](quotient, p.M) != direct_poly_to_schur(quotient, p.M)
+
+
+@pytest.mark.parametrize("N, M, mode", [(2, 1, "rational"), (2, 2, "rational"), (3, 2, "rational"),
+                                        (3, 3, "rational"), (2, 2, "quadratic"), (2, 2, "float")],
+                         ids=["N2M1", "N2M2", "N3M2", "N3M3", "quadratic-N2M2", "float-N2M2"])
+def test_lambda_m_quotient_matches_the_miwa_quotient(N, M, mode):
+    # the quotient formed in all the times through weight 10 and read back by
+    # the Hall pairing; in float mode, where the two routes round apart, to
+    # half the working precision relative to the largest coefficient
+    if mode == "rational":
+        p = ChainParams(N, M, 1, F(2), F(-2), RAT)
+    else:  # spin 1, Q = 2 over Q(sqrt 377); spin 1/2, Q = -2 in float mode
+        spin_twice, Q = (2, F(2)) if mode == "quadratic" else (1, F(-2))
+        p = ChainParams.from_boundary(N, M, spin_twice, Q, mode=mode)
+    u = draw_instance(p, random.Random(10 * N + M), vcount=0)[0]
+    quotient = tau_schur_poly(p, u, 1, 10) * miwa_series_invert(tau_schur_poly(p, u, 2, 10))
+    want = poly_to_schur(quotient, p.M)
+    got = slavnov_schur_coeffs(p, u, 10)
+    assert got.cutoff == 10
+    if p.ctx.mode != "float":
+        assert got.entries == want
+        return
+    scale = max(abs(a) for a in want.values())
+    for lam in set(want) | set(got.entries):
+        assert abs(got.coeff(lam) - want.get(lam, 0)) <= scale * 2.0 ** (-p.ctx.prec // 2)
 
 
 @pytest.mark.parametrize("raw", [{}, QUADRATIC, {"field_mode": "float"}, {"N": 3, "M": 3}],

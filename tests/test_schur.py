@@ -3,12 +3,14 @@
 Independent oracles: a brute-force semistandard-tableau enumerator for Schur
 polynomials in few variables, sympy rational arithmetic spot values, the
 bialternant/character agreement exercised over every partition of weight at
-most six, and a Jacobi-Trudi determinant of complete homogeneous polynomials
-against the character form through weight eight.
+most six, a Jacobi-Trudi determinant of complete homogeneous polynomials
+against the character form through weight eight, and the closed form
+s_(a,b) = e_2^b h_(a-b) of two-row Schur functions in two variables.
 """
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -16,6 +18,7 @@ from tltau.algebra import FieldContext, MiwaPolynomial, QuadraticNumber, det_rin
 from tltau.chain import ChainParams, ParameterVector, taylor_rows
 from tltau.schur import (
     SchurCoeffMap,
+    _schur_e,
     cauchy_binet_coeffs,
     complete_homogeneous,
     ell_indices,
@@ -194,6 +197,18 @@ class TestMiwaSchur:
     def test_weight_above_cutoff_rejected(self):
         with pytest.raises(ValueError):
             schur_miwa((3,), 2, RAT)
+
+
+class TestElementarySchur:
+    """s_lam in Lambda_M = Q[e_1..e_M], as the Lambda_M route holds it."""
+
+    def test_two_rows_are_a_power_of_e2_times_a_complete_function(self):
+        # s_(a,b)(x, y) = (x y)^b h_(a-b)(x, y), and in two variables
+        # h_n = sum_j (-1)^j C(n-j, j) e_1^(n-2j) e_2^j
+        for a, b in ((a, b) for a in range(11) for b in range(a + 1) if a + b <= 10):
+            n = a - b
+            want = {(n - 2 * j, b + j): (-1) ** j * comb(n - j, j) for j in range(n // 2 + 1)}
+            assert dict(_schur_e(partition_normalize((a, b)), 2)) == want, (a, b)
 
 
 class TestSeriesHelpers:
