@@ -171,30 +171,38 @@ class QuadraticNumber:
             return _quad(other.numerator, 0, other.denominator, self.d)
         return None
 
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    # + - * take an element of the same field straight to _norm; anything
+    # else goes through _lift, and a rational operand skips the d-term
+
+    def __add__(self, o):
+        if type(o) is not QuadraticNumber or o.d != self.d:
+            o = self._lift(o)
+            if o is None:
+                return NotImplemented
         c1, c2 = self.c, o.c
         return _norm(self.n * c2 + o.n * c1, self.m * c2 + o.m * c1, c1 * c2, self.d)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    def __sub__(self, o):
+        if type(o) is not QuadraticNumber or o.d != self.d:
+            o = self._lift(o)
+            if o is None:
+                return NotImplemented
         c1, c2 = self.c, o.c
         return _norm(self.n * c2 - o.n * c1, self.m * c2 - o.m * c1, c1 * c2, self.d)
 
     def __rsub__(self, other):
         return -self + other
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, o):
+        if type(o) is not QuadraticNumber or o.d != self.d:
+            o = self._lift(o)
+            if o is None:
+                return NotImplemented
         n1, m1, n2, m2 = self.n, self.m, o.n, o.m
+        if not m1 or not m2:
+            return _norm(n1 * n2, n1 * m2 + m1 * n2, self.c * o.c, self.d)
         return _norm(n1 * n2 + m1 * m2 * self.d, n1 * m2 + m1 * n2, self.c * o.c, self.d)
 
     __rmul__ = __mul__
@@ -221,13 +229,14 @@ class QuadraticNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out, base = _quad(1, 0, 1, self.d), self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return _quad(1, 0, 1, self.d) if out is None else out
 
     def __neg__(self):
         return _quad(-self.n, -self.m, self.c, self.d)
@@ -272,7 +281,9 @@ def _quad(n, m, c, d):
 def _norm(n, m, c, d):
     """(n + m*sqrt(d)) / c, c != 0, in normal form by one gcd and a sign fix."""
     g = math.gcd(n, m, c) if c > 0 else -math.gcd(n, m, c)
-    return _quad(n // g, m // g, c // g, d)
+    x = object.__new__(QuadraticNumber)
+    x.n, x.m, x.c, x.d = n // g, m // g, c // g, d
+    return x
 
 
 def _ratio(p, q, e):

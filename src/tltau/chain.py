@@ -182,10 +182,11 @@ class ParameterVector:
     validate_uv at the operations that depend on them.
 
     Used as the roots of a family matrix, a vector also holds what is
-    computed on it, so each is evaluated once per vector: the columns, keyed
-    by (params, family, y), and the Taylor tables of schur.fhat_table, keyed
-    by (params, family, order) and held as tuples so that no caller can
-    change them.
+    computed on it, so each is evaluated once per vector: the root data
+    (1/q, sigma-tuple, sigma'-tuple), keyed by params, and the columns, keyed
+    by (params, family, y); and the Taylor tables of schur.fhat_table and
+    the coefficients of schur.cauchy_binet_coeffs, keyed by (params, family,
+    order[, tag]) and held as tuples so that no caller can change them.
     """
 
     __slots__ = ("values", "role", "_columns", "_tables")
@@ -332,7 +333,7 @@ def _cleared(p, y, ss, rows=(None,)):
     W, A, B = _shell(p, y, iq)
     factors = []
     for s in ss:
-        factors.append(((y / q - s) * y + q, (y * q3 - s) * y + iq3, _denominator(q, y, s, iq)))
+        factors.append(((y * iq - s) * y + q, (y * q3 - s) * y + iq3, _denominator(q, y, s, iq)))
     out = []
     for ds in rows:
         a, b, den = A, B, W
@@ -352,36 +353,42 @@ def lambda_du_y(p, i, y, u):
     return _cleared(p, y, _sigmas(p.q, uu), (i,))[0] * _dsigma(p.q, uu[i]) / y**p.N
 
 
-def _column(p, uu, family, y):
-    """Column y of a family: every row's value at one point; family 2 is
-    y / d_i = 1/(w(v/u_i) w(q v u_i))."""
+def _root_data(p, uu):
+    """(1/q, sigma-tuple, sigma'-tuple) of the roots uu."""
+    q = p.q
+    return 1 / q, _sigmas(q, uu), tuple(_dsigma(q, x) for x in uu)
+
+
+def _column(p, roots, family, y):
+    """Column y of a family from the roots' data: every row's value at one
+    point; family 2 is y / d_i = 1/(w(v/u_i) w(q v u_i))."""
+    iq, ss, ds = roots
     if family == 1:
         yN = y**p.N
-        cols = _cleared(p, y, _sigmas(p.q, uu), range(len(uu)))
-        return [c * _dsigma(p.q, ui) / yN for c, ui in zip(cols, uu)]
+        cols = _cleared(p, y, ss, range(len(ss)))
+        return [c * d / yN for c, d in zip(cols, ds)]
     if family == 2:
         if not y:
             raise PoleError("w(v)", "y is zero")
-        iq = 1 / p.q
-        return [y / _denominator(p.q, y, _sigma(p.q, ui), iq) for ui in uu]
+        return [y / _denominator(p.q, y, s, iq) for s in ss]
     raise ValueError("family must be 1 or 2")
 
 
 def family_matrix_y(p, u, family, ypoints):
-    """Matrix F^(family)_i(y_j), built column by column; a ParameterVector
-    u keeps its columns for reuse."""
-    uu = _vals(u)
-    memo = u._columns if isinstance(u, ParameterVector) else None
+    """Matrix F^(family)_i(y_j), built column by column from the roots' data;
+    a ParameterVector u keeps both for reuse."""
+    memo = u._columns if isinstance(u, ParameterVector) else {}
+    roots = memo.get(p)
+    if roots is None:
+        roots = memo[p] = _root_data(p, _vals(u))
     cols = []
     for y in ypoints:
         key = (p, family, y)
-        col = memo.get(key) if memo is not None else None
+        col = memo.get(key)
         if col is None:
-            col = _column(p, uu, family, y)
-            if memo is not None:
-                memo[key] = col
+            col = memo[key] = _column(p, roots, family, y)
         cols.append(col)
-    return [[col[i] for col in cols] for i in range(len(uu))]
+    return [[col[i] for col in cols] for i in range(len(roots[1]))]
 
 
 def kernel_y(p, u, ypoints):
@@ -428,7 +435,7 @@ def f2_eval(p, i, v, u):
     """Family-2 value 1/(w(v/u_i) w(q v u_i))."""
     uu = _vals(u)
     _check_row(uu, i)
-    return _column(p, (uu[i],), 2, v * v)[0]
+    return _column(p, _root_data(p, (uu[i],)), 2, v * v)[0]
 
 
 def family_matrix(p, u, family, points):

@@ -432,9 +432,10 @@ def check_andreev(cfg, p, seed):
 
 
 def _poly_value(ctx, rng, degree, x):
+    """sum_d c_d x^d, the c_d drawn lowest first, evaluated by Horner."""
     acc = ctx.zero()
-    for d in range(degree + 1):
-        acc = acc + ctx.embed(rng.randint(-9, 9)) * x ** d
+    for c in reversed([rng.randint(-9, 9) for _ in range(degree + 1)]):
+        acc = acc * x + ctx.embed(c)
     return acc
 
 

@@ -111,8 +111,8 @@ def _bialternants(lams, points, ctx):
         raise ValueError("repeated evaluation points")
     top = max((lam[0] for lam in lams if lam), default=0) + len(points)
     powers = [[x**e for e in range(top)] for x in points]
-    return [det([[row[e] for e in ell_indices(lam, len(points))] for row in powers], ctx) / vdm
-            for lam in lams]
+    labels = [ell_indices(lam, len(points)) for lam in lams]
+    return [det([[row[e] for e in ell] for row in powers], ctx) / vdm for ell in labels]
 
 
 @cache
@@ -247,20 +247,21 @@ class SchurCoeffMap:
 
 def cauchy_binet_coeffs(p, u, family, cutoff):
     """Schur coefficients of the normalized tau sum as minors of the Taylor
-    table in the squared variable: c_lam = det fhat[i][lam_j - j + M].
+    table in the squared variable: c_lam = det fhat[i][lam_j - j + M].  A
+    ParameterVector u keeps the coefficients, keyed by (p, family, cutoff,
+    "cauchy-binet"); each call returns a new map.
     """
     M = p.M
     if M < 1:
         raise ValueError("need at least one row")
-    table = fhat_table(p, u, family, cutoff + M - 1)
-    entries = {}
-    for lam in partitions_bounded(cutoff, M):
-        cols = ell_indices(lam, M)
-        minor = [[table[i][n] for n in cols] for i in range(M)]
-        c = det(minor, p.ctx)
-        if c:
-            entries[lam] = c
-    return SchurCoeffMap(p.ctx, cutoff, entries)
+    memo = u._tables if isinstance(u, ParameterVector) else {}
+    key = (p, family, cutoff, "cauchy-binet")
+    if key not in memo:
+        table = fhat_table(p, u, family, cutoff + M - 1)
+        minors = ((lam, det([[table[i][n] for n in ell_indices(lam, M)] for i in range(M)], p.ctx))
+                  for lam in partitions_bounded(cutoff, M))
+        memo[key] = tuple((lam, c) for lam, c in minors if c)
+    return SchurCoeffMap(p.ctx, cutoff, dict(memo[key]))
 
 
 def tau_schur_poly(p, u, family, cutoff, K=None):

@@ -17,7 +17,7 @@ of the two generating families F of the chain module.  This module gives:
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 from .algebra import MiwaPolynomial, Rational, det, vandermonde
 from .chain import family_matrix
@@ -243,7 +243,10 @@ def andreev_residual(ctx, points, weights, fvals, gvals):
 
         (1/M!) sum_{k in [n]^M} (prod_a mu_{k_a}) det f_i(z_{k_j}) det g_i(z_{k_j}),
 
-    which vanishes identically.  fvals and gvals are value tables indexed
+    which vanishes identically.  The summand is symmetric in k (both
+    determinants change sign together) and vanishes when an index repeats (two
+    equal columns), so the sum is formed exactly as the same summand over the
+    C(n, M) subsets k_1 < .. < k_M.  fvals and gvals are value tables indexed
     [function][point]."""
     n = len(list(points))
     M = len(fvals)
@@ -264,12 +267,11 @@ def andreev_residual(ctx, points, weights, fvals, gvals):
         smat.append(row)
     lhs = det(smat, ctx)
     acc = ctx.zero()
-    for ks in product(range(n), repeat=M):
+    for ks in combinations(range(n), M):
         mu = ctx.one()
         for k in ks:
             mu = mu * weights[k]
         fminor = [[fvals[i][k] for k in ks] for i in range(M)]
         gminor = [[gvals[i][k] for k in ks] for i in range(M)]
         acc = acc + mu * det(fminor, ctx) * det(gminor, ctx)
-    rhs = acc * ctx.embed(Rational(1, math.factorial(M)))
-    return lhs - rhs
+    return lhs - acc

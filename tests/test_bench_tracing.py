@@ -58,9 +58,16 @@ def test_tracer_wraps_every_named_function_and_restores_it():
 
 def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
     # pinned on the integer carrier, with validate_uv forming each product
-    # once and each column forming 1/q once (each 1/q is one inverse and one
-    # product); a fast path that multiplied or inverted without the counted
-    # methods would make these read lower
+    # once; family_matrix_y forming 1/q (one inverse, one product), each
+    # sigma_i (four products, one inverse) and each sigma_i' (six products,
+    # one inverse) once per root vector, not once per column; _cleared
+    # multiplying by 1/q where it divided by q (one inverse less per root
+    # and shell); and x**n taking one product per squaring and per set bit
+    # after the first (y**2 one, x**5 three).  Forming the root data per
+    # column reads 37 more products and 9 more inverses, dividing by q in
+    # _cleared 4 more inverses, and the power with a leading 1 * x and a
+    # last unused square 22 more products.  A fast path that multiplied or
+    # inverted without the counted methods would make these read lower.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -70,8 +77,8 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 303
-    assert tracer.counters["algebra.qnum_inverse.calls"] == 53
+    assert tracer.counters["algebra.qnum_mul.calls"] == 244
+    assert tracer.counters["algebra.qnum_inverse.calls"] == 40
 
 
 def test_expansion_checks_build_each_taylor_table_once_and_pair_hirota_terms(monkeypatch):

@@ -451,8 +451,14 @@ class TestColumns:
     def test_each_column_is_evaluated_once_per_vector(self, monkeypatch):
         from tltau.tau import pluecker_residual, tau_det
 
+        # and sigma_i, sigma_i' once per root vector, whatever the columns
         p = params(2, 2)
         calls = _count_shells(monkeypatch)
+        root_calls = {"_sigma": [], "_dsigma": []}
+        for name, seen in root_calls.items():
+            real = getattr(chain, name)
+            monkeypatch.setattr(chain, name,
+                                lambda q, x, real=real, seen=seen: seen.append(x) or real(q, x))
         u = roots(2, 3)
         v = ParameterVector([F(5), F(7, 2)], "free")
         first = slavnov(p, u, v)
@@ -461,9 +467,13 @@ class TestColumns:
         tau_det(p, u, 2, v)
         assert slavnov(p, u, v) == first
         assert len(calls) == p.M
+        assert root_calls == {"_sigma": list(u), "_dsigma": list(u)}
         calls.clear()
-        pluecker_residual(p, roots(2, 3), 1, [F(5), F(7, 2), F(9, 4)], [F(11, 3)])
+        u2 = roots(2, 3)
+        for family in (1, 2):
+            pluecker_residual(p, u2, family, [F(5), F(7, 2), F(9, 4)], [F(11, 3)])
         assert len(calls) == 2 * p.M
+        assert root_calls == {"_sigma": list(u) * 2, "_dsigma": list(u) * 2}
 
     def test_pole_of_the_shell_spares_family_2(self):
         p = params(2, 2)

@@ -235,6 +235,9 @@ class TestSuite:
         ("integral-rep", tau, "vandermonde", "pts[i] - pts[j]", "pts[j] - pts[i]"),
         # S_ij = sum_k mu_k f_i g_i is no longer the moment matrix
         ("andreev", tau, "andreev_residual", "gvals[j][k]", "gvals[i][k]"),
+        # the moment determinant as a permanent gains the repeated-index
+        # terms that the sum over M-subsets leaves out
+        ("andreev", algebra, "det_ring", "term = -term", "term = term"),
     ])
     def test_instance_check_sees_a_seeded_fault(self, monkeypatch, check, module, name, old, new):
         def passes():

@@ -6,6 +6,8 @@ symmetrization against exhaustive enumeration.
 """
 
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -309,14 +311,27 @@ class TestBakerAkhiezer:
 
 class TestAndreev:
     def test_exhaustive_small(self):
+        # the reference route is (1/M!) times the summand over all n^M index
+        # tuples, repeated indices included; the engine's right-hand side,
+        # det S less the residual, must equal it
         rng = random.Random(13)
         for M in (1, 2, 3):
-            for n in (M, M + 1, M + 2):
+            for n in range(M, M + 4):
                 pts = [F(k + 1) for k in range(n)]
                 weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
                 fvals = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(M)]
                 gvals = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(M)]
-                assert andreev_residual(RAT, pts, weights, fvals, gvals) == F(0)
+                residual = andreev_residual(RAT, pts, weights, fvals, gvals)
+                assert residual == F(0)
+                reference = sum(
+                    math.prod(weights[k] for k in ks)
+                    * det([[row[k] for k in ks] for row in fvals], RAT)
+                    * det([[row[k] for k in ks] for row in gvals], RAT)
+                    for ks in itertools.product(range(n), repeat=M)
+                ) / math.factorial(M)
+                smat = [[sum(w * f * g for w, f, g in zip(weights, frow, grow)) for grow in gvals]
+                        for frow in fvals]
+                assert det(smat, RAT) - residual == reference
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
