@@ -258,9 +258,12 @@ def cauchy_binet_coeffs(p, u, family, cutoff):
     key = (p, family, cutoff, "cauchy-binet")
     if key not in memo:
         table = fhat_table(p, u, family, cutoff + M - 1)
-        minors = ((lam, det([[table[i][n] for n in ell_indices(lam, M)] for i in range(M)], p.ctx))
-                  for lam in partitions_bounded(cutoff, M))
-        memo[key] = tuple((lam, c) for lam, c in minors if c)
+        entries = []
+        for lam in partitions_bounded(cutoff, M):
+            cols = ell_indices(lam, M)
+            if c := det([[table[i][n] for n in cols] for i in range(M)], p.ctx):
+                entries.append((lam, c))
+        memo[key] = tuple(entries)
     return SchurCoeffMap(p.ctx, cutoff, dict(memo[key]))
 
 

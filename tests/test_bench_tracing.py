@@ -61,13 +61,13 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
     # once; family_matrix_y forming 1/q (one inverse, one product), each
     # sigma_i (four products, one inverse) and each sigma_i' (six products,
     # one inverse) once per root vector, not once per column; _cleared
-    # multiplying by 1/q where it divided by q (one inverse less per root
-    # and shell); and x**n taking one product per squaring and per set bit
-    # after the first (y**2 one, x**5 three).  Forming the root data per
-    # column reads 37 more products and 9 more inverses, dividing by q in
-    # _cleared 4 more inverses, and the power with a leading 1 * x and a
-    # last unused square 22 more products.  A fast path that multiplied or
-    # inverted without the counted methods would make these read lower.
+    # multiplying by 1/q, not dividing by q; and x**n taking one product per
+    # squaring and per set bit after the first (y**2 one, x**5 three).
+    # Root data formed per column would read 37 more products and 9 more
+    # inverses, y / q in _cleared 4 more inverses (one per root and
+    # family-1 column), and powers that start from 1 and square once too
+    # often 22 more products.  A fast path that multiplied or inverted
+    # without the counted methods would make these read lower.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
