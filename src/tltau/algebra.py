@@ -255,7 +255,9 @@ class QuadraticNumber:
 
     def __hash__(self):
         # equal to a rational exactly when m == 0, so hash like that rational
-        return hash((self.a, self.b, self.d)) if self.m else hash(self.a)
+        if self.m:
+            return hash((self.n, self.m, self.c, self.d))
+        return hash(_rational(self.n, self.c))
 
     def __float__(self):
         if not self.m:
@@ -348,6 +350,7 @@ class FieldContext:
             self.tol = mp.mpf("1e-20")
         else:
             self.tol = None
+        self._zero, self._one = self.embed(0), self.embed(1)
 
     def __repr__(self):
         if self.mode == "quadratic":
@@ -359,10 +362,10 @@ class FieldContext:
     # -- construction ------------------------------------------------------
 
     def zero(self):
-        return self.embed(0)
+        return self._zero
 
     def one(self):
-        return self.embed(1)
+        return self._one
 
     def embed(self, x):
         """Coerce an int, Fraction, or same-mode scalar into this field."""

@@ -9,6 +9,10 @@ does not vanish there.  The solver drives the brackets to zero by damped
 Newton iteration, in two stages of one loop: a search in complex doubles,
 then a refinement at working precision on `_Complex` (two Decimal parts) that
 starts there with chord steps on a central-difference Jacobian in doubles.
+Each stage reads q and its powers from a stand-in for the params, formed once
+on the stage's carrier, and the refinement hands its roots and brackets back
+to mpmath exactly rounded at the context's precision.  The regularity filter
+`is_regular` runs in complex doubles.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
@@ -20,9 +24,10 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from itertools import combinations
 
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from .algebra import solve_linear
-from .chain import PoleError, lambda_residue, pole_brackets, w_eval, _vals
+from .chain import PoleError, lambda_residue, pole_brackets, w_eval, _q_powers, _vals
 
 
 class BetheSolution:
@@ -91,7 +96,9 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
     chord steps use a central difference in complex doubles at the search's
     root (step 2^-17 max(1, |u_j|), good to about 1e-10, so two steps reach
     2^-96); when a central bump lands on a pole it runs plain Newton steps.
-    It runs in a fresh decimal context of ceil(prec log10 2) + 6 digits.
+    It runs in a fresh decimal context of ceil(prec log10 2) + 6 digits, and
+    hands each root and bracket back as the mpc nearest to it at p.ctx.prec
+    bits, whatever the global mp.prec.
     `iterations` counts the refinement's steps and `search_iterations`
     the search's; the reported roots and brackets are the refinement's.
     A search root within 1e-9 of a set in `known` (each as _canonical_roots
@@ -106,7 +113,7 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
         raise ValueError("starting roots must be pairwise distinct")
     if not roots:
         return BetheSolution([], [], True, 0, "nothing to solve")
-    double = _StandIn(p.N, complex(p.q), p.ctx)
+    double = _stand_in(p.N, complex(p.q), p.ctx)
     found, res, converged, steps, message = _newton(
         double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None, maxiter)
     canon = _canonical_roots(found)
@@ -118,17 +125,29 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
     with localcontext(Context(math.ceil(p.ctx.prec * math.log10(2)) + 6, ROUND_HALF_EVEN)):
         half = Decimal(2) ** -(p.ctx.prec // 2)
         roots, res, converged, iterations, message = _newton(
-            _StandIn(p.N, _Complex.of(p.q), p.ctx),
+            _stand_in(p.N, _Complex.of(p.q), p.ctx),
             [_Complex.of(x) for x in (found if steps else roots)],
             half if tol is None else _Complex.of(mp.mpf(tol)).re, 0, half,
             chord and [[_Complex.of(x) for x in row] for row in chord], maxiter)
-        roots, res = ([mp.mpc(str(z.re), str(z.im)) for z in v] for v in (roots, res))
+    roots, res = ([_mpc(z, p.ctx.prec) for z in v] for v in (roots, res))
     return BetheSolution(roots, res, converged, iterations, message, steps)
 
 
-# Each stage's stand-in for ChainParams: what `_brackets` and `solve_linear`
-# read, with q on the stage's carrier (a complex double, then a `_Complex`).
-_StandIn = namedtuple("_StandIn", "N q ctx")
+_StandIn = namedtuple("_StandIn", "N q ctx iq q3 iq3")
+
+
+def _stand_in(N, q, ctx):
+    """Each stage's stand-in for ChainParams: what `_brackets` and
+    `solve_linear` read, with q and its `_q_powers` formed once on the
+    stage's carrier (a complex double, then a `_Complex`)."""
+    return _StandIn(N, q, ctx, *_q_powers(q))
+
+
+def _mpc(z, prec):
+    """A `_Complex` as the mpc nearest to it at prec bits, each part rounded
+    once from its exact integer ratio."""
+    return mp.make_mpc(tuple(from_rational(*x.as_integer_ratio(), prec, round_nearest)
+                             for x in (z.re, z.im)))
 
 
 def _part_operators(op):
@@ -151,7 +170,8 @@ def _quotient(a, b, c, d):
 
 class _Complex:
     """Two Decimal parts, rounded in the current decimal context; a zero
-    divisor raises ZeroDivisionError, which `_brackets` maps to a pole."""
+    divisor raises ZeroDivisionError, which `_brackets` maps to a pole.  A
+    real operand (int, float or Decimal) scales both parts directly."""
 
     __slots__ = ("re", "im")
 
@@ -172,17 +192,28 @@ class _Complex:
 
     __add__, __radd__ = _part_operators(lambda a, b, c, d: (a + c, b + d))
     __sub__, __rsub__ = _part_operators(lambda a, b, c, d: (a - c, b - d))
-    __mul__, __rmul__ = _part_operators(lambda a, b, c, d: (a * c - b * d, a * d + b * c))
     __truediv__, __rtruediv__ = _part_operators(_quotient)
+
+    def __mul__(self, y):
+        a, b = self.re, self.im
+        if type(y) is not _Complex:
+            y = Decimal(y)
+            return _Complex(a * y, b * y)
+        c, d = y.re, y.im
+        return _Complex(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
 
     def __neg__(self):
         return _Complex(-self.re, -self.im)
 
     def __pow__(self, n):
-        out = _Complex(Decimal(1))
-        for bit in bin(abs(n))[2:]:
+        if not n:
+            return _Complex(Decimal(1))
+        out = _Complex(+self.re, +self.im)  # rounded, as 1 * 1 * self was
+        for bit in bin(abs(n))[3:]:
             out = out * out * self if bit == "1" else out * out
-        return out if n >= 0 else 1 / out
+        return out if n > 0 else 1 / out
 
     def __eq__(self, o):
         o = o if type(o) is _Complex else _Complex(Decimal(o))
@@ -199,10 +230,11 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
     """Damped Newton iteration on the brackets, in the carrier of p.q and roots.
 
     Converged means the largest bracket is below `tol`, or every Newton
-    correction below `xtol` times max(1, |u_j|).  Each Jacobian is a forward
-    difference with step `step` times max(1, |u_j|); a given `chord`
-    Jacobian (in `solve_bethe`, the central-difference handoff) is used
-    instead until a step fails to cut the error tenfold.
+    correction below `xtol` times max(1, |u_j|) (a zero `xtol` skips that
+    test).  Each Jacobian is a forward difference with step `step` times
+    max(1, |u_j|); a given `chord` Jacobian (in `solve_bethe`, the
+    central-difference handoff) is used instead until a step fails to cut
+    the error tenfold.
     Steps are halved when the error fails to drop or when roots threaten to
     collide.  Returns (roots, brackets, converged, steps, message).
     """
@@ -220,7 +252,7 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
             delta = solve_linear(jac, res, p.ctx)
         except (ZeroDivisionError, ValueError):
             return roots, res, False, it, "singular jacobian"
-        if all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
+        if xtol and all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
             return roots, res, True, it - 1, "converged"
         lam = 1.0
         moved = False
@@ -284,13 +316,13 @@ def _central_jacobian(p, roots, step):
 def is_regular(p, roots):
     """True when no root is within 1e-8 of an excluded point, u_j^2 in
     {+-1, +-1/q^2}, where the residue vanishes through its factor
-    w(u_j^2) w(q^2 u_j^2) and not through the pole bracket."""
-    floor = mp.mpf("1e-8")
-    q = p.q
+    w(u_j^2) w(q^2 u_j^2) and not through the pole bracket.  Runs in
+    complex doubles: the floor sits eight orders above their rounding."""
+    q = complex(p.q)
     for r in roots:
-        r = mp.mpc(r)
+        r = complex(r)
         u2 = r * r
-        if abs(w_eval(u2)) < floor or abs(w_eval(u2 * q * q)) < floor:
+        if abs(w_eval(u2)) < 1e-8 or abs(w_eval(u2 * q * q)) < 1e-8:
             return False
     return True
 

@@ -85,6 +85,13 @@ def _w_nonzero(x, factor, detail):
     return w_eval(x)
 
 
+def _q_powers(q):
+    """(1/q, q^3, 1/q^3) on the carrier of q: the powers the eigenvalue
+    formula reads, formed once per ChainParams or solver stand-in."""
+    q3 = q * q * q
+    return 1 / q, q3, 1 / q3
+
+
 def boundary_sum(Q, spin_twice):
     """sum of Q^{2k} for k = -s..s, with 2s = spin_twice."""
     acc = None
@@ -101,9 +108,11 @@ class ChainParams:
     boundary constraint; q = 0, +1, -1 are rejected since w(q) and w(1/q)
     appear in denominators throughout.  M = 0 is allowed (free eigenvalue
     with no Bethe roots); the inner-product operations demand M >= 1.
+    The q-powers the eigenvalue formula reads, (iq, q3, iq3) = _q_powers(q),
+    are formed once here.
     """
 
-    __slots__ = ("N", "M", "spin_twice", "q", "Q", "ctx")
+    __slots__ = ("N", "M", "spin_twice", "q", "Q", "ctx", "iq", "q3", "iq3")
 
     def __init__(self, N, M, spin_twice, q, Q, ctx):
         if N < 1:
@@ -124,8 +133,9 @@ class ChainParams:
             raise ValueError("q must not be +1 or -1")
         if not Q:
             raise ValueError("Q must be nonzero")
+        self.iq, self.q3, self.iq3 = _q_powers(q)
         lhs = boundary_sum(Q, self.spin_twice)
-        rhs = -(q + ctx.one() / q)
+        rhs = -(q + self.iq)
         if not ctx.residual_ok(lhs - rhs, scale=rhs):
             raise ValueError("boundary constraint violated: sum Q^{2k} != -(q + 1/q)")
 
@@ -183,7 +193,7 @@ class ParameterVector:
 
     Used as the roots of a family matrix, a vector also holds what is
     computed on it, so each is evaluated once per vector: the root data
-    (1/q, sigma-tuple, sigma'-tuple), keyed by params, and the columns, keyed
+    (sigma-tuple, sigma'-tuple), keyed by params, and the columns, keyed
     by (params, family, y); and the Taylor tables of schur.fhat_table and
     the coefficients of schur.cauchy_binet_coeffs, keyed by (params, family,
     order[, tag]) and held as tuples so that no caller can change them.
@@ -259,8 +269,8 @@ def _check_row(uu, i):
 
 
 def _sigma(q, uj):
-    u2 = uj * uj
-    return q * u2 + 1 / (q * u2)
+    qy = q * (uj * uj)
+    return qy + 1 / qy
 
 
 def _sigmas(q, uu):
@@ -269,12 +279,13 @@ def _sigmas(q, uu):
 
 def _dsigma(q, ui):
     """sigma_i' = d sigma_i / d u_i."""
-    return 2 * (q * ui - 1 / (q * ui * ui * ui))
+    qu = q * ui
+    return 2 * (qu - 1 / (qu * ui * ui))
 
 
-def _denominator(q, y, s, iq):
-    """d_j = q y^2 - sigma_j y + 1/q, with iq = 1/q."""
-    d = (y * q - s) * y + iq
+def _denominator(p, y, s):
+    """d_j = q y^2 - sigma_j y + 1/q."""
+    d = (y * p.q - s) * y + p.iq
     if not d:
         raise PoleError("w(v/u_j)*w(q*v*u_j)", "y-form denominator")
     return d
@@ -284,35 +295,36 @@ def pole_brackets(p, u, js=None):
     """Pole brackets at v = u_j for j in js (default all), one sigma pass: with
     y = u_j^2 and i != j, -w(q) y^(1-N) [(y-1)^(2N) prod n2_i - (qy-1/q)^(2N)
     prod n1_i] / (2 u_j w(qy)^2 prod d_i), finite where w(y) w(q^2 y), the
-    rest of the residue, vanishes.  Reads only p.N and p.q."""
+    rest of the residue, vanishes.  Each root's 1/(q y) serves both sigma_j
+    and w(q y).  Reads only p.N, p.q and its powers p.iq, p.q3, p.iq3."""
     uu = _vals(u)
     if not all(uu):
         raise PoleError("w(u_j)", "root is zero")
-    q = p.q
-    q3 = q * q * q
-    iq, iq3 = 1 / q, 1 / q3
-    ss = _sigmas(q, uu)
+    q, iq, q3, iq3 = p.q, p.iq, p.q3, p.iq3
+    ys = [x * x for x in uu]
+    qys = [q * y for y in ys]
+    rs = [1 / qy for qy in qys]
+    ss = [qy + r for qy, r in zip(qys, rs)]
     e = 2 * p.N
     out = []
     for j in range(len(uu)) if js is None else js:
-        y = uu[j] * uu[j]
-        qy = y * q
+        y, qy = ys[j], qys[j]
         _refuse_pm(qy, 1, "w(q*u_j^2)", "")
-        wqy = qy - 1 / qy
+        wqy = qy - rs[j]
         a, b, den = (qy - iq) ** e, (y - 1) ** e, 2 * uu[j] * wqy * wqy * y ** (p.N - 1)
         for i, s in enumerate(ss):
             if i != j:
                 a, b = a * ((y * iq - s) * y + q), b * ((y * q3 - s) * y + iq3)
-                den = den * _denominator(q, y, s, iq)
+                den = den * _denominator(p, y, s)
         out.append((iq - q) * (b - a) / den)
     return out
 
 
-def _shell(p, y, iq):
-    """The root-independent factors W, A, B of the formula; iq = 1/q."""
+def _shell(p, y):
+    """The root-independent factors W, A, B of the formula."""
     if not y:
         raise PoleError("w(v)", "y is zero")
-    qy = y * p.q
+    qy, iq = y * p.q, p.iq
     W = qy * y - iq
     if not W:
         raise PoleError("w(q*v^2)")
@@ -327,13 +339,11 @@ def _cleared(p, y, ss, rows=(None,)):
     Returns one value per entry of rows: None gives y^N Lambda, i gives
     y^N d Lambda / d sigma_i, which sigma_i' turns into y^N d Lambda / d u_i.
     """
-    q = p.q
-    q3 = q * q * q
-    iq, iq3 = 1 / q, 1 / q3
-    W, A, B = _shell(p, y, iq)
+    q, iq, q3, iq3 = p.q, p.iq, p.q3, p.iq3
+    W, A, B = _shell(p, y)
     factors = []
     for s in ss:
-        factors.append(((y * iq - s) * y + q, (y * q3 - s) * y + iq3, _denominator(q, y, s, iq)))
+        factors.append(((y * iq - s) * y + q, (y * q3 - s) * y + iq3, _denominator(p, y, s)))
     out = []
     for ds in rows:
         a, b, den = A, B, W
@@ -354,15 +364,15 @@ def lambda_du_y(p, i, y, u):
 
 
 def _root_data(p, uu):
-    """(1/q, sigma-tuple, sigma'-tuple) of the roots uu."""
+    """(sigma-tuple, sigma'-tuple) of the roots uu."""
     q = p.q
-    return 1 / q, _sigmas(q, uu), tuple(_dsigma(q, x) for x in uu)
+    return _sigmas(q, uu), tuple(_dsigma(q, x) for x in uu)
 
 
 def _column(p, roots, family, y):
     """Column y of a family from the roots' data: every row's value at one
     point; family 2 is y / d_i = 1/(w(v/u_i) w(q v u_i))."""
-    iq, ss, ds = roots
+    ss, ds = roots
     if family == 1:
         yN = y**p.N
         cols = _cleared(p, y, ss, range(len(ss)))
@@ -370,7 +380,7 @@ def _column(p, roots, family, y):
     if family == 2:
         if not y:
             raise PoleError("w(v)", "y is zero")
-        return [y / _denominator(p.q, y, s, iq) for s in ss]
+        return [y / _denominator(p, y, s) for s in ss]
     raise ValueError("family must be 1 or 2")
 
 
@@ -388,7 +398,7 @@ def family_matrix_y(p, u, family, ypoints):
         if col is None:
             col = memo[key] = _column(p, roots, family, y)
         cols.append(col)
-    return [[col[i] for col in cols] for i in range(len(roots[1]))]
+    return [[col[i] for col in cols] for i in range(len(roots[0]))]
 
 
 def kernel_y(p, u, ypoints):
@@ -509,8 +519,7 @@ def taylor_rows(p, u, family, order, rows=None):
         cols = _cleared(p, y, _sigmas(p.q, uu), rows)
         return [(c * _dsigma(p.q, uu[i])).shift(-1).truncate(order) for c, i in zip(cols, rows)]
     if family == 2:
-        iq = 1 / p.q
-        return [(1 / _denominator(p.q, y, _sigma(p.q, uu[i]), iq)).truncate(order) for i in rows]
+        return [(1 / _denominator(p, y, _sigma(p.q, uu[i]))).truncate(order) for i in rows]
     raise ValueError("family must be 1 or 2")
 
 
@@ -554,7 +563,7 @@ def pole_radius_y(p, u):
     min over |u_j^2|, |1/(q u_j)^2| and |1/q|.  Float magnitude, used only
     to place sample points safely inside convergence disks."""
     ctx = p.ctx
-    cands = [ctx.magnitude(ctx.one() / p.q)]
+    cands = [ctx.magnitude(p.iq)]
     for uj in _vals(u):
         cands.append(ctx.magnitude(uj * uj))
         inv = ctx.one() / (p.q * uj)

@@ -453,8 +453,8 @@ def check_bethe(cfg, p, seed):
     for s in sols:
         blob = {"N": pf.N, "M": pf.M, "roots": [ctx.to_string(r) for r in s.roots],
                 "iterations": s.iterations, "search_iterations": s.search_iterations}
-        out.append(_record("bethe", blob, seed, mp.nstr(s.max_residual(), 8),
-                           s.converged and s.max_residual() < tol))
+        resid = s.max_residual()
+        out.append(_record("bethe", blob, seed, mp.nstr(resid, 8), s.converged and resid < tol))
     if pf.M == 1:
         closed = _bethe.closed_form_single_roots(pf)
         matched = len(sols) == len(closed) and all(

@@ -107,7 +107,10 @@ class TwoFractions:
 
     @staticmethod
     def hash(x, d):
-        return hash((x[0], x[1], d)) if x[1] else hash(x[0])
+        # the integer parts (n, m, c) over the parts' least common denominator
+        c = math.lcm(x[0].denominator, x[1].denominator)
+        return hash((x[0].numerator * c // x[0].denominator,
+                     x[1].numerator * c // x[1].denominator, c, d)) if x[1] else hash(x[0])
 
     @staticmethod
     def str(x, d):

@@ -58,16 +58,19 @@ def test_tracer_wraps_every_named_function_and_restores_it():
 
 def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
     # pinned on the integer carrier, with validate_uv forming each product
-    # once; family_matrix_y forming 1/q (one inverse, one product), each
-    # sigma_i (four products, one inverse) and each sigma_i' (six products,
+    # once; ChainParams forming 1/q, q^3 and 1/q^3 once per params (two
+    # inverses, four products), which _cleared and the family-2 columns
+    # read; family_matrix_y forming each sigma_i (three products, one
+    # inverse: q y_i serves both terms) and each sigma_i' (five products,
     # one inverse) once per root vector, not once per column; _cleared
     # multiplying by 1/q, not dividing by q; and x**n taking one product per
     # squaring and per set bit after the first (y**2 one, x**5 three).
-    # Root data formed per column would read 37 more products and 9 more
-    # inverses, y / q in _cleared 4 more inverses (one per root and
-    # family-1 column), and powers that start from 1 and square once too
-    # often 22 more products.  A fast path that multiplied or inverted
-    # without the counted methods would make these read lower.
+    # The q-powers formed again in each _cleared call would read 8 more
+    # products and 4 more inverses, root data formed per column 64 more
+    # products and 16 more inverses, y / q in _cleared 4 more inverses (one
+    # per root and family-1 column), and powers that start from 1 and
+    # square once too often 23 more products.  A fast path that multiplied
+    # or inverted without the counted methods would make these read lower.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -77,8 +80,8 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 244
-    assert tracer.counters["algebra.qnum_inverse.calls"] == 40
+    assert tracer.counters["algebra.qnum_mul.calls"] == 234
+    assert tracer.counters["algebra.qnum_inverse.calls"] == 36
 
 
 def test_expansion_checks_build_each_taylor_table_once_and_pair_hirota_terms(monkeypatch):

@@ -34,6 +34,7 @@ from tltau.chain import (
     lambda_residue,
     pole_brackets,
     slavnov,
+    w_eval,
 )
 from tltau.cli import run_suite, validate_config
 
@@ -160,7 +161,7 @@ class TestDecimalCarrier:
                                     rng.choice((-1, 1)) * rng.uniform(0.3, 2)) for _ in range(M)]
                         want = pole_brackets(p, u)
                         with decimal.localcontext(decimal.Context(prec=64)):
-                            stand = bethe._StandIn(N, bethe._Complex.of(p.q), p.ctx)
+                            stand = bethe._stand_in(N, bethe._Complex.of(p.q), p.ctx)
                             got = pole_brackets(stand, [bethe._Complex.of(x) for x in u])
                             got = [mpc_of(z) for z in got]
                         for g, w in zip(got, want):
@@ -172,8 +173,12 @@ class TestDecimalCarrier:
             for num in (bethe._Complex(decimal.Decimal(1)), zero, 1, 0.5):
                 with pytest.raises(ZeroDivisionError):
                     num / zero
-            # q = 0 sends pole_brackets' 1/q through the carrier's division
-            stand = bethe._StandIn(2, zero, fparams(2, 2).ctx)
+            # q = 0 sends the stand-in's 1/q, and pole_brackets' 1/(q y_j),
+            # through the carrier's division
+            ctx = fparams(2, 2).ctx
+            with pytest.raises(ZeroDivisionError):
+                bethe._stand_in(2, zero, ctx)
+            stand = bethe._stand_in(2, bethe._Complex.of(2), ctx)._replace(q=zero)
             assert bethe._brackets(stand, [bethe._Complex.of(2), bethe._Complex.of(3)]) is None
 
     def test_arithmetic_matches_mpmath(self):
@@ -189,6 +194,58 @@ class TestDecimalCarrier:
             assert bool(x) and not bethe._Complex(decimal.Decimal(0))
             with pytest.raises(TypeError):
                 x + a
+            with pytest.raises(TypeError):
+                x * a
+
+    def test_power_matches_the_ladder_from_one(self):
+        # x ** n starts from +x, which rounds x as 1 * 1 * x did; the parts
+        # agree with the ladder from 1 on a base held at 64 digits and on an
+        # unrounded one (192-bit parts have up to 192 decimal digits)
+        def ladder(x, n):
+            out = bethe._Complex(decimal.Decimal(1))
+            for bit in bin(abs(n))[2:]:
+                out = out * out * x if bit == "1" else out * out
+            return out if n >= 0 else 1 / out
+
+        with mp.workprec(192):
+            third = bethe._Complex.of(mp.mpc(mp.mpf(1) / 3, -mp.mpf(2) / 7))
+        assert len(str(third.re)) > 64
+        with decimal.localcontext(decimal.Context(prec=64)):
+            for x in (bethe._Complex.of(mp.mpc(1.25, -0.75)), third, bethe._Complex.of(third.re)):
+                for n in range(-3, 10):
+                    got, want = x ** n, ladder(x, n)
+                    assert (got.re, got.im) == (want.re, want.im), n
+
+    def test_real_operand_multiplies_the_parts(self):
+        # an int, float or Decimal operand scales both parts; the product
+        # equals the one with a complex operand of zero imaginary part
+        with mp.workprec(192):
+            x = bethe._Complex.of(mp.mpc(mp.mpf(1) / 3, -mp.mpf(2) / 7))
+        with decimal.localcontext(decimal.Context(prec=64)):
+            for y in (x, bethe._Complex.of(mp.mpc(1.25, -0.75))):
+                for r in (3, -2, 0, 0.5, decimal.Decimal("-1.75"), x.re):
+                    want = y * bethe._Complex(decimal.Decimal(r))
+                    for got in (y * r, r * y):
+                        assert (got.re, got.im) == (want.re, want.im), r
+
+    def test_handoff_is_the_decimal_string_route(self, monkeypatch):
+        # each root and bracket of the (2, 2) grid goes back to mpmath
+        # rounded once at the context's precision, as its decimal string
+        # read at that precision would be
+        seen = []
+        handoff = bethe._mpc
+
+        def logged(z, prec):
+            seen.append((z, handoff(z, prec)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(bethe, "_mpc", logged)
+        sols = solve_bethe_grid(fparams(2, 2))
+        assert sols and len(seen) >= 4 * len(sols)
+        with mp.workprec(192):
+            for z, got in seen:
+                want = mpc_of(z)
+                assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
 
 
 class TestClosedForm:
@@ -260,11 +317,11 @@ class TestSolver:
 
     def test_records_ignore_process_history(self):
         # a caller's decimal context (5 digits, rounding down) and a wider
-        # float context made earlier leave the bethe records, and the
-        # solver's roots and brackets to the last bit, unchanged
+        # float context made earlier, which raises the global mp.prec, leave
+        # the bethe records, and the roots and brackets of a direct grid call
+        # to the last bit, unchanged
         def run():
-            with mp.workprec(192):
-                sols = solve_bethe_grid(fparams(2, 2))
+            sols = solve_bethe_grid(fparams(2, 2))
             records = [bethe_records(N, M) for N, M in ((2, 2), (3, 1))]
             return records, [(s.roots, s.residuals) for s in sols]
 
@@ -306,6 +363,29 @@ class TestRegularity:
         p = fparams(2, 1)
         for r in closed_form_single_roots(p):
             assert is_regular(p, (r,))
+
+    def test_doubles_agree_with_mpmath_near_the_excluded_points(self):
+        # is_regular runs in complex doubles; at 1e-9 and 1e-7 from each
+        # excluded u^2, in four directions, it gives the verdict of the same
+        # test in mpmath at 192 bits
+        def regular_mp(p, roots):
+            for r in roots:
+                u2 = r * r
+                if min(abs(w_eval(u2)), abs(w_eval(u2 * p.q * p.q))) < mp.mpf("1e-8"):
+                    return False
+            return True
+
+        verdicts = set()
+        with mp.workprec(192):
+            for p in (fparams(2, 1), ChainParams.from_boundary(3, 1, 1, F(3), "float")):
+                for base in (1, -1, 1 / p.q ** 2, -1 / p.q ** 2):
+                    for dist in (mp.mpf("1e-9"), mp.mpf("1e-7")):
+                        for turn in (1, 1j, -1, -1j):
+                            root = mp.sqrt(base + dist * turn)
+                            verdict = is_regular(p, (root,))
+                            assert verdict == regular_mp(p, (root,)), (base, dist, turn)
+                            verdicts.add((dist, verdict))
+        assert verdicts == {(mp.mpf("1e-9"), False), (mp.mpf("1e-7"), True)}
 
 
 class TestGrid:
@@ -387,7 +467,8 @@ class TestGrid:
 
 
 def mpc_of(z):
-    """A bethe._Complex as the mpc it rounds to, as solve_bethe hands roots back."""
+    """A bethe._Complex as the mpc its decimal strings round to at the
+    global precision."""
     return mp.mpc(str(z.re), str(z.im))
 
 

@@ -425,9 +425,9 @@ def _count_shells(monkeypatch):
     calls = []
     shell = chain._shell
 
-    def counted(p, y, iq):
+    def counted(p, y):
         calls.append(y)
-        return shell(p, y, iq)
+        return shell(p, y)
 
     monkeypatch.setattr(chain, "_shell", counted)
     return calls
@@ -601,8 +601,8 @@ class TestSeededFault:
         # with the residue prefactor cancelled, so it is doubled there too
         shell = chain._shell
 
-        def doubled_b(p, y, iq):
-            W, A, B = shell(p, y, iq)
+        def doubled_b(p, y):
+            W, A, B = shell(p, y)
             return W, A, 2 * B
 
         monkeypatch.setattr(chain, "_shell", doubled_b)
