@@ -304,7 +304,7 @@ def check_schur_expansion(cfg, p, seed):
     rng = random.Random(seed)
     out = []
 
-    # bialternant vs characters on random points, all |lam| <= 6, 1..3 points
+    # Jacobi-Trudi in e_k vs characters in the times, all |lam| <= 6, 1..3 points
     worst = ctx.zero()
     ok_pts = True
     polys = [(lam, _schur.schur_miwa(lam, 6, ctx, 6)) for lam in _schur.partitions_bounded(6)]
@@ -351,18 +351,17 @@ def _shrink_record(ctx, hi, cutoff, samples, blob, seed):
 
     `_sample_ysets` keeps every point below R/16, R the smallest pole radius,
     so two more weights should cut the error by a factor of 16**2 or more.
-    The terms come by weight, so the low sum is a prefix of the high one.
+    Every sample has M points, so one polynomial in their e_k serves them
+    all; the low sum is its restriction to weight `cutoff`.
     """
+    high = _schur.schur_sum_e(hi, len(samples[0][0]))
+    low = high.restrict(cutoff)
     shrank = True
     worst_pair = (0.0, 0.0)
     for w, pref, direct in samples:
-        lo = acc = ctx.zero()
-        for weight, term in _schur._schur_terms(hi, w, ctx):
-            acc = acc + term
-            if weight <= cutoff:
-                lo = acc
-        dlo = ctx.magnitude(pref * lo - direct)
-        dhi = ctx.magnitude(pref * acc - direct)
+        e = _schur.elementary_symmetric(w, ctx)
+        dlo = ctx.magnitude(pref * low.evaluate(e) - direct)
+        dhi = ctx.magnitude(pref * high.evaluate(e) - direct)
         if not dhi * 16 <= dlo:
             shrank = False
         if dhi > worst_pair[1]:

@@ -1,12 +1,13 @@
 """Schur-function machinery and character expansions of the determinant data.
 
 Two independent constructions of the Schur function are provided: the
-bialternant ratio det(x_i^(lam_j - j + M)) / det(x_i^(M - j)) on a finite
-point set, and the character sum s_lam = sum_mu chi^lam(mu) p_mu / z_mu in
-the times t_m = p_m / m = (1/m) sum_i x_i^m (Macdonald, Symmetric Functions
-and Hall Polynomials, I.7).  They agree whenever the point set is at least as
-long as the partition; the bialternant is identically zero when the
-partition is longer than the point set.
+Jacobi-Trudi determinant in the elementary symmetric functions e_1..e_n of n
+variables (Macdonald, Symmetric Functions and Hall Polynomials, I.2-I.3),
+evaluated at the e_k of a finite point set, and the character sum
+s_lam = sum_mu chi^lam(mu) p_mu / z_mu in the times t_m = p_m / m =
+(1/m) sum_i x_i^m (Macdonald I.7).  They agree whenever the point set is at
+least as long as the partition; in n variables s_lam is zero when the
+partition has more than n rows.
 
 The expansion engine reads Taylor coefficients of the two generating
 families off their series in the squared variable y = v^2
@@ -20,8 +21,8 @@ are built in one pass over the cycle types mu_k of the times' monomials t^k,
 
     [tau~(a)]_k = sum_{|lam| = |mu_k|} c_lam(a) chi^lam(mu_k) / prod_m k_m!,
 
-of which one Schur polynomial is the case of a single partition.  On points
-the same sums are bialternants that share one Vandermonde and power table.
+of which one Schur polynomial is the case of a single partition.  On n points
+the same sums are one polynomial in e_1..e_n (`schur_sum_e`) at their e_k.
 
 `slavnov_schur_coeffs` divides the two tau sums in Lambda_M = Q[e_1..e_M],
 the symmetric functions of M variables: restriction to M variables kills
@@ -90,29 +91,10 @@ def ell_indices(lam, npoints):
 
 
 def schur_points(lam, points, ctx):
-    """Bialternant Schur function on a finite point set.
-
-    Returns zero when the partition has more rows than there are points;
-    raises on repeated points (the alternant denominator vanishes).
-    """
+    """s_lam on a finite point set by Jacobi-Trudi in the points' e_k; zero
+    when the partition has more rows than there are points."""
     parts = partition_normalize(lam)
-    pts = list(points)
-    if len(parts) > len(pts):
-        return ctx.zero()
-    return _bialternants([parts], pts, ctx)[0]
-
-
-def _bialternants(lams, points, ctx):
-    """s_lam(points) = det(x_i^(lam_j - j + n)) / det(x_i^(n - j)) for each
-    partition of at most n = len(points) rows, in normal form, with one
-    Vandermonde and one power table for all of them."""
-    vdm = vandermonde(points, ctx)
-    if not vdm:
-        raise ValueError("repeated evaluation points")
-    top = max((lam[0] for lam in lams if lam), default=0) + len(points)
-    powers = [[x**e for e in range(top)] for x in points]
-    labels = [ell_indices(lam, len(points)) for lam in lams]
-    return [det([[row[e] for e in ell] for row in powers], ctx) / vdm for ell in labels]
+    return schur_sum_eval(SchurCoeffMap(ctx, sum(parts), {parts: ctx.one()}), points, ctx)
 
 
 @cache
@@ -273,22 +255,19 @@ def tau_schur_poly(p, u, family, cutoff, K=None):
 
 
 def schur_sum_eval(cmap, points, ctx):
-    """Evaluate sum_lam c_lam s_lam on a point set by bialternants that share
-    one Vandermonde and one power table (rows beyond the point count
-    contribute nothing)."""
-    acc = ctx.zero()
-    for _, term in _schur_terms(cmap, points, ctx):
-        acc = acc + term
-    return acc
-
-
-def _schur_terms(cmap, points, ctx):
-    """(|lam|, c_lam s_lam(points)) for the terms of cmap that the points
-    see, in cmap's order, which is by weight."""
+    """sum_lam c_lam s_lam on a point set: `schur_sum_e` in n = len(points)
+    variables at the points' elementary symmetric functions."""
     pts = list(points)
-    seen = [(lam, c) for lam, c in cmap.items() if len(lam) <= len(pts)]
-    values = _bialternants([lam for lam, _ in seen], pts, ctx)
-    return [(sum(lam), c * s) for (lam, c), s in zip(seen, values)]
+    return schur_sum_e(cmap, len(pts)).evaluate(elementary_symmetric(pts, ctx))
+
+
+def elementary_symmetric(points, ctx):
+    """e_1 .. e_n of n points, the coefficients of prod_i (1 + x_i z)."""
+    e = [ctx.one()] + [ctx.zero()] * len(points)
+    for i, x in enumerate(points, 1):
+        for k in range(i, 0, -1):
+            e[k] = e[k] + x * e[k - 1]
+    return e[1:]
 
 
 def tau_tilde_direct(p, u, family, points):
@@ -342,19 +321,45 @@ def poly_to_schur(poly, maxlen):
 
 
 @cache
+def _complete_e(M, n):
+    """The complete symmetric function h_n in Lambda_M as (key, int) pairs,
+    key[m - 1] the power of e_m: h_n = sum_{k=1}^M (-1)^(k-1) e_k h_(n-k),
+    h_0 = 1 and h_(n<0) = 0."""
+    if n <= 0:
+        return (((0,) * M, 1),) if n == 0 else ()
+    out = {}
+    for k in range(1, M + 1):
+        for key, c in _complete_e(M, n - k):
+            key = key[: k - 1] + (key[k - 1] + 1,) + key[k:]
+            out[key] = out.get(key, 0) + (-1) ** (k - 1) * c
+    return tuple((key, c) for key, c in out.items() if c)
+
+
+@cache
 def _schur_e(lam, M):
     """s_lam (at most M rows) in Lambda_M as (key, int) pairs, key[m - 1] the
-    power of e_m: Jacobi-Trudi det(h_(lam_i - i + j)) of the complete
-    symmetric functions h_n = sum_{k=1}^M (-1)^(k-1) e_k h_(n-k), h_0 = 1 and
-    h_(n<0) = 0, held as Miwa polynomials of K = M (e_m has weight m)."""
+    power of e_m: the Jacobi-Trudi determinant det(h_(lam_i - i + j)), its
+    entries held as Miwa polynomials of K = M (e_m has weight m)."""
+    if not lam:  # s_() = 1, in Lambda_0 too
+        return (((0,) * M, 1),)
     ctx, w = FieldContext("rational"), sum(lam)
     zero = MiwaPolynomial(ctx, M, w)
-    e = [MiwaPolynomial.time_var(ctx, M, w, k) for k in range(1, M + 1)]
-    h = [zero] * (M - 1) + [MiwaPolynomial.constant(ctx, M, w, 1)]  # h_n at n + M - 1
-    while len(h) < w + 2 * M - 1:
-        h.append(sum(((-1) ** (k - 1) * e[k - 1] * h[-k] for k in range(1, M + 1)), zero))
-    rows = [h[l : l + M] for l in ell_indices(lam, M)]
+    rows = [[MiwaPolynomial(ctx, M, w, dict(_complete_e(M, part - i + j))) for j in range(M)]
+            for i, part in enumerate(lam + (0,) * (M - len(lam)))]
     return tuple((key, int(c)) for key, c in det_ring(rows, zero).terms.items())
+
+
+def schur_sum_e(cmap, n):
+    """sum_lam c_lam s_lam in n variables as a Miwa polynomial in e_1..e_n
+    (K = n, e_m of weight m, known through cmap's cutoff): each s_lam of at
+    most n rows from its Jacobi-Trudi table in Lambda_n; longer ones vanish."""
+    ctx, zero = cmap.ctx, cmap.ctx.zero()
+    terms = {}
+    for lam, c in cmap.items():
+        if len(lam) <= n:
+            for key, k in _schur_e(lam, n):
+                terms[key] = terms.get(key, zero) + c * k
+    return MiwaPolynomial(ctx, n, cmap.cutoff, terms)
 
 
 def slavnov_schur_coeffs(p, u, cutoff):
@@ -364,15 +369,8 @@ def slavnov_schur_coeffs(p, u, cutoff):
     first (lex order) as the coefficient of s_lam's leading monomial
     prod_m e_m^(lam_m - lam_(m+1)), with A_lam s_lam then subtracted."""
     ctx, M, zero = p.ctx, p.M, p.ctx.zero()
-
-    def restricted(family):
-        terms = {}
-        for lam, c in cauchy_binet_coeffs(p, u, family, cutoff).items():
-            for key, k in _schur_e(lam, M):
-                terms[key] = terms.get(key, zero) + c * k
-        return MiwaPolynomial(ctx, M, cutoff, terms)
-
-    rest = (restricted(1) * miwa_series_invert(restricted(2))).terms
+    tau1, tau2 = (schur_sum_e(cauchy_binet_coeffs(p, u, family, cutoff), M) for family in (1, 2))
+    rest = (tau1 * miwa_series_invert(tau2)).terms
     out = {}
     for lam in reversed(_partitions(cutoff, M)):
         padded = lam + (0,) * (M + 1 - len(lam))

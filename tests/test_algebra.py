@@ -6,13 +6,17 @@ Miwa inverses, the geometric series; sympy serves as an independent oracle
 for the quadratic field arithmetic.
 """
 
+import doctest
+import importlib
 import itertools
 import math
 import operator
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
+import tltau
 from tltau.algebra import (
     FieldContext,
     LaurentSeries,
@@ -726,21 +730,12 @@ class TestPropertyStyle:
         inner()
 
 
-def test_algebra_doctests():
-    import doctest
+# every module's doctests run; these two must keep at least this many
+DOCTEST_FLOORS = {"algebra": 5, "schur": 3}
 
-    import tltau.algebra
 
-    result = doctest.testmod(tltau.algebra)
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(tltau.__path__)))
+def test_doctests(name):
+    result = doctest.testmod(importlib.import_module("tltau." + name), verbose=False)
     assert result.failed == 0
-    assert result.attempted >= 5
-
-
-def test_schur_doctests():
-    import doctest
-
-    import tltau.schur
-
-    result = doctest.testmod(tltau.schur)
-    assert result.failed == 0
-    assert result.attempted >= 3
+    assert result.attempted >= DOCTEST_FLOORS.get(name, 0)

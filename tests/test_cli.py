@@ -165,18 +165,30 @@ class TestSuite:
     def test_kernel_expansion_sees_a_dropped_sign_in_the_h_recurrence(self, monkeypatch):
         # h_n = sum_k e_k h_(n-k) without (-1)^(k-1) is not the complete
         # symmetric function in M variables (h_2 becomes e_1^2 + e_2), so each
-        # s_lam of the Lambda_M route is wrong from weight 2 on, the low Schur
-        # coefficients of the tau quotient are spoiled, and the
-        # kernel-expansion error stops shrinking with the cutoff
+        # s_lam of the Lambda_M route is wrong from weight 2 on: the low Schur
+        # coefficients of the tau quotient are spoiled, and the kernel-expansion
+        # error stops shrinking with the cutoff.  The same tables evaluate every
+        # Schur sum on points, so points-vs-times and both reconstruction
+        # records fail too
         seeds = (1, 2, 3)
-        assert all(_schur_record("kernel-expansion", seed)["pass"] for seed in seeds)
+        parts = ("points-vs-times", "reconstruction", "kernel-expansion")
 
-        source = textwrap.dedent(inspect.getsource(schur._schur_e))
+        def verdicts(seed):
+            cfg = validate_config({"checks": ["schur-expansion"], "seed": seed})
+            recs = run_suite(cfg)["records"]
+            assert [r["params"]["part"] for r in recs] == [parts[0], parts[1], parts[1], parts[2]]
+            return [r["pass"] for r in recs]
+
+        assert all(all(verdicts(seed)) for seed in seeds)
+
+        source = textwrap.dedent(inspect.getsource(schur._complete_e))
         assert "(-1) ** (k - 1) * " in source
         namespace = dict(vars(schur))
         exec(source.replace("(-1) ** (k - 1) * ", ""), namespace)
+        # a fresh _schur_e, whose memo the faulty recurrence fills
+        exec(textwrap.dedent(inspect.getsource(schur._schur_e)), namespace)
         monkeypatch.setattr(schur, "_schur_e", namespace["_schur_e"])
-        assert not any(_schur_record("kernel-expansion", seed)["pass"] for seed in seeds)
+        assert not any(any(verdicts(seed)) for seed in seeds)
 
     def test_points_vs_times_builds_each_schur_polynomial_once(self, monkeypatch):
         built = []
@@ -193,7 +205,7 @@ class TestSuite:
     def test_points_vs_times_sees_a_flipped_hook_height_sign(self, monkeypatch):
         # (-1)^(height + 1) for every removed rim hook turns chi^lam(mu) into
         # (-1)^len(mu) chi^lam(mu), so s_(1) = t_1 becomes -t_1 and the
-        # character route leaves the bialternant
+        # character route leaves Jacobi-Trudi in the points' e_k
         assert _schur_record("points-vs-times")["pass"]
 
         source = textwrap.dedent(inspect.getsource(schur._character))

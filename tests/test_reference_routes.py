@@ -28,7 +28,9 @@ from tltau.algebra import (
     FieldContext,
     MiwaPolynomial,
     Rational,
+    det,
     miwa_series_invert,
+    vandermonde,
     weighted_degree,
 )
 from tltau.chain import ChainParams, ParameterVector, taylor_rows
@@ -37,11 +39,11 @@ from tltau.schur import (
     SchurCoeffMap,
     _character,
     cauchy_binet_coeffs,
+    ell_indices,
     fhat_table,
     partitions_bounded,
     poly_to_schur,
     schur_miwa,
-    schur_points,
     schur_sum_eval,
     slavnov_schur_coeffs,
     tau_schur_poly,
@@ -117,10 +119,12 @@ def direct_mul(f, g):
 
 
 def direct_schur_sum_eval(cmap, points, ctx):
+    # bialternants: s_lam(x) = det(x_i^(lam_j - j + n)) / det(x_i^(n - j))
     acc = ctx.zero()
     for lam, c in cmap.items():
         if len(lam) <= len(points):
-            acc = acc + c * schur_points(lam, points, ctx)
+            rows = [[x**l for l in ell_indices(lam, len(points))] for x in points]
+            acc = acc + c * det(rows, ctx) / vandermonde(points, ctx)
     return acc
 
 

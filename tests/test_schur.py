@@ -2,7 +2,7 @@
 
 Independent oracles: a brute-force semistandard-tableau enumerator for Schur
 polynomials in few variables, sympy rational arithmetic spot values, the
-bialternant/character agreement exercised over every partition of weight at
+Jacobi-Trudi/character agreement exercised over every partition of weight at
 most six, a Jacobi-Trudi determinant of complete homogeneous polynomials
 against the character form through weight eight, and the closed form
 s_(a,b) = e_2^b h_(a-b) of two-row Schur functions in two variables.
@@ -123,12 +123,13 @@ class TestSchurValues:
 
     def test_too_long_vanishes(self):
         assert schur_points((1, 1, 1), [F(2), F(3)], RAT) == F(0)
-        # the row count decides before the repeated points are seen
         assert schur_points((1, 1, 1), [F(2), F(2)], RAT) == F(0)
 
-    def test_repeated_points_rejected(self):
-        with pytest.raises(ValueError):
-            schur_points((1,), [F(2), F(2)], RAT)
+    def test_repeated_points_match_the_tableau_oracle(self):
+        # s_lam is a polynomial, defined at coinciding points as anywhere else
+        for lam in partitions_bounded(4):
+            for pts in ([F(2), F(2)], [F(2), F(2), F(3)], [F(1, 3)] * 3):
+                assert schur_points(lam, pts, RAT) == ssyt_schur(lam, pts), (lam, pts)
 
     def test_against_tableau_oracle(self):
         rng = random.Random(11)
@@ -164,7 +165,8 @@ class TestMiwaSchur:
         assert _stripped(s11) == {(2,): F(1, 2), (0, 1): F(-1)}
 
     def test_points_vs_miwa_all_small_partitions(self):
-        # bialternant at points == character sum in power-sum times, |lam| <= 6
+        # Jacobi-Trudi at the points' e_k == character sum in power-sum times,
+        # |lam| <= 6
         ptsets = ([F(2)], [F(2), F(3)], [F(1, 2), F(3), F(5, 7)])
         for lam in partitions_bounded(6):
             for pts in ptsets:
