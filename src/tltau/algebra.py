@@ -6,7 +6,8 @@ Three scalar modes drive everything downstream:
   runs on its integer numerator and denominator;
 * ``quadratic`` -- elements ``a + b*sqrt(d)`` of one fixed real or imaginary
   quadratic field, exact, held as integer numerators over one denominator;
-* ``float``     -- mpmath arbitrary-precision floats, complex allowed.
+* ``float``     -- mpmath arbitrary-precision floats, complex allowed, made
+  by the context's own mpmath context, never at mpmath's global precision.
 
 Exact modes compare by literal equality.  Float mode keeps exact-zero tests
 for canonical-form bookkeeping (never dropping merely small numbers) and uses
@@ -34,6 +35,7 @@ from functools import cache
 from operator import add, itemgetter
 
 import mpmath as mp
+from mpmath.ctx_mp_python import mpnumeric
 
 
 def _sum(na, da, nb, db):
@@ -320,13 +322,33 @@ _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+[eE][+-]?\d+|\d+\.\d*[eE][+-
 _QUAD_RE = re.compile(r"^\(([^,()|]+),([^,()|]+)\|([+-]?\d+)\)$")
 
 
+@cache
+def _mp_context(prec):
+    """The mpmath context at prec bits, one per precision for the process."""
+    m = mp.MPContext()
+    m.prec = prec
+    return m
+
+
 class FieldContext:
     """Carrier for one scalar mode and its comparison policy.
 
     mode      one of 'rational', 'quadratic', 'float'
     d         quadratic discriminant (quadratic mode only)
     prec      binary precision for float mode, at least 128 bits
+    mp        the mpmath context at prec bits that makes every float scalar
+              (float mode only; shared by equal prec, never to be re-set)
     tol       relative tolerance for float verdicts, fixed at 1e-20
+
+    A float context computes at prec bits and leaves mpmath's global alone:
+
+    >>> import mpmath
+    >>> before = mpmath.mp.prec
+    >>> ctx = FieldContext("float", prec=400)
+    >>> mpmath.mp.prec == before, ctx.mp.prec
+    (True, 400)
+    >>> mpmath.nstr(ctx.embed(1) / 3, 40)
+    '0.3333333333333333333333333333333333333333'
     """
 
     def __init__(self, mode="rational", d=None, prec=192):
@@ -345,11 +367,8 @@ class FieldContext:
         self.mode = mode
         self.d = int(d) if (mode == "quadratic") else None
         self.prec = int(prec)
-        if mode == "float":
-            mp.mp.prec = max(mp.mp.prec, self.prec)
-            self.tol = mp.mpf("1e-20")
-        else:
-            self.tol = None
+        self.mp = _mp_context(self.prec) if mode == "float" else None
+        self.tol = self.mp.mpf("1e-20") if mode == "float" else None
         self._zero, self._one = self.embed(0), self.embed(1)
 
     def __repr__(self):
@@ -368,7 +387,8 @@ class FieldContext:
         return self._one
 
     def embed(self, x):
-        """Coerce an int, Fraction, or same-mode scalar into this field."""
+        """Coerce an int, Fraction, or same-mode scalar into this field; in
+        float mode an mpf or mpc of any mpmath context enters exactly."""
         if self.mode == "rational":
             if type(x) is Rational:
                 return x
@@ -383,14 +403,11 @@ class FieldContext:
             if isinstance(x, (int, Fraction)):
                 return _quad(x.numerator, 0, x.denominator, self.d)
             raise TypeError("cannot embed %r into Q(sqrt(%d))" % (x, self.d))
-        if isinstance(x, (mp.mpf, mp.mpc)):
-            return x
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        if isinstance(x, int):
-            return mp.mpf(x)
-        if isinstance(x, complex):
-            return mp.mpc(x)
+        m = self.mp
+        if isinstance(x, (mpnumeric, complex)):
+            return m.convert(x)
+        if isinstance(x, (int, Fraction)):
+            return m.mpf(x.numerator) / m.mpf(x.denominator)
         raise TypeError("cannot embed %r into float mode" % (x,))
 
     def from_string(self, s):
@@ -405,17 +422,15 @@ class FieldContext:
         if _DECIMAL_RE.match(s):
             if self.mode != "float":
                 raise ValueError("decimal literal %r in exact mode" % (s,))
-            return mp.mpf(s)
+            return self.mp.mpf(s)
         return self.embed(Fraction(s))
 
     def to_string(self, x):
         if isinstance(x, Fraction):
             return _frac_str(x)
-        if isinstance(x, int):
+        if isinstance(x, (int, QuadraticNumber)):
             return str(x)
-        if isinstance(x, QuadraticNumber):
-            return str(x)
-        if isinstance(x, (mp.mpf, mp.mpc)):
+        if isinstance(x, mpnumeric):
             return mp.nstr(x, 24)
         raise TypeError("cannot serialize %r" % (x,))
 
@@ -425,10 +440,7 @@ class FieldContext:
         """Verdict test: exact zero in exact modes, relative bound in float."""
         if self.mode != "float":
             return not r
-        s = abs(self.embed(scale)) if not isinstance(scale, (mp.mpf, mp.mpc)) else abs(scale)
-        if s < 1:
-            s = mp.mpf(1)
-        return abs(r) <= self.tol * s
+        return abs(r) <= self.tol * max(abs(self.embed(scale)), 1)
 
     def magnitude(self, x):
         """Float magnitude for radius and shrink comparisons, free of

@@ -11,7 +11,7 @@ then a refinement at working precision on `_Complex` (two Decimal parts) that
 starts there with chord steps on a central-difference Jacobian in doubles.
 Each stage reads q and its powers from a stand-in for the params, formed once
 on the stage's carrier, and the refinement hands its roots and brackets back
-to mpmath exactly rounded at the context's precision.  The regularity filter
+to the context's mpmath context, exactly rounded.  The regularity filter
 `is_regular` runs in complex doubles.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
@@ -24,6 +24,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from itertools import combinations
 
 from mpmath import mp
+from mpmath.ctx_mp_python import mpnumeric
 from mpmath.libmp import from_rational, round_nearest
 
 from .algebra import solve_linear
@@ -73,13 +74,13 @@ def closed_form_single_roots(p):
     determinant -q (q^2 - 1) != 0, so it is one-to-one."""
     if p.ctx.mode != "float":
         raise ValueError("closed-form roots are produced in float mode")
-    q = p.q
+    q, m = p.q, p.ctx.mp
     out = []
     for k in range(1, 2 * p.N):
         if k == p.N:
             continue
-        zeta = mp.expjpi(mp.mpf(k) / p.N)
-        out.append(_half_plane(mp.sqrt((1 - zeta * q) / (q * (q - zeta)))))
+        zeta = m.expjpi(m.mpf(k) / p.N)
+        out.append(_half_plane(m.sqrt((1 - zeta * q) / (q * (q - zeta)))))
     return out
 
 
@@ -97,8 +98,7 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
     root (step 2^-17 max(1, |u_j|), good to about 1e-10, so two steps reach
     2^-96); when a central bump lands on a pole it runs plain Newton steps.
     It runs in a fresh decimal context of ceil(prec log10 2) + 6 digits, and
-    hands each root and bracket back as the mpc nearest to it at p.ctx.prec
-    bits, whatever the global mp.prec.
+    hands each root and bracket back as the mpc of p.ctx.mp nearest to it.
     `iterations` counts the refinement's steps and `search_iterations`
     the search's; the reported roots and brackets are the refinement's.
     A search root within 1e-9 of a set in `known` (each as _canonical_roots
@@ -108,7 +108,8 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
         raise ValueError("the root solver runs in float mode")
     if len(guess) != p.M:
         raise ValueError("need exactly M starting roots")
-    roots = [mp.mpc(x) for x in guess]
+    m = p.ctx.mp
+    roots = [m.mpc(x) for x in guess]
     if _min_separation(roots) < 1e-12:
         raise ValueError("starting roots must be pairwise distinct")
     if not roots:
@@ -120,16 +121,16 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
     if converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
         converged, message = False, "repeats a root set already found"
     if not converged:
-        return BetheSolution(map(mp.mpc, found), map(mp.mpc, res), False, 0, message, steps)
+        return BetheSolution(map(m.mpc, found), map(m.mpc, res), False, 0, message, steps)
     chord = _central_jacobian(double, found, 2.0**-17)
     with localcontext(Context(math.ceil(p.ctx.prec * math.log10(2)) + 6, ROUND_HALF_EVEN)):
         half = Decimal(2) ** -(p.ctx.prec // 2)
         roots, res, converged, iterations, message = _newton(
             _stand_in(p.N, _Complex.of(p.q), p.ctx),
             [_Complex.of(x) for x in (found if steps else roots)],
-            half if tol is None else _Complex.of(mp.mpf(tol)).re, 0, half,
+            half if tol is None else _Complex.of(m.mpf(tol)).re, 0, half,
             chord and [[_Complex.of(x) for x in row] for row in chord], maxiter)
-    roots, res = ([_mpc(z, p.ctx.prec) for z in v] for v in (roots, res))
+    roots, res = ([_mpc(z, m) for z in v] for v in (roots, res))
     return BetheSolution(roots, res, converged, iterations, message, steps)
 
 
@@ -143,11 +144,11 @@ def _stand_in(N, q, ctx):
     return _StandIn(N, q, ctx, *_q_powers(q))
 
 
-def _mpc(z, prec):
-    """A `_Complex` as the mpc nearest to it at prec bits, each part rounded
-    once from its exact integer ratio."""
-    return mp.make_mpc(tuple(from_rational(*x.as_integer_ratio(), prec, round_nearest)
-                             for x in (z.re, z.im)))
+def _mpc(z, m):
+    """A `_Complex` as the mpc of the mpmath context m nearest to it, each
+    part rounded once from its exact integer ratio at m.prec bits."""
+    return m.make_mpc(tuple(from_rational(*x.as_integer_ratio(), m.prec, round_nearest)
+                            for x in (z.re, z.im)))
 
 
 def _part_operators(op):
@@ -180,10 +181,10 @@ class _Complex:
 
     @classmethod
     def of(cls, z):
-        """An int, float, complex, mpf or mpc, exactly (mpf by man_exp)."""
+        """An int, float, complex, or mpf or mpc of any context, exactly."""
         parts = []
         for x in (z.real, z.imag):
-            if isinstance(x, mp.mpf):
+            if isinstance(x, mpnumeric):
                 man, exp = x.man_exp
                 man = -man if x < 0 else man
                 x = Decimal(man << exp) if exp >= 0 else Decimal("%dE%d" % (man * 5**-exp, exp))
@@ -331,20 +332,9 @@ def _min_separation(roots):
     return min((abs(a - b) for a, b in combinations(roots, 2)), default=float("inf"))
 
 
-_PALETTE = (
-    mp.mpc("0.45", "0.35"),
-    mp.mpc("0.85", "0.55"),
-    mp.mpc("1.25", "0.2"),
-    mp.mpc("0.3", "-0.85"),
-    mp.mpc("1.6", "0.75"),
-    mp.mpc("0.2", "1.3"),
-    mp.mpc("0.7", "-0.3"),
-    mp.mpc("1.1", "-0.9"),
-    mp.mpc("0.55", "0.95"),
-    mp.mpc("1.45", "-0.4"),
-    mp.mpc("0.35", "0.6"),
-    mp.mpc("0.95", "0.15"),
-)
+# Starting roots as complex doubles, exact whatever mpmath's precision.
+_PALETTE = (0.45 + 0.35j, 0.85 + 0.55j, 1.25 + 0.2j, 0.3 - 0.85j, 1.6 + 0.75j, 0.2 + 1.3j,
+            0.7 - 0.3j, 1.1 - 0.9j, 0.55 + 0.95j, 1.45 - 0.4j, 0.35 + 0.6j, 0.95 + 0.15j)
 
 
 def solve_bethe_grid(p, tol=None, maxiter=80):

@@ -45,8 +45,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-import mpmath as mp
-
 from .algebra import FieldContext, LaurentSeries, QuadraticNumber, Rational, det, squarefree_kernel
 
 
@@ -178,7 +176,7 @@ class ChainParams:
         elif mode == "float":
             ctx = FieldContext("float", prec=prec)
             cf = ctx.embed(c)
-            q = (-cf + mp.sqrt(cf * cf - 4)) / 2
+            q = (-cf + ctx.mp.sqrt(cf * cf - 4)) / 2
         else:
             raise ValueError("unknown mode %r" % (mode,))
         return cls(N, M, spin_twice, q, ctx.embed(Qf), ctx)

@@ -30,8 +30,6 @@ from copy import copy
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import __version__
 from .chain import (
     ChainParams,
@@ -448,12 +446,12 @@ def check_bethe(cfg, p, seed):
     if not sols:
         out.append(_record("bethe", {"N": pf.N, "M": pf.M}, seed, None, False,
                            error="no regular root set converged from any palette start"))
-    tol = mp.mpf("1e-10")
+    tol = ctx.mp.mpf("1e-10")
     for s in sols:
         blob = {"N": pf.N, "M": pf.M, "roots": [ctx.to_string(r) for r in s.roots],
                 "iterations": s.iterations, "search_iterations": s.search_iterations}
         resid = s.max_residual()
-        out.append(_record("bethe", blob, seed, mp.nstr(resid, 8), s.converged and resid < tol))
+        out.append(_record("bethe", blob, seed, ctx.mp.nstr(resid, 8), s.converged and resid < tol))
     if pf.M == 1:
         closed = _bethe.closed_form_single_roots(pf)
         matched = len(sols) == len(closed) and all(
@@ -495,26 +493,26 @@ CHECKS = {
 
 
 def run_suite(cfg):
-    """Run the configured checks in registry order at the config's float precision."""
+    """Run the configured checks in registry order; float checks run at
+    precision_bits, which their params' FieldContext owns."""
     names = [n for n in CHECK_NAMES if n in cfg["checks"]]
-    with mp.workprec(cfg["precision_bits"]):
+    try:
+        p = build_params(cfg)
+    except (ValueError, TypeError) as exc:
+        records = [_record(n, {}, cfg["seed"], None, False, error=str(exc)) for n in names]
+        return _assemble_report(cfg, records)
+
+    def run_one(name):
+        seed = (cfg["seed"] + zlib.crc32(name.encode())) % 2**32
+        if p.M < 1 and name in ROOT_CHECKS:
+            return [_record(name, _params_blob(p), seed, None, True)]
         try:
-            p = build_params(cfg)
-        except (ValueError, TypeError) as exc:
-            records = [_record(n, {}, cfg["seed"], None, False, error=str(exc)) for n in names]
-            return _assemble_report(cfg, records)
+            return CHECKS[name](cfg, p, seed)
+        except Exception as exc:  # recorded, never fatal to the suite
+            return [_record(name, _params_blob(p), seed, None, False,
+                            error="%s: %s" % (type(exc).__name__, exc))]
 
-        def run_one(name):
-            seed = (cfg["seed"] + zlib.crc32(name.encode())) % 2**32
-            if p.M < 1 and name in ROOT_CHECKS:
-                return [_record(name, _params_blob(p), seed, None, True)]
-            try:
-                return CHECKS[name](cfg, p, seed)
-            except Exception as exc:  # recorded, never fatal to the suite
-                return [_record(name, _params_blob(p), seed, None, False,
-                                error="%s: %s" % (type(exc).__name__, exc))]
-
-        records = [rec for name in names for rec in run_one(name)]
+    records = [rec for name in names for rec in run_one(name)]
     return _assemble_report(cfg, records)
 
 

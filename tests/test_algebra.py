@@ -452,6 +452,27 @@ class TestFieldContext:
         x = ctx.from_string("0.25")
         assert ctx.residual_ok(x - ctx.embed(F(1, 4)), 1)
 
+    def test_float_scalars_belong_to_the_context(self):
+        # every float scalar is made by ctx.mp at the context's precision,
+        # one mpmath context per precision; an mpf or mpc of another mpmath
+        # context enters exactly
+        import mpmath
+
+        ctx = FieldContext("float", prec=192)
+        assert FieldContext("float", prec=192).mp is ctx.mp and ctx.mp.prec == 192
+        assert {type(ctx.tol), type(ctx.embed(2)), type(ctx.embed(F(1, 3))),
+                type(ctx.from_string("0.25"))} == {ctx.mp.mpf}
+        wide = mpmath.MPContext()
+        wide.prec = 300
+        third = wide.mpf(1) / 3
+        for x in (third, wide.mpc(third, -third)):
+            y = ctx.embed(x)
+            assert type(y) in (ctx.mp.mpf, ctx.mp.mpc)
+            assert (y.real._mpf_, y.imag._mpf_) == (x.real._mpf_, x.imag._mpf_)
+            assert ctx.to_string(x) == ctx.to_string(y)
+        assert ctx.residual_ok(ctx.embed(F(1, 3)) - third, third)
+        assert not ctx.residual_ok(ctx.embed(F(1, 3)) - (third + 2 * ctx.tol), third)
+
     def test_residual_ok_exact_mode_requires_zero(self):
         assert RAT.residual_ok(F(0), 100)
         assert not RAT.residual_ok(F(1, 10**40), 100)

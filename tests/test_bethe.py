@@ -60,8 +60,9 @@ class TestResidueFormula:
         p = fparams(2, 2)
         ctx = p.ctx
         u = (ctx.embed(2), ctx.embed(3))
-        want = mp.mpf(F(5335875, 11648).numerator) / F(5335875, 11648).denominator
         with mp.workprec(200):
+            want = mp.mpf(F(5335875, 11648).numerator) / F(5335875, 11648).denominator
+
             def probe(eps):
                 v = u[0] + eps
                 return eps * lambda_eval(p, v, u)
@@ -69,7 +70,7 @@ class TestResidueFormula:
             e = mp.mpf("1e-12")
             r1, r2 = probe(e), probe(e / 2)
             extrap = 2 * r2 - r1
-        assert abs(extrap - want) / abs(want) < mp.mpf("1e-20")
+            assert abs(extrap - want) / abs(want) < mp.mpf("1e-20")
 
     def test_vector_shape(self):
         p = params(2, 2)
@@ -89,10 +90,12 @@ class TestResidueFormula:
     def test_pole_of_the_formula_is_named(self):
         from tltau.chain import PoleError
 
-        # u^2 q = 1 makes w(u^2 q) vanish inside the residue prefactor
+        # u^2 q = 1 makes w(u^2 q) vanish inside the residue prefactor, with
+        # u = sqrt(1/2) taken at the context's precision
         p = fparams(2, 1)
+        m = p.ctx.mp
         with pytest.raises(PoleError) as e:
-            lambda_residue(p, (mp.sqrt(mp.mpf("0.5")),), 0)
+            lambda_residue(p, (m.sqrt(m.mpf("0.5")),), 0)
         assert e.value.factor == "w(q*u_j^2)"
 
 
@@ -235,8 +238,8 @@ class TestDecimalCarrier:
         seen = []
         handoff = bethe._mpc
 
-        def logged(z, prec):
-            seen.append((z, handoff(z, prec)))
+        def logged(z, m):
+            seen.append((z, handoff(z, m)))
             return seen[-1][1]
 
         monkeypatch.setattr(bethe, "_mpc", logged)
@@ -317,22 +320,41 @@ class TestSolver:
 
     def test_records_ignore_process_history(self):
         # a caller's decimal context (5 digits, rounding down) and a wider
-        # float context made earlier, which raises the global mp.prec, leave
-        # the bethe records, and the roots and brackets of a direct grid call
-        # to the last bit, unchanged
+        # float context made earlier, which leaves mpmath's global precision
+        # alone, leave the bethe records, and the roots and brackets of a
+        # direct grid call to the last bit, unchanged
         def run():
             sols = solve_bethe_grid(fparams(2, 2))
             records = [bethe_records(N, M) for N, M in ((2, 2), (3, 1))]
             return records, [(s.roots, s.residuals) for s in sols]
 
         clean = run()
-        saved = mp.prec
-        try:
-            with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)):
-                FieldContext("float", prec=400)
-                assert run() == clean
-        finally:
-            mp.prec = saved
+        before = mp.prec
+        with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)):
+            FieldContext("float", prec=400)
+            assert mp.prec == before
+            assert run() == clean
+
+    def test_float_values_ignore_the_global_precision(self):
+        # direct float kernel and eigenvalue values and grid roots are made
+        # at their context's precision: the same bits whatever the global
+        # mp.prec of the caller
+        def bits(x):
+            return x.real._mpf_, x.imag._mpf_
+
+        def run():
+            p = fparams(2, 2)
+            u = tuple(map(p.ctx.embed, (2, 3)))
+            v = tuple(map(p.ctx.embed, (F(1, 5), F(2, 7))))
+            values = [kernel(p, u, v)] + [lambda_eval(p, x, u) for x in v]
+            roots = [r for s in solve_bethe_grid(p) for r in s.roots]
+            assert roots
+            return [bits(x) for x in values + roots]
+
+        with mp.workprec(53):
+            low = run()
+        with mp.workprec(1000):
+            assert run() == low
 
     def test_input_validation(self):
         p = fparams(2, 2)
@@ -385,7 +407,7 @@ class TestRegularity:
                             verdict = is_regular(p, (root,))
                             assert verdict == regular_mp(p, (root,)), (base, dist, turn)
                             verdicts.add((dist, verdict))
-        assert verdicts == {(mp.mpf("1e-9"), False), (mp.mpf("1e-7"), True)}
+            assert verdicts == {(mp.mpf("1e-9"), False), (mp.mpf("1e-7"), True)}
 
 
 class TestGrid:
