@@ -357,11 +357,11 @@ class FieldContext:
         if mode == "quadratic":
             if d is None:
                 raise ValueError("quadratic mode needs a discriminant d")
+            if int(d) in (0, 1):
+                raise ValueError("d=%s is a perfect square" % (d,))
             _, kern = squarefree_kernel(abs(int(d)))
             if abs(int(d)) != kern:
                 raise ValueError("d=%s is not squarefree" % (d,))
-            if int(d) in (0, 1):
-                raise ValueError("d must not be a perfect square")
         if mode == "float" and prec < 128:
             raise ValueError("float mode needs at least 128 bits")
         self.mode = mode

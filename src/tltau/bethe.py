@@ -30,6 +30,8 @@ from mpmath.libmp import from_rational, round_nearest
 from .algebra import solve_linear
 from .chain import PoleError, lambda_residue, pole_brackets, w_eval, _q_powers, _vals
 
+_MAXITER = 80  # Newton steps allowed to each stage (search, refinement) of a solve
+
 
 class BetheSolution:
     """Outcome of a solver run: roots, their pole brackets, and bookkeeping.
@@ -84,7 +86,7 @@ def closed_form_single_roots(p):
     return out
 
 
-def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
+def solve_bethe(p, guess, tol=None, known=()):
     """Drive the pole brackets to zero from one start, float mode only.
 
     The search runs the damped Newton loop in complex doubles until the
@@ -116,7 +118,7 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
         return BetheSolution([], [], True, 0, "nothing to solve")
     double = _stand_in(p.N, complex(p.q), p.ctx)
     found, res, converged, steps, message = _newton(
-        double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None, maxiter)
+        double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None)
     canon = _canonical_roots(found)
     if converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
         converged, message = False, "repeats a root set already found"
@@ -129,7 +131,7 @@ def solve_bethe(p, guess, tol=None, maxiter=80, known=()):
             _stand_in(p.N, _Complex.of(p.q), p.ctx),
             [_Complex.of(x) for x in (found if steps else roots)],
             half if tol is None else _Complex.of(m.mpf(tol)).re, 0, half,
-            chord and [[_Complex.of(x) for x in row] for row in chord], maxiter)
+            chord and [[_Complex.of(x) for x in row] for row in chord])
     roots, res = ([_mpc(z, m) for z in v] for v in (roots, res))
     return BetheSolution(roots, res, converged, iterations, message, steps)
 
@@ -227,7 +229,7 @@ class _Complex:
         return (self.re * self.re + self.im * self.im).sqrt()
 
 
-def _newton(p, roots, tol, xtol, step, chord, maxiter):
+def _newton(p, roots, tol, xtol, step, chord):
     """Damped Newton iteration on the brackets, in the carrier of p.q and roots.
 
     Converged means the largest bracket is below `tol`, or every Newton
@@ -244,7 +246,7 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
         raise ValueError("starting roots sit on a pole of the bracket map")
     err = max(abs(r) for r in res)
     jac = chord
-    for it in range(1, maxiter + 1):
+    for it in range(1, _MAXITER + 1):
         if err < tol:
             return roots, res, True, it - 1, "converged"
         if chord is None:
@@ -277,7 +279,7 @@ def _newton(p, roots, tol, xtol, step, chord, maxiter):
         if not moved:
             return roots, res, False, it, "step stalled (roots colliding or on a pole)"
     converged = err < tol
-    return roots, res, converged, maxiter, "converged" if converged else "iteration limit"
+    return roots, res, converged, _MAXITER, "converged" if converged else "iteration limit"
 
 
 def _brackets(p, u):
@@ -337,7 +339,7 @@ _PALETTE = (0.45 + 0.35j, 0.85 + 0.55j, 1.25 + 0.2j, 0.3 - 0.85j, 1.6 + 0.75j, 0
             0.7 - 0.3j, 1.1 - 0.9j, 0.55 + 0.95j, 1.45 - 0.4j, 0.35 + 0.6j, 0.95 + 0.15j)
 
 
-def solve_bethe_grid(p, tol=None, maxiter=80):
+def solve_bethe_grid(p, tol=None):
     """Run the solver from at most 64 starting sets drawn from a deterministic
     palette and return the distinct converged solutions (roots normalized to
     the right half-plane, solutions deduplicated as sets)."""
@@ -350,7 +352,7 @@ def solve_bethe_grid(p, tol=None, maxiter=80):
     known, found = [], []
     for g in guesses[:64]:
         try:
-            sol = solve_bethe(p, g, tol=tol, maxiter=maxiter, known=known)
+            sol = solve_bethe(p, g, tol=tol, known=known)
         except ValueError:
             continue
         if sol.converged:

@@ -24,7 +24,7 @@ polynomial in y with a nonzero constant term:
 The formula reads the roots only through their sigma_j, formed once per root
 vector, so u_j -> -u_j and u_j -> 1/(q u_j) leave it unchanged.  Family 1 is
 F^(1)_i = d Lambda / d u_i: n/d_i becomes d(n/d_i)/d sigma_i = y (n - d_i)/d_i^2,
-times sigma_i' = 2(q u_i - 1/(q u_i^3)), applied by the callers that hold u_i.
+times sigma_i' = 2(q u_i - 1/(q u_i^3)), which the roots' data carries.
 Family 2 is F^(2)_i = y/d_i = 1/(w(v/u_i) w(q v u_i)).  At y = u_j^2, A n1_j
 and B n2_j share the factor w(y) w(q^2 y), so the residue of Lambda at v = u_j
 is that factor times a pole bracket, in which it is cancelled in closed form.
@@ -189,15 +189,14 @@ class ParameterVector:
     pairwise distinct.  The q-dependent excluded sets are checked by
     validate_uv at the operations that depend on them.
 
-    Used as the roots of a family matrix, a vector also holds what is
-    computed on it, so each is evaluated once per vector: the root data
-    (sigma-tuple, sigma'-tuple), keyed by params, and the columns, keyed
-    by (params, family, y); and the Taylor tables of schur.fhat_table and
-    the coefficients of schur.cauchy_binet_coeffs, keyed by (params, family,
-    order[, tag]) and held as tuples so that no caller can change them.
+    Used as roots, a vector keeps what is computed on it in one store, read
+    through `remember`: the root data (sigma-tuple, sigma'-tuple), keyed by
+    params; the columns, keyed by (params, family, y); and schur's Taylor
+    tables and Cauchy-Binet maps, keyed by (params, family, order, tag), as
+    tuples that no caller can change.
     """
 
-    __slots__ = ("values", "role", "_columns", "_tables")
+    __slots__ = ("values", "role", "_memo")
 
     def __init__(self, values, role):
         if role not in ("bethe", "free"):
@@ -212,8 +211,7 @@ class ParameterVector:
                     raise ValueError("parameter entries must be pairwise distinct")
         self.values = vals
         self.role = role
-        self._columns = {}
-        self._tables = {}
+        self._memo = {}
 
     def __len__(self):
         return len(self.values)
@@ -232,6 +230,17 @@ def _vals(u):
     if isinstance(u, ParameterVector):
         return u.values
     return tuple(u)
+
+
+def remember(u, key, make):
+    """make(), kept under key in the store of a ParameterVector u, so that it
+    is formed once per vector; a plain sequence of roots keeps nothing."""
+    if not isinstance(u, ParameterVector):
+        return make()
+    got = u._memo.get(key)
+    if got is None:
+        got = u._memo[key] = make()
+    return got
 
 
 def validate_uv(p, u=None, v=None):
@@ -269,10 +278,6 @@ def _check_row(uu, i):
 def _sigma(q, uj):
     qy = q * (uj * uj)
     return qy + 1 / qy
-
-
-def _sigmas(q, uu):
-    return tuple(_sigma(q, x) for x in uu)
 
 
 def _dsigma(q, ui):
@@ -335,7 +340,7 @@ def _cleared(p, y, ss, rows=(None,)):
     sigma-tuple ss (see the module doc).
 
     Returns one value per entry of rows: None gives y^N Lambda, i gives
-    y^N d Lambda / d sigma_i, which sigma_i' turns into y^N d Lambda / d u_i.
+    y^(N-1) d Lambda / d sigma_i, which sigma_i' turns into y^(N-1) F^(1)_i.
     """
     q, iq, q3, iq3 = p.q, p.iq, p.q3, p.iq3
     W, A, B = _shell(p, y)
@@ -349,22 +354,23 @@ def _cleared(p, y, ss, rows=(None,)):
             if j == ds:
                 n1, n2, d = n1 - d, n2 - d, d * d
             a, b, den = a * n1, b * n2, den * d
-        val = -(a + b) / den
-        out.append(val if ds is None else val * y)
+        out.append(-(a + b) / den)
     return out
 
 
-def lambda_du_y(p, i, y, u):
-    """d Lambda / d u_i at v = sqrt(y)."""
-    uu = _vals(u)
-    _check_row(uu, i)
-    return _cleared(p, y, _sigmas(p.q, uu), (i,))[0] * _dsigma(p.q, uu[i]) / y**p.N
+def leading_power(p, family):
+    """The power of y each row of a family starts at: 1 - N for family 1 (d/du_i
+    annihilates the u-independent leading term of y^N Lambda), 1 for family 2."""
+    if family not in (1, 2):
+        raise ValueError("family must be 1 or 2")
+    return 1 - p.N if family == 1 else 1
 
 
-def _root_data(p, uu):
-    """(sigma-tuple, sigma'-tuple) of the roots uu."""
-    q = p.q
-    return _sigmas(q, uu), tuple(_dsigma(q, x) for x in uu)
+def _root_data(p, u):
+    """(sigma-tuple, sigma'-tuple) of the roots u, kept by a ParameterVector."""
+    q, uu = p.q, _vals(u)
+    return remember(u, p, lambda: (tuple(_sigma(q, x) for x in uu),
+                                   tuple(_dsigma(q, x) for x in uu)))
 
 
 def _column(p, roots, family, y):
@@ -374,7 +380,7 @@ def _column(p, roots, family, y):
     if family == 1:
         yN = y**p.N
         cols = _cleared(p, y, ss, range(len(ss)))
-        return [c * d / yN for c, d in zip(cols, ds)]
+        return [c * y * d / yN for c, d in zip(cols, ds)]
     if family == 2:
         if not y:
             raise PoleError("w(v)", "y is zero")
@@ -382,20 +388,18 @@ def _column(p, roots, family, y):
     raise ValueError("family must be 1 or 2")
 
 
+def lambda_du_y(p, i, y, u):
+    """d Lambda / d u_i at v = sqrt(y)."""
+    _check_row(_vals(u), i)
+    return _column(p, _root_data(p, u), 1, y)[i]
+
+
 def family_matrix_y(p, u, family, ypoints):
     """Matrix F^(family)_i(y_j), built column by column from the roots' data;
     a ParameterVector u keeps both for reuse."""
-    memo = u._columns if isinstance(u, ParameterVector) else {}
-    roots = memo.get(p)
-    if roots is None:
-        roots = memo[p] = _root_data(p, _vals(u))
-    cols = []
-    for y in ypoints:
-        key = (p, family, y)
-        col = memo.get(key)
-        if col is None:
-            col = memo[key] = _column(p, roots, family, y)
-        cols.append(col)
+    roots = _root_data(p, u)
+    cols = [remember(u, (p, family, y), lambda y=y: _column(p, roots, family, y))
+            for y in ypoints]
     return [[col[i] for col in cols] for i in range(len(roots[0]))]
 
 
@@ -431,7 +435,7 @@ def lambda_eval(p, v, u):
     Poles w(v), w(q v^2) and the dressing denominators raise PoleError.
     """
     y = v * v
-    return _cleared(p, y, _sigmas(p.q, _vals(u)))[0] / y**p.N
+    return _cleared(p, y, _root_data(p, u)[0])[0] / y**p.N
 
 
 def lambda_du(p, i, v, u):
@@ -441,9 +445,8 @@ def lambda_du(p, i, v, u):
 
 def f2_eval(p, i, v, u):
     """Family-2 value 1/(w(v/u_i) w(q v u_i))."""
-    uu = _vals(u)
-    _check_row(uu, i)
-    return _column(p, _root_data(p, (uu[i],)), 2, v * v)[0]
+    _check_row(_vals(u), i)
+    return _column(p, _root_data(p, u), 2, v * v)[i]
 
 
 def family_matrix(p, u, family, points):
@@ -505,19 +508,16 @@ def _y_series(ctx, order):
     return LaurentSeries(ctx, {1: ctx.one()}, max(order, 1))
 
 
-def taylor_rows(p, u, family, order, rows=None):
-    """Taylor series in y through y**order of the listed rows (default all)
-    of a family, divided by their leading power: y^(N-1) F^(1)_i for family
-    1, F^(2)_i / y = 1/d_i for family 2.  Family 1 takes every row from one
-    shell."""
-    uu = _vals(u)
-    rows = range(len(uu)) if rows is None else rows
-    y = _y_series(p.ctx, order + 1)
+def taylor_rows(p, u, family, order):
+    """Taylor series in y through y**order of every row of a family, divided
+    by its leading power: y^(N-1) F^(1)_i for family 1, F^(2)_i / y = 1/d_i
+    for family 2.  Family 1 takes every row from one shell."""
+    ss, ds = _root_data(p, u)
+    y = _y_series(p.ctx, order)
     if family == 1:
-        cols = _cleared(p, y, _sigmas(p.q, uu), rows)
-        return [(c * _dsigma(p.q, uu[i])).shift(-1).truncate(order) for c, i in zip(cols, rows)]
+        return [(c * d).truncate(order) for c, d in zip(_cleared(p, y, ss, range(len(ss))), ds)]
     if family == 2:
-        return [(1 / _denominator(p, y, _sigma(p.q, uu[i]))).truncate(order) for i in rows]
+        return [(1 / _denominator(p, y, s)).truncate(order) for s in ss]
     raise ValueError("family must be 1 or 2")
 
 
@@ -536,24 +536,21 @@ def lambda_series(p, u, order=None):
     """
     if order is None:
         order = 2 * p.N + 10
-    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _sigmas(p.q, _vals(u)))[0]
+    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _root_data(p, u)[0])[0]
     return _z_series(ys, -2 * p.N, order)
 
 
 def f_series(p, u, family, i, order):
     """Laurent expansion of F^(family)_i about v = 0 through z**order.
 
-    Family 1 starts at z**(2-2N) (the u-independent leading term of Lambda
-    is annihilated by d/du_i); family 2 starts at z**2 with leading
-    coefficient q.  Both series are even.
+    Both series are even and start at twice the family's leading power of y:
+    z**(2-2N) for family 1, z**2 with leading coefficient q for family 2.
     """
-    if family not in (1, 2):
-        raise ValueError("family must be 1 or 2")
-    start = (2 - 2 * p.N) if family == 1 else 2
+    start = 2 * leading_power(p, family)
     if order < start:
         raise ValueError("order %d is below the family's starting exponent %d" % (order, start))
     _check_row(_vals(u), i)
-    return _z_series(taylor_rows(p, u, family, (order - start) // 2, (i,))[0], start, order)
+    return _z_series(taylor_rows(p, u, family, (order - start) // 2)[i], start, order)
 
 
 def pole_radius_y(p, u):

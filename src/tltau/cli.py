@@ -37,6 +37,7 @@ from .chain import (
     PoleError,
     kernel,
     kernel_y,
+    leading_power,
     pole_radius_y,
     slavnov,
     validate_uv,
@@ -334,7 +335,8 @@ def check_schur_expansion(cfg, p, seed):
         out.append(_shrink_record(ctx, hi, cutoff, samples, blob, seed))
 
     ahi = _schur.slavnov_schur_coeffs(p, u, cutoff + 2)
-    samples = [(w, math.prod((y ** (-p.N) for y in w), start=ctx.one()), kernel_y(p, u, w))
+    power = leading_power(p, 1) - leading_power(p, 2)
+    samples = [(w, math.prod((y ** power for y in w), start=ctx.one()), kernel_y(p, u, w))
                for w in wsets]
     blob = _params_blob(p, u, extra={"part": "kernel-expansion", "cutoff": cutoff})
     out.append(_shrink_record(ctx, ahi, cutoff, samples, blob, seed))

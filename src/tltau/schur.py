@@ -36,7 +36,7 @@ from math import factorial, prod
 
 from .algebra import (FieldContext, MiwaPolynomial, Rational, det, det_ring, miwa_series_invert,
                       vandermonde)
-from .chain import ParameterVector, family_matrix_y, taylor_rows
+from .chain import family_matrix_y, leading_power, remember, taylor_rows
 
 
 # -- partitions ------------------------------------------------------------
@@ -179,14 +179,10 @@ def fhat_table(p, u, family, nmax):
     fhat[i][n] is the z-series coefficient of row i's generating function at
     exponent 2 n + start, where start is the family's fixed leading offset:
     the coefficient of y**n in chain.taylor_rows.  A ParameterVector u keeps
-    the table, a tuple of row tuples, keyed by (p, family, nmax).
+    the table, a tuple of row tuples, keyed by (p, family, nmax, "taylor").
     """
-    memo = u._tables if isinstance(u, ParameterVector) else {}
-    key = (p, family, nmax)
-    if key not in memo:
-        series = taylor_rows(p, u, family, nmax)
-        memo[key] = tuple(tuple(s.coeff(n) for n in range(nmax + 1)) for s in series)
-    return memo[key]
+    return remember(u, (p, family, nmax, "taylor"), lambda: tuple(
+        tuple(s.coeff(n) for n in range(nmax + 1)) for s in taylor_rows(p, u, family, nmax)))
 
 
 class SchurCoeffMap:
@@ -236,17 +232,18 @@ def cauchy_binet_coeffs(p, u, family, cutoff):
     M = p.M
     if M < 1:
         raise ValueError("need at least one row")
-    memo = u._tables if isinstance(u, ParameterVector) else {}
-    key = (p, family, cutoff, "cauchy-binet")
-    if key not in memo:
+
+    def minors():
         table = fhat_table(p, u, family, cutoff + M - 1)
         entries = []
         for lam in partitions_bounded(cutoff, M):
             cols = ell_indices(lam, M)
             if c := det([[table[i][n] for n in cols] for i in range(M)], p.ctx):
                 entries.append((lam, c))
-        memo[key] = tuple(entries)
-    return SchurCoeffMap(p.ctx, cutoff, dict(memo[key]))
+        return tuple(entries)
+
+    coeffs = remember(u, (p, family, cutoff, "cauchy-binet"), minors)
+    return SchurCoeffMap(p.ctx, cutoff, dict(coeffs))
 
 
 def tau_schur_poly(p, u, family, cutoff, K=None):
@@ -281,7 +278,7 @@ def tau_tilde_direct(p, u, family, points):
     vdm = vandermonde(pts, ctx)
     if not vdm:
         raise ValueError("repeated evaluation points")
-    power = 1 - p.N if family == 1 else 1
+    power = leading_power(p, family)
     pref = ctx.one()
     for y in pts:
         pref = pref * (y ** power)

@@ -480,6 +480,9 @@ class TestFieldContext:
     def test_squarefree_discriminant_required(self):
         with pytest.raises(ValueError):
             FieldContext("quadratic", d=12)
+        for d in (0, 1):
+            with pytest.raises(ValueError, match="d=%d is a perfect square" % d):
+                FieldContext("quadratic", d=d)
 
     def test_magnitude_of_a_cancelling_quadratic(self):
         # (3 - 2 sqrt 2)^25 ~ 7e-20: a and b have opposite signs and agree to

@@ -20,7 +20,7 @@ import pytest
 import sympy
 
 from tltau import chain
-from tltau.algebra import FieldContext, QuadraticNumber, det
+from tltau.algebra import FieldContext, LaurentSeries, QuadraticNumber, det
 from tltau.chain import (
     ChainParams,
     ParameterVector,
@@ -40,6 +40,7 @@ from tltau.chain import (
     lambda_series,
     pole_radius_y,
     slavnov,
+    taylor_rows,
     validate_uv,
     w_eval,
 )
@@ -474,6 +475,28 @@ class TestColumns:
             pluecker_residual(p, u2, family, [F(5), F(7, 2), F(9, 4)], [F(11, 3)])
         assert len(calls) == 2 * p.M
         assert root_calls == {"_sigma": list(u) * 2, "_dsigma": list(u) * 2}
+
+    def test_root_data_serves_point_columns_and_taylor_rows(self, monkeypatch):
+        # sigma_i' is formed once per vector for the point columns and the
+        # Taylor rows of both families, and the family-1 shell runs through
+        # the requested order, with no extra power of y to shift off
+        p = params(3, 2)
+        u = roots(2, 3)
+        dsigma_args, series_truncs = [], []
+        dsigma, cleared = chain._dsigma, chain._cleared
+
+        def counted(p, y, *args):
+            if isinstance(y, LaurentSeries):
+                series_truncs.append(y.trunc)
+            return cleared(p, y, *args)
+
+        monkeypatch.setattr(chain, "_dsigma", lambda q, x: dsigma_args.append(x) or dsigma(q, x))
+        monkeypatch.setattr(chain, "_cleared", counted)
+        for family in (1, 2):
+            family_matrix_y(p, u, family, [F(1, 5), F(2, 7), F(3, 11)])
+            taylor_rows(p, u, family, 5)
+        assert dsigma_args == list(u)
+        assert series_truncs == [5]
 
     def test_pole_of_the_shell_spares_family_2(self):
         p = params(2, 2)

@@ -199,7 +199,7 @@ def test_memoised_taylor_table_matches_per_row_series(p, u):
         assert fhat_table(p, u, family, 6) is table
         assert fhat_table(p, list(u), family, 6) == table
         for i in range(p.M):
-            series = taylor_rows(p, u, family, 6, (i,))[0]
+            series = taylor_rows(p, u, family, 6)[i]
             assert table[i] == tuple(series.coeff(n) for n in range(7))
     assert fhat_table(p, u, 1, 4) == tuple(row[:5] for row in fhat_table(p, u, 1, 6))
 
@@ -229,10 +229,11 @@ def test_weight_sorted_miwa_product_matches_all_pairs(p, u):
 
 
 def test_a_plain_list_of_roots_keeps_no_table():
+    # a vector keeps its root data and the table in its one store
     p = ChainParams(2, 2, 1, F(2), F(-2), RAT)
     u = ParameterVector([F(3), F(5)], "bethe")
     assert fhat_table(p, [F(3), F(5)], 1, 3) == fhat_table(p, u, 1, 3)
-    assert list(u._tables) == [(p, 1, 3)]
+    assert list(u._memo) == [p, (p, 1, 3, "taylor")]
 
 
 @pytest.mark.parametrize("p, u", INSTANCES + [(None, None)], ids=IDS + ["float-N2M2"])
