@@ -1,8 +1,8 @@
 """On-shell root finding for the eigenvalue's pole-cancellation conditions.
 
 Lambda(v) has simple pole candidates at v = u_j from the dressing
-denominators.  Its residue there, `chain.lambda_residue`, is w(u_j^2)
-w(q^2 u_j^2) times the pole bracket `chain.pole_brackets`, and a root vector
+denominators.  Its residues there, `residue_vector`, are w(u_j^2)
+w(q^2 u_j^2) times the pole brackets `chain.pole_brackets`, and a root vector
 is on shell exactly when every bracket vanishes.  The prefactor's zeros,
 u_j^2 in {+-1, +-1/q^2}, are excluded points of the model, and the bracket
 does not vanish there.  The solver drives the brackets to zero by damped
@@ -28,7 +28,7 @@ from mpmath.ctx_mp_python import mpnumeric
 from mpmath.libmp import from_rational, round_nearest
 
 from .algebra import solve_linear
-from .chain import PoleError, lambda_residue, pole_brackets, w_eval, _q_powers, _vals
+from .chain import PoleError, pole_brackets, w_eval, _q_powers, _vals
 
 _MAXITER = 80  # Newton steps allowed to each stage (search, refinement) of a solve
 
@@ -63,9 +63,11 @@ class BetheSolution:
 
 
 def residue_vector(p, u):
-    """The M residues chain.lambda_residue(p, u, j)."""
+    """The residues of Lambda at v = u_j, in any field mode: every pole
+    bracket from one `pole_brackets` pass, times w(y) w(q^2 y), y = u_j^2."""
     uu = _vals(u)
-    return [lambda_residue(p, uu, j) for j in range(len(uu))]
+    ys = [x * x for x in uu]
+    return [b * w_eval(y) * w_eval(p.q * p.q * y) for b, y in zip(pole_brackets(p, uu), ys)]
 
 
 def closed_form_single_roots(p):

@@ -294,8 +294,8 @@ def _denominator(p, y, s):
     return d
 
 
-def pole_brackets(p, u, js=None):
-    """Pole brackets at v = u_j for j in js (default all), one sigma pass: with
+def pole_brackets(p, u):
+    """Pole brackets at v = u_j for every root, one sigma pass: with
     y = u_j^2 and i != j, -w(q) y^(1-N) [(y-1)^(2N) prod n2_i - (qy-1/q)^(2N)
     prod n1_i] / (2 u_j w(qy)^2 prod d_i), finite where w(y) w(q^2 y), the
     rest of the residue, vanishes.  Each root's 1/(q y) serves both sigma_j
@@ -310,7 +310,7 @@ def pole_brackets(p, u, js=None):
     ss = [qy + r for qy, r in zip(qys, rs)]
     e = 2 * p.N
     out = []
-    for j in range(len(uu)) if js is None else js:
+    for j in range(len(uu)):
         y, qy = ys[j], qys[j]
         _refuse_pm(qy, 1, "w(q*u_j^2)", "")
         wqy = qy - rs[j]
@@ -416,16 +416,6 @@ def kernel_y(p, u, ypoints):
     return num / den
 
 
-def lambda_residue(p, u, j):
-    """Residue of Lambda at v = u_j, in any field mode: the pole bracket times
-    w(u_j^2) w(q^2 u_j^2)."""
-    uu = _vals(u)
-    if not 0 <= j < len(uu):
-        raise ValueError("index j=%d outside the %d roots" % (j, len(uu)))
-    y = uu[j] * uu[j]
-    return pole_brackets(p, uu, (j,))[0] * w_eval(y) * w_eval(p.q * p.q * y)
-
-
 # -- the v-form: the y-form at y = v*v --------------------------------------
 
 
@@ -526,18 +516,6 @@ def _z_series(ys, start, order):
     return LaurentSeries(
         ys.ctx, {2 * n + start: c for n, c in ys.coeffs.items() if 2 * n + start <= order}, order
     )
-
-
-def lambda_series(p, u, order=None):
-    """Laurent expansion of Lambda about v = 0, known through z**order.
-
-    The series is even and starts at z**(-2N) with coefficient
-    -(1 + q^{2(N-2M+1)}) / q^{2(N-M)+1}, independent of u.
-    """
-    if order is None:
-        order = 2 * p.N + 10
-    ys = _cleared(p, _y_series(p.ctx, order // 2 + p.N), _root_data(p, u)[0])[0]
-    return _z_series(ys, -2 * p.N, order)
 
 
 def f_series(p, u, family, i, order):

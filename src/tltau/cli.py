@@ -80,7 +80,6 @@ KEYS = {
     "lambda1_max": (None, 0),
     "precision_bits": (192, 128),
     "checks": (list(CHECK_NAMES), [CHECK_NAMES, 1]),
-    "out": (None, str),
 }
 
 
@@ -418,7 +417,7 @@ def check_andreev(cfg, p, seed):
     for i in range(cfg["instances"]):
         iseed = seed + i
         rng = random.Random(iseed)
-        n = rng.randint(4, 6)
+        n = rng.randint(max(4, M), max(4, M) + 2)
         pts = [ctx.embed(x) for x in _draw_distinct(rng, n)]
         wts = [ctx.embed(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for _ in range(n)]
         fv = [[_poly_value(ctx, rng, d, x) for x in pts] for d in range(M)]
@@ -524,7 +523,7 @@ def _assemble_report(cfg, records):
         "tool": "tltau",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": {k: cfg[k] for k in sorted(cfg) if k != "out"},
+        "config": {k: cfg[k] for k in sorted(cfg)},
         "records": records,
         "summary": {
             "total": len(records),
@@ -617,9 +616,8 @@ def main(argv=None):
     report = run_suite(cfg)
     text = format_text(report) if args.fmt == "text" else format_json(report)
     sys.stdout.write(text)
-    outpath = args.out or cfg.get("out")
-    if outpath:
-        with open(outpath, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     return 0 if report["summary"]["failed"] == 0 else 1
 

@@ -11,20 +11,6 @@ cross-check each other: explicit enumeration, the parity-stepped nested sum,
 and closed-form polynomials for one, two, and three rows.
 """
 
-from .schur import partition_normalize
-
-
-def parity_admissible(lam, M):
-    """True when the partition, padded to M rows, has every shifted label
-    lam_j - j + M even (hence nonnegative and strictly decreasing)."""
-    if M < 1:
-        raise ValueError("need at least one row")
-    parts = partition_normalize(lam)
-    if len(parts) > M:
-        return False
-    padded = parts + (0,) * (M - len(parts))
-    return all((padded[j] - (j + 1) + M) % 2 == 0 for j in range(M))
-
 
 def _require_parity(M, lam1max):
     if M < 1:

@@ -93,8 +93,9 @@ def ell_indices(lam, npoints):
 def schur_points(lam, points, ctx):
     """s_lam on a finite point set by Jacobi-Trudi in the points' e_k; zero
     when the partition has more rows than there are points."""
-    parts = partition_normalize(lam)
-    return schur_sum_eval(SchurCoeffMap(ctx, sum(parts), {parts: ctx.one()}), points, ctx)
+    parts, pts = partition_normalize(lam), list(points)
+    cmap = SchurCoeffMap(ctx, sum(parts), {parts: ctx.one()})
+    return schur_sum_e(cmap, len(pts)).evaluate(elementary_symmetric(pts, ctx))
 
 
 @cache
@@ -249,13 +250,6 @@ def cauchy_binet_coeffs(p, u, family, cutoff):
 def tau_schur_poly(p, u, family, cutoff, K=None):
     """Normalized tau sum as a Miwa polynomial: sum_lam c_lam s_lam(t)."""
     return _character_sum(cauchy_binet_coeffs(p, u, family, cutoff).items(), cutoff, p.ctx, K)
-
-
-def schur_sum_eval(cmap, points, ctx):
-    """sum_lam c_lam s_lam on a point set: `schur_sum_e` in n = len(points)
-    variables at the points' elementary symmetric functions."""
-    pts = list(points)
-    return schur_sum_e(cmap, len(pts)).evaluate(elementary_symmetric(pts, ctx))
 
 
 def elementary_symmetric(points, ctx):

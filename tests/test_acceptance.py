@@ -22,7 +22,6 @@ from tltau.chain import (
     kernel,
     kernel_y,
     lambda_eval,
-    lambda_series,
     slavnov,
     validate_uv,
 )
@@ -32,7 +31,6 @@ from tltau.schur import (
     partitions_bounded,
     schur_miwa,
     schur_points,
-    schur_sum_eval,
     slavnov_schur_coeffs,
     tau_schur_poly,
     tau_tilde_direct,
@@ -47,6 +45,7 @@ from tltau.tau import (
     tau_det,
     tau_residue,
 )
+from reference import lambda_series, schur_sum_eval
 
 RAT = FieldContext("rational")
 

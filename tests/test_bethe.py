@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 from mpmath import mp
 
-from tltau import bethe
+from tltau import bethe, chain
 from tltau.algebra import FieldContext, QuadraticNumber
 from tltau.bethe import (
     BetheSolution,
@@ -31,12 +31,12 @@ from tltau.chain import (
     g_prefactor,
     kernel,
     lambda_eval,
-    lambda_residue,
     pole_brackets,
     slavnov,
     w_eval,
 )
 from tltau.cli import run_suite, validate_config
+from reference import lambda_residue
 
 RAT = FieldContext("rational")
 
@@ -79,13 +79,27 @@ class TestResidueFormula:
         assert vec[0] == F(5335875, 11648)
 
     def test_vector_shares_one_sigma_pass(self):
-        # pole_brackets forms each sigma_j once for all M brackets; it must
-        # agree exactly with the brackets taken one root at a time, and so
-        # must the residues
+        # pole_brackets forms each sigma_j once for all M brackets; the
+        # residues must agree exactly with those taken one root at a time
         for N, u in ((2, (F(2), F(3))), (3, (F(2), F(3), F(5, 2)))):
             p = params(N, len(u))
-            assert pole_brackets(p, u) == [pole_brackets(p, u, (j,))[0] for j in range(len(u))]
             assert residue_vector(p, u) == [lambda_residue(p, u, j) for j in range(len(u))]
+
+    def test_vector_takes_one_bracket_pass(self, monkeypatch):
+        # one pole_brackets call per vector, however many roots, whichever
+        # module the call goes through
+        calls = []
+
+        def counted(p, u):
+            calls.append(len(u))
+            return pole_brackets(p, u)
+
+        monkeypatch.setattr(bethe, "pole_brackets", counted)
+        monkeypatch.setattr(chain, "pole_brackets", counted)
+        for N, u in ((2, (F(2), F(3))), (3, (F(2), F(3), F(5, 2)))):
+            calls.clear()
+            residue_vector(params(N, len(u)), u)
+            assert calls == [len(u)]
 
     def test_pole_of_the_formula_is_named(self):
         from tltau.chain import PoleError

@@ -36,8 +36,6 @@ from tltau.chain import (
     lambda_du,
     lambda_du_y,
     lambda_eval,
-    lambda_residue,
-    lambda_series,
     pole_radius_y,
     slavnov,
     taylor_rows,
@@ -45,6 +43,7 @@ from tltau.chain import (
     w_eval,
 )
 from tltau.schur import fhat_table
+from reference import lambda_residue, lambda_series
 
 RAT = FieldContext("rational")
 POINTWISE = {1: lambda_du, 2: f2_eval}  # F^(family)_i(v) as (p, i, v, u) -> value

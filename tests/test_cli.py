@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 
 import pytest
 from mpmath import mp
@@ -37,9 +38,11 @@ class TestConfig:
         assert validate_config({})["checks"] == list(CHECK_NAMES)
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError) as e:
-            validate_config({"bogus": 1})
-        assert "bogus" in str(e.value)
+        # the report file is named by the --out flag, not by a config key
+        for key in ("bogus", "out"):
+            with pytest.raises(ConfigError) as e:
+                validate_config({key: "x"})
+            assert "config key %s: unknown key" % key in str(e.value)
 
     def test_all_violations_collected(self):
         with pytest.raises(ConfigError) as e:
@@ -267,6 +270,22 @@ class TestSuite:
         monkeypatch.setattr(module, name, namespace[name])
         verdicts = passes()
         assert verdicts.count(False) * 2 > len(verdicts), verdicts
+
+    @pytest.mark.parametrize("M", [5, 7])
+    def test_andreev_draws_at_least_m_points(self, M):
+        # fewer points than M give a moment matrix of rank below M and no
+        # M-subset, so both sides are 0 and the record passes on nothing
+        report = run_suite(validate_config({"checks": ["andreev"], "M": M, "instances": 6}))
+        assert [len(r["params"]["points"]) >= M for r in report["records"]] == [True] * 6
+
+    def test_andreev_sees_a_dropped_subset_at_m5(self, monkeypatch):
+        def verdicts():
+            cfg = validate_config({"checks": ["andreev"], "M": 5, "instances": 6})
+            return [r["pass"] for r in run_suite(cfg)["records"]]
+
+        assert verdicts() == [True] * 6
+        monkeypatch.setattr(tau, "combinations", lambda ks, M: list(combinations(ks, M))[:-1])
+        assert verdicts() == [False] * 6
 
     def test_bethe_sees_a_seeded_fault_in_the_pole_bracket(self, monkeypatch):
         # q^2 y - 1/q for q y - 1/q in the bracket's A term moves its zero

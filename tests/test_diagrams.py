@@ -4,12 +4,8 @@ from math import comb
 
 import pytest
 
-from tltau.diagrams import (
-    count_closed,
-    count_nested,
-    enumerate_admissible,
-    parity_admissible,
-)
+from tltau.diagrams import count_closed, count_nested, enumerate_admissible
+from reference import parity_admissible
 
 
 def brute_force(M, lam1max):

@@ -44,11 +44,11 @@ from tltau.schur import (
     partitions_bounded,
     poly_to_schur,
     schur_miwa,
-    schur_sum_eval,
     slavnov_schur_coeffs,
     tau_schur_poly,
 )
 from tltau.tau import BilinearOperator, hirota_apply, kp_operator
+from reference import schur_sum_eval
 
 RAT = FieldContext("rational")
 

@@ -28,12 +28,12 @@ from tltau.schur import (
     poly_to_schur,
     schur_miwa,
     schur_points,
-    schur_sum_eval,
     slavnov_schur_coeffs,
     tau_schur_poly,
     tau_tilde_direct,
 )
 from tltau.tau import miwa_map
+from reference import schur_sum_eval
 
 RAT = FieldContext("rational")
 QUAD = FieldContext("quadratic", d=377)
