@@ -864,27 +864,6 @@ class MiwaPolynomial:
                 out[tuple(new)] = c * k
         return self._result(out, self.cutoff - m)
 
-    def shift_times(self, x, sign):
-        """Substitute t_p -> t_p + sign * x**p / p for every p, taking the
-        stored terms as the whole polynomial, as the deleted-point identity
-        needs.  The shift lowers weighted degree, so unknown terms above the
-        cutoff would feed known weights: t1 + t1^2 known through weight 2
-        shifts (x = 1) to constant 2, and through weight 1 to constant 1.
-        No product of shifted times outweighs the term it expands, so the
-        ring product at the same cutoff drops nothing.
-        """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        ctx, K, cutoff = self.ctx, self.K, self.cutoff
-        shifted = [MiwaPolynomial.time_var(ctx, K, cutoff, p)
-                   + MiwaPolynomial.constant(ctx, K, cutoff, ctx.embed(Rational(sign, p)) * x**p)
-                   for p in range(1, K + 1)]
-        out = MiwaPolynomial(ctx, K, cutoff)
-        for key, c in self.terms.items():
-            out = out + math.prod((t for t, k in zip(shifted, key) for _ in range(k)),
-                                  start=MiwaPolynomial.constant(ctx, K, cutoff, c))
-        return out
-
     def evaluate(self, times):
         if len(times) < self.K:
             raise ValueError("need %d time values" % self.K)

@@ -129,11 +129,15 @@ def validate_config(raw):
 
 
 def build_params(cfg):
+    try:
+        Q = Fraction(cfg["Q"])
+    except ZeroDivisionError:
+        raise ValueError("Q %s has a zero denominator" % cfg["Q"]) from None
     return ChainParams.from_boundary(
         cfg["N"],
         cfg["M"],
         cfg["spin_twice"],
-        Fraction(cfg["Q"]),
+        Q,
         mode=cfg["field_mode"],
         prec=cfg["precision_bits"],
     )
@@ -617,8 +621,12 @@ def main(argv=None):
     text = format_text(report) if args.fmt == "text" else format_json(report)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("cannot write report: %s" % exc, file=sys.stderr)
+            return 2
     return 0 if report["summary"]["failed"] == 0 else 1
 
 

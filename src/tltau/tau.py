@@ -7,10 +7,11 @@ of the two generating families F of the chain module.  This module gives:
   * two independent constructions of tau (Vandermonde quotient and a
     partial-fraction residue determinant) that must agree identically;
   * the Pluecker exchange residual on point sets, zero for any family;
-  * Hirota bilinear operators D^alpha applied to pairs of Miwa polynomials,
-    known through the operands' cutoff less the operator's weight: the
-    low-order odd operators that annihilate (tau, tau) outright, and the
-    weight-4 KP operator whose residual vanishes wherever it is known;
+  * Hirota bilinear operators, plain mappings {alpha: c} for sum c D^alpha,
+    applied to pairs of Miwa polynomials and known through the operands'
+    cutoff less the operator's weight: the low-order odd operators that
+    annihilate (tau, tau) outright, and the weight-4 KP operator whose
+    residual vanishes wherever it is known;
   * Baker-Akhiezer quotients of the Schur-reconstructed tau sums;
   * the symmetrized multiple-sum identity for determinants of moment
     matrices (an exchange-symmetrization cross-check used on random data).
@@ -52,8 +53,7 @@ def tau_det(p, u, family, points):
     pts = list(points)
     if len(pts) != p.M:
         raise ValueError("need exactly M points")
-    ctx = p.ctx
-    vdm = vandermonde(pts, ctx) if len(pts) > 1 else ctx.one()
+    vdm = vandermonde(pts, p.ctx)
     if not vdm:
         raise ValueError("repeated evaluation points")
     return det_family(p, u, family, pts) / vdm
@@ -120,44 +120,9 @@ def pluecker_residual(p, u, family, bigset, smallset):
 # -- Hirota bilinear operators -------------------------------------------------
 
 
-class BilinearOperator:
-    """A polynomial in the Hirota symbols D_1 .. D_K with scalar coefficients,
-    stored as {exponent tuple: coefficient}."""
-
-    __slots__ = ("ctx", "K", "terms")
-
-    def __init__(self, ctx, K, terms):
-        self.ctx = ctx
-        self.K = K
-        store = {}
-        for alpha, c in terms.items():
-            alpha = tuple(alpha)
-            if len(alpha) > K:
-                raise ValueError("operator key longer than K")
-            alpha = alpha + (0,) * (K - len(alpha))
-            if c:
-                store[alpha] = c
-        self.terms = store
-
-    def __repr__(self):
-        bits = []
-        for alpha in sorted(self.terms):
-            mono = "*".join(
-                "D%d%s" % (m + 1, "" if e == 1 else "^%d" % e)
-                for m, e in enumerate(alpha)
-                if e
-            )
-            bits.append("%s %s" % (self.ctx.to_string(self.terms[alpha]), mono or "1"))
-        return "BilinearOperator(%s)" % (" + ".join(bits) or "0")
-
-
-def kp_operator(ctx, K):
-    """D_1^4 + 3 D_2^2 - 4 D_1 D_3."""
-    if K < 3:
-        raise ValueError("need K >= 3")
-    return BilinearOperator(
-        ctx, K, {(4,): ctx.one(), (0, 2): ctx.embed(3), (1, 0, 1): ctx.embed(-4)}
-    )
+def kp_operator():
+    """D_1^4 + 3 D_2^2 - 4 D_1 D_3 as {exponents of D_1, D_2, ..: coefficient}."""
+    return {(4,): 1, (0, 2): 3, (1, 0, 1): -4}
 
 
 def _iter_deriv(poly, beta, cache):
@@ -173,25 +138,25 @@ def _iter_deriv(poly, beta, cache):
 
 
 def hirota_apply(op, f, g):
-    """D^alpha acting on the pair (f, g):
+    """The operator op = {alpha: c}, which stands for sum c D^alpha with
+    alpha the exponents of D_1, D_2, .., acting on the pair (f, g):
 
         D^alpha [f, g] = sum_{beta <= alpha} (-1)^|beta|
                          prod_k C(alpha_k, beta_k) (d^beta f) (d^(alpha-beta) g)
 
-    summed over the operator's terms with their coefficients.  The Miwa
-    truncation rules make the result known through min(f.cutoff, g.cutoff)
-    less the largest weight of the operator's terms.
+    The Miwa truncation rules make the result known through
+    min(f.cutoff, g.cutoff) less the largest weight of the operator's terms.
+    A D_m beyond the operands' K and operands of different K raise
+    ValueError (from ``deriv`` and from the Miwa product).
 
     On (f, f) with |alpha| even, the beta and alpha - beta terms are the same
     product, so only beta <= alpha - beta is formed, the unequal ones twice.
     """
-    if f.K != op.K or g.K != op.K:
-        raise ValueError("operator and operands must share K")
     ctx = f.ctx
     out = MiwaPolynomial(ctx, f.K, min(f.cutoff, g.cutoff))
     cf = {}
     cg = cf if f is g else {}
-    for alpha, c in op.terms.items():
+    for alpha, c in op.items():
         paired = f is g and sum(alpha) % 2 == 0
         for beta in product(*(range(a + 1) for a in alpha)):
             gamma = tuple(a - b for a, b in zip(alpha, beta))
@@ -204,14 +169,14 @@ def hirota_apply(op, f, g):
                 coeff *= 2
             df = _iter_deriv(f, beta, cf)
             dg = _iter_deriv(g, gamma, cg)
-            out = out + (df * dg).scale(c * ctx.embed(coeff))
+            out = out + (df * dg).scale(ctx.embed(c * coeff))
     return out
 
 
 def hirota_kp_check(tau):
     """Residual of the weight-4 bilinear operator on (tau, tau), known through
     weighted degree tau.cutoff - 4."""
-    return hirota_apply(kp_operator(tau.ctx, tau.K), tau, tau)
+    return hirota_apply(kp_operator(), tau, tau)
 
 
 # -- Baker-Akhiezer quotients ---------------------------------------------------
@@ -220,17 +185,18 @@ def hirota_kp_check(tau):
 def baker_akhiezer(p, u, a, b, times, z=None, cutoff=8):
     """psi_ab(t, z) = tau_a(t - [1/z]) / tau_b(t) on the Schur-reconstructed
     tau sums at the times t_1..t_K, with z=None meaning the point at infinity
-    (no shift)."""
+    (no shift).  t - [x] has entries t_m - x^m / m, so at z = 1/x and
+    t = miwa_map(X) it is miwa_map of X with x deleted."""
     ctx = p.ctx
     times = tuple(times)
     K = len(times)
     num = _schur.tau_schur_poly(p, u, a, cutoff, K)
     den = _schur.tau_schur_poly(p, u, b, cutoff, K)
-    if z is not None:
-        num = num.shift_times(ctx.one() / z, -1)
     dval = den.evaluate(times)
     if not dval:
         raise ZeroDivisionError("denominator tau vanishes at these times")
+    if z is not None:
+        times = tuple(t - s for t, s in zip(times, miwa_map([ctx.one() / z], K, ctx)))
     return num.evaluate(times) / dval
 
 

@@ -609,41 +609,6 @@ class TestMiwaPolynomial:
         sq = t1 * t1
         assert sq.deriv(1) == t1.scale(F(2)).restrict(3)
 
-    def test_shift_times_linear(self):
-        t1 = MiwaPolynomial.time_var(RAT, 3, 3, 1)
-        shifted = t1.shift_times(F(5), -1)
-        assert shifted.terms[(0, 0, 0)] == F(-5)
-        assert shifted.terms[(1, 0, 0)] == F(1)
-
-    def test_shift_times_matches_evaluation(self):
-        # polynomial in t with the substitution evaluated two ways
-        t1 = MiwaPolynomial.time_var(RAT, 2, 6, 1)
-        t2 = MiwaPolynomial.time_var(RAT, 2, 6, 2)
-        poly = t1 * t1 * t2 + t2.scale(F(3)) + t1
-        x = F(2, 3)
-        times = [F(1, 2), F(5, 7)]
-        shifted_times = [times[0] - x, times[1] - x ** 2 / 2]
-        assert poly.shift_times(x, -1).evaluate(times) == poly.evaluate(shifted_times)
-        # three times, with mixed and squared monomials, shifted up
-        t1, t2, t3 = (MiwaPolynomial.time_var(RAT, 3, 6, m) for m in (1, 2, 3))
-        poly = t1 * t3 + t2 * t2.scale(F(-2)) + t1 * t1 * t2 + t3
-        times = [F(1, 2), F(5, 7), F(-3, 4)]
-        shifted_times = [t + x ** m / m for m, t in enumerate(times, 1)]
-        assert poly.shift_times(x, 1).evaluate(times) == poly.evaluate(shifted_times)
-
-    def test_shift_times_reads_the_stored_terms_as_the_whole_polynomial(self):
-        # the shift moves weight 2 down to weight 0, so the same series known
-        # through fewer weights shifts to a different constant
-        t1 = MiwaPolynomial.time_var(RAT, 2, 2, 1)
-        f = t1 + t1 * t1
-        assert f.shift_times(F(1), 1).terms[(0, 0)] == 2
-        assert f.restrict(1).shift_times(F(1), 1).terms[(0, 0)] == 1
-
-    def test_shift_times_never_raises_degree(self):
-        t3 = MiwaPolynomial.time_var(RAT, 3, 3, 3)
-        shifted = t3.shift_times(F(2), 1)
-        assert all(weighted_degree(k) <= 3 for k in shifted.terms)
-
     def test_series_inverse(self):
         from tltau.chain import ChainParams, ParameterVector
         from tltau.schur import tau_schur_poly

@@ -147,6 +147,14 @@ class TestSuite:
         report = run_suite(cfg)
         assert report["summary"]["failed"] == report["summary"]["total"] > 0
 
+    @pytest.mark.parametrize("Q, error", [("0", "Q must be nonzero"),
+                                          ("1/0", "Q 1/0 has a zero denominator")])
+    def test_bad_q_becomes_one_named_error_per_check(self, Q, error):
+        cfg = validate_config({"Q": Q})
+        report = run_suite(cfg)
+        assert [r["check"] for r in report["records"]] == list(CHECK_NAMES)
+        assert all(not r["pass"] and r["error"] == error for r in report["records"])
+
     def test_report_shape(self):
         cfg = validate_config({"checks": ["diagram-counts"]})
         report = run_suite(cfg)
@@ -420,3 +428,13 @@ class TestMain:
         missing = tmp_path / "nope.json"
         assert main(["verify", "--config", str(missing)]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_unwritable_out_is_named_and_exits_2(self, tmp_path, capsys):
+        # the directory is missing, so the file cannot be opened for writing
+        out = tmp_path / "missing" / "report.json"
+        assert main(["count-diagrams", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["summary"]["failed"] == 0
+        assert captured.err.startswith("cannot write report: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()

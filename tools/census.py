@@ -1,18 +1,20 @@
-"""Mutation census of `+`/`-` sites in chosen functions of `tltau.chain`.
+"""Mutation census of `+`/`-` sites in chosen functions of `tltau`.
 
-Usage:  python3 tools/census.py TREE FUNC... -- CMD...
+Usage:  python3 tools/census.py TREE MODULE.FUNC... -- CMD...
 
-TREE is a checkout of this repository.  For each `ast.Add`/`ast.Sub` binary
-operation in the named functions of `TREE/src/tltau/chain.py`, in the order
-of the operators in the source, the script writes a copy of `TREE/src` with
-that one operator swapped (`+` for `-` or `-` for `+`) and runs CMD in TREE
-with PYTHONPATH set to the copy.  A nonzero exit status kills the mutant.
-It prints one line per site, "chain.<func>#<k> killed|survived" with k
-counted from 0 within each function, then the totals.  A named function that
+TREE is a checkout of this repository, and each MODULE.FUNC names a top-level
+function of `TREE/src/tltau/MODULE.py` (e.g. `chain.pole_brackets`,
+`tau.hirota_apply`).  For each `ast.Add`/`ast.Sub` binary operation in the
+named functions, in the order of the operators in the source, the script
+writes a copy of `TREE/src` with that one operator swapped (`+` for `-` or
+`-` for `+`) and runs CMD in TREE with PYTHONPATH set to the copy.  A nonzero
+exit status kills the mutant.  It prints one line per site,
+"<module>.<func>#<k> killed|survived" with k counted from 0 within each
+function, then the totals.  A name without a module, a named function that
 is missing or has no site, or a CMD that fails on the unmutated copy, is an
 error.
 
-Example:  python3 tools/census.py . pole_brackets _cleared -- python3 -m pytest -x -q
+Example:  python3 tools/census.py . chain.pole_brackets tau.hirota_apply -- python3 -m pytest -x -q
 """
 
 import ast
@@ -27,7 +29,7 @@ import tokenize
 SWAP = {"+": "-", "-": "+"}
 
 
-def sites(source, funcs):
+def sites(module, source, funcs):
     """{func: [(row, col) of each +/- operator token, in source order]};
     rows count from 1 and columns are character offsets."""
     lines = source.splitlines(keepends=True)
@@ -52,7 +54,7 @@ def sites(source, funcs):
             found[node.name] = sorted(at)
     for f in funcs:
         if not found.get(f):
-            raise SystemExit("census: chain.%s is missing or has no +/- site" % f)
+            raise SystemExit("census: %s.%s is missing or has no +/- site" % (module, f))
     return found
 
 
@@ -68,10 +70,18 @@ def main(argv):
         sys.stderr.write(__doc__)
         return 2
     cut = argv.index("--")
-    tree, funcs, cmd = os.path.abspath(argv[1]), argv[2:cut], argv[cut + 1:]
-    with open(os.path.join(tree, "src", "tltau", "chain.py"), encoding="utf-8") as fh:
-        source = fh.read()
-    found = sites(source, funcs)
+    tree, names, cmd = os.path.abspath(argv[1]), argv[2:cut], argv[cut + 1:]
+    funcs = {}  # module: [func, ...] in the order first named
+    for name in names:
+        module, _, func = name.rpartition(".")
+        if not module:
+            raise SystemExit("census: %s is not a MODULE.FUNC name" % name)
+        funcs.setdefault(module, []).append(func)
+    sources, found = {}, {}
+    for module in funcs:
+        with open(os.path.join(tree, "src", "tltau", module + ".py"), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+        found[module] = sites(module, sources[module], funcs[module])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     killed = total = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,20 +89,23 @@ def main(argv):
         shutil.copytree(os.path.join(tree, "src"), src,
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         env["PYTHONPATH"] = src
-        target = os.path.join(src, "tltau", "chain.py")
         if subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode:
             raise SystemExit("census: CMD fails on the unmutated tree")
-        for f in funcs:
-            for k, (row, col) in enumerate(found[f]):
-                with open(target, "w", encoding="utf-8") as fh:
-                    fh.write(swapped(source, row, col))
-                run = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                                     stderr=subprocess.DEVNULL)
-                total += 1
-                killed += run.returncode != 0
-                print("chain.%s#%d %s" % (f, k, "killed" if run.returncode else "survived"),
-                      flush=True)
+        for module, source in sources.items():
+            target = os.path.join(src, "tltau", module + ".py")
+            for f in funcs[module]:
+                for k, (row, col) in enumerate(found[module][f]):
+                    with open(target, "w", encoding="utf-8") as fh:
+                        fh.write(swapped(source, row, col))
+                    run = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                         stderr=subprocess.DEVNULL)
+                    total += 1
+                    killed += run.returncode != 0
+                    print("%s.%s#%d %s" % (module, f, k, "killed" if run.returncode else "survived"),
+                          flush=True)
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(source)
     print("killed %d of %d sites" % (killed, total))
     return 0
 
