@@ -294,6 +294,12 @@ def _denominator(p, y, s):
     return d
 
 
+def _factors(p, y, s):
+    """(n1_j, n2_j, d_j) at y from sigma_j = s, as the eigenvalue and the pole
+    brackets both read them."""
+    return (y * p.iq - s) * y + p.q, (y * p.q3 - s) * y + p.iq3, _denominator(p, y, s)
+
+
 def pole_brackets(p, u):
     """Pole brackets at v = u_j for every root, one sigma pass: with
     y = u_j^2 and i != j, -w(q) y^(1-N) [(y-1)^(2N) prod n2_i - (qy-1/q)^(2N)
@@ -303,7 +309,7 @@ def pole_brackets(p, u):
     uu = _vals(u)
     if not all(uu):
         raise PoleError("w(u_j)", "root is zero")
-    q, iq, q3, iq3 = p.q, p.iq, p.q3, p.iq3
+    q, iq = p.q, p.iq
     ys = [x * x for x in uu]
     qys = [q * y for y in ys]
     rs = [1 / qy for qy in qys]
@@ -317,8 +323,8 @@ def pole_brackets(p, u):
         a, b, den = (qy - iq) ** e, (y - 1) ** e, 2 * uu[j] * wqy * wqy * y ** (p.N - 1)
         for i, s in enumerate(ss):
             if i != j:
-                a, b = a * ((y * iq - s) * y + q), b * ((y * q3 - s) * y + iq3)
-                den = den * _denominator(p, y, s)
+                n1, n2, d = _factors(p, y, s)
+                a, b, den = a * n1, b * n2, den * d
         out.append((iq - q) * (b - a) / den)
     return out
 
@@ -342,11 +348,8 @@ def _cleared(p, y, ss, rows=(None,)):
     Returns one value per entry of rows: None gives y^N Lambda, i gives
     y^(N-1) d Lambda / d sigma_i, which sigma_i' turns into y^(N-1) F^(1)_i.
     """
-    q, iq, q3, iq3 = p.q, p.iq, p.q3, p.iq3
     W, A, B = _shell(p, y)
-    factors = []
-    for s in ss:
-        factors.append(((y * iq - s) * y + q, (y * q3 - s) * y + iq3, _denominator(p, y, s)))
+    factors = [_factors(p, y, s) for s in ss]
     out = []
     for ds in rows:
         a, b, den = A, B, W
@@ -373,34 +376,37 @@ def _root_data(p, u):
                                    tuple(_dsigma(q, x) for x in uu)))
 
 
-def _column(p, roots, family, y):
-    """Column y of a family from the roots' data: every row's value at one
-    point; family 2 is y / d_i = 1/(w(v/u_i) w(q v u_i))."""
+def _rows(p, roots, family, y):
+    """Every row of a family at y (a field scalar or a series in y) divided by
+    its leading power: y^(N-1) F^(1)_i, from one shell, and F^(2)_i / y = 1/d_i."""
     ss, ds = roots
     if family == 1:
-        yN = y**p.N
-        cols = _cleared(p, y, ss, range(len(ss)))
-        return [c * y * d / yN for c, d in zip(cols, ds)]
+        return [c * d for c, d in zip(_cleared(p, y, ss, range(len(ss))), ds)]
     if family == 2:
+        return [1 / _denominator(p, y, s) for s in ss]
+    raise ValueError("family must be 1 or 2")
+
+
+def family_matrix_y(p, u, family, ypoints):
+    """Matrix F^(family)_i(y_j), built column by column from the roots' data:
+    the rows at y_j times the leading power y_j**leading_power, formed once
+    per column.  A ParameterVector u keeps the data and the columns."""
+    roots = _root_data(p, u)
+
+    def column(y):
         if not y:
             raise PoleError("w(v)", "y is zero")
-        return [y / _denominator(p, y, s) for s in ss]
-    raise ValueError("family must be 1 or 2")
+        lead = y ** leading_power(p, family)
+        return [r * lead for r in _rows(p, roots, family, y)]
+
+    cols = [remember(u, (p, family, y), lambda y=y: column(y)) for y in ypoints]
+    return [[col[i] for col in cols] for i in range(len(roots[0]))]
 
 
 def lambda_du_y(p, i, y, u):
     """d Lambda / d u_i at v = sqrt(y)."""
     _check_row(_vals(u), i)
-    return _column(p, _root_data(p, u), 1, y)[i]
-
-
-def family_matrix_y(p, u, family, ypoints):
-    """Matrix F^(family)_i(y_j), built column by column from the roots' data;
-    a ParameterVector u keeps both for reuse."""
-    roots = _root_data(p, u)
-    cols = [remember(u, (p, family, y), lambda y=y: _column(p, roots, family, y))
-            for y in ypoints]
-    return [[col[i] for col in cols] for i in range(len(roots[0]))]
+    return family_matrix_y(p, u, 1, [y])[i][0]
 
 
 def kernel_y(p, u, ypoints):
@@ -436,7 +442,7 @@ def lambda_du(p, i, v, u):
 def f2_eval(p, i, v, u):
     """Family-2 value 1/(w(v/u_i) w(q v u_i))."""
     _check_row(_vals(u), i)
-    return _column(p, _root_data(p, u), 2, v * v)[i]
+    return family_matrix_y(p, u, 2, [v * v])[i][0]
 
 
 def family_matrix(p, u, family, points):
@@ -499,16 +505,9 @@ def _y_series(ctx, order):
 
 
 def taylor_rows(p, u, family, order):
-    """Taylor series in y through y**order of every row of a family, divided
-    by its leading power: y^(N-1) F^(1)_i for family 1, F^(2)_i / y = 1/d_i
-    for family 2.  Family 1 takes every row from one shell."""
-    ss, ds = _root_data(p, u)
+    """Every row of a family (see _rows) as a Taylor series in y through y**order."""
     y = _y_series(p.ctx, order)
-    if family == 1:
-        return [(c * d).truncate(order) for c, d in zip(_cleared(p, y, ss, range(len(ss))), ds)]
-    if family == 2:
-        return [(1 / _denominator(p, y, s)).truncate(order) for s in ss]
-    raise ValueError("family must be 1 or 2")
+    return [r.truncate(order) for r in _rows(p, _root_data(p, u), family, y)]
 
 
 def _z_series(ys, start, order):

@@ -126,15 +126,15 @@ def kp_operator():
 
 
 def _iter_deriv(poly, beta, cache):
-    got = cache.get(beta)
-    if got is not None:
-        return got
-    out = poly
-    for m, k in enumerate(beta):
-        for _ in range(k):
-            out = out.deriv(m + 1)
-    cache[beta] = out
-    return out
+    while beta and not beta[-1]:  # D1^4's (1,) and D1 D3's (1, 0, 0) share one key
+        beta = beta[:-1]
+    if beta not in cache:
+        out = poly
+        for m, k in enumerate(beta, 1):
+            for _ in range(k):
+                out = out.deriv(m)
+        cache[beta] = out
+    return cache[beta]
 
 
 def hirota_apply(op, f, g):

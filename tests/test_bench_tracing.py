@@ -63,14 +63,19 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
     # read; family_matrix_y forming each sigma_i (three products, one
     # inverse: q y_i serves both terms) and each sigma_i' (five products,
     # one inverse) once per root vector, not once per column; _cleared
-    # multiplying by 1/q, not dividing by q; and x**n taking one product per
-    # squaring and per set bit after the first (y**2 one, x**5 three).
+    # multiplying by 1/q, not dividing by q; each column taking its leading
+    # power once: a family-1 column one y^(1-N) (one inverse) and two
+    # products per row (c_i sigma_i', then the power), a family-2 column
+    # 1/d_i times y (one inverse and two products per row: 1/d_i is the
+    # inverse times 1); and x**n taking one product per squaring and per
+    # set bit after the first (y**2 one, x**5 three).
     # The q-powers formed again in each _cleared call would read 8 more
     # products and 4 more inverses, root data formed per column 64 more
     # products and 16 more inverses, y / q in _cleared 4 more inverses (one
-    # per root and family-1 column), and powers that start from 1 and
-    # square once too often 23 more products.  A fast path that multiplied
-    # or inverted without the counted methods would make these read lower.
+    # per root and family-1 column), y^(1-N) formed per row 2 more inverses,
+    # and powers that start from 1 and square once too often 23 more
+    # products.  A fast path that multiplied or inverted without the counted
+    # methods would make these read lower.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -80,8 +85,8 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 234
-    assert tracer.counters["algebra.qnum_inverse.calls"] == 36
+    assert tracer.counters["algebra.qnum_mul.calls"] == 232
+    assert tracer.counters["algebra.qnum_inverse.calls"] == 34
 
 
 def test_expansion_checks_build_each_taylor_table_once_and_pair_hirota_terms(monkeypatch):

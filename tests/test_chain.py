@@ -36,6 +36,7 @@ from tltau.chain import (
     lambda_du,
     lambda_du_y,
     lambda_eval,
+    pole_brackets,
     pole_radius_y,
     slavnov,
     taylor_rows,
@@ -614,6 +615,40 @@ class TestPrefactor:
         u = roots(2, 3)
         v = ParameterVector([F(5), F(7, 2)], "free")
         assert slavnov(p, u, v) == g_prefactor(p, u, v) * kernel(p, u, v)
+
+
+class TestOneFormula:
+    # each root factor and each family is coded once, so a fault seeded in
+    # that one place reaches every route that reads it
+    def test_root_factors_reach_the_eigenvalue_and_the_pole_brackets(self, monkeypatch):
+        # q^3 -> q^2 in n2_j: at M = 2 every bracket holds the other root's n2
+        p, u, v = params(2, 2), (F(2), F(3)), F(7, 5)
+        value, brackets = lambda_eval(p, v, u), pole_brackets(p, u)
+        factors = chain._factors
+
+        def wrong_n2(p, y, s):
+            n1, n2, d = factors(p, y, s)
+            return n1, n2 - (p.q3 - p.q * p.q) * y * y, d
+
+        monkeypatch.setattr(chain, "_factors", wrong_n2)
+        assert lambda_eval(p, v, u) != value
+        assert all(got != want for got, want in zip(pole_brackets(p, u), brackets))
+
+    def test_family_rows_reach_point_columns_and_taylor_rows(self, monkeypatch):
+        p, u, ys = params(3, 2), (F(2), F(3)), [F(1, 5), F(2, 7)]
+        want = {family: (family_matrix_y(p, u, family, ys), taylor_rows(p, u, family, 4))
+                for family in (1, 2)}
+        def pointwise():
+            return [lambda_du_y(p, 1, ys[0], u), f2_eval(p, 1, F(3, 7), u)]
+
+        values = pointwise()
+        rows = chain._rows
+        monkeypatch.setattr(chain, "_rows",
+                            lambda p, roots, family, y: [2 * r for r in rows(p, roots, family, y)])
+        for family, (matrix, series) in want.items():
+            assert family_matrix_y(p, u, family, ys) == [[2 * x for x in row] for row in matrix]
+            assert taylor_rows(p, u, family, 4) == [2 * r for r in series]
+        assert pointwise() == [2 * x for x in values]
 
 
 class TestSeededFault:

@@ -354,14 +354,16 @@ class TestSuite:
 
     def test_float_records_do_not_depend_on_an_earlier_precision(self):
         # a 400-bit context made earlier in the process must not raise the
-        # precision of a later 192-bit run, which would read 1.3e-54 as 0.0
+        # precision of a later 192-bit run, which would read the family-1
+        # integral-rep residual 1.4e-56 as -3.4e-119
         cfg = validate_config({"checks": ["theorem-quotient", "integral-rep"],
                                "field_mode": "float", "instances": 1})
         with mp.workprec(53):  # restores the global precision afterwards
             first = run_suite(cfg)["records"]
             FieldContext("float", prec=400)
             again = run_suite(cfg)["records"]
-        assert first[0]["residual"] == "1.30506089359970490534206e-54"
+        assert (first[1]["check"], first[1]["params"]["family"]) == ("integral-rep", 1)
+        assert first[1]["residual"] == "1.40192088179655800378541e-56"
         assert again == first
 
     def test_text_format_smoke(self):

@@ -248,6 +248,19 @@ class TestHirota:
         assert got == seven
         assert not got.is_zero()
 
+    def test_kp_residual_takes_each_derivative_once(self, monkeypatch):
+        # d/dt1 serves D1^4 and D1 D3 under one key, whatever its written
+        # length: D1^4 takes 4 + 1 + 3 + 2 passes, 3 D2^2 takes 2 + 1, and
+        # -4 D1 D3 takes 2 + 1, as (1, 0, 0) is (1,); 17 with two keys
+        p, u = params(2, 2), roots(2, 3)
+        deriv, calls = MiwaPolynomial.deriv, []
+        monkeypatch.setattr(MiwaPolynomial, "deriv", lambda f, m: calls.append(m) or deriv(f, m))
+        for fam in (1, 2):
+            tau = tau_schur_poly(p, u, fam, 8)
+            del calls[:]
+            assert hirota_kp_check(tau).is_zero()
+            assert sorted(calls) == [1] * 11 + [2] * 3 + [3] * 2
+
     def test_result_cutoff_follows_the_operator_weight(self):
         K = 4
         f = MiwaPolynomial.constant(RAT, K, 8, F(1)) + MiwaPolynomial.time_var(RAT, K, 8, 2)
