@@ -164,10 +164,10 @@ def _draw_distinct(rng, count):
 def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None):
     """Draw admissible (u, v) for the chain, rejecting excluded values.
 
-    Rejection covers the model's pole sets, for up to 500 draws.  An
-    optional accept(u, v) callback lets the caller reject draws with singular
-    derived quantities (it should raise to reject).  Deterministic given the
-    rng state.
+    Rejection covers the model's pole sets, for up to 500 draws; a fixed u
+    and v (or u alone when vcount is 0) are checked once.  An optional
+    accept(u, v) callback lets the caller reject draws with singular derived
+    quantities (it should raise to reject).  Deterministic given the rng state.
     """
     ctx = p.ctx
     vcount = p.M if vcount is None else vcount
@@ -188,7 +188,8 @@ def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None):
                 accept(u, v)
             return u, v
         except (ValueError, PoleError, ZeroDivisionError):
-            continue
+            if fixed_u is not None and (fixed_v is not None or not vcount):
+                raise  # nothing was drawn, so another try fails alike
     raise RuntimeError("could not draw an admissible instance")
 
 

@@ -349,6 +349,36 @@ class TestQuadraticNumber:
         with pytest.raises(ValueError):
             float(QuadraticNumber(2, 1, -3))
 
+    def test_division_goes_through_the_counted_methods(self, monkeypatch):
+        # 1 / x is the bare inverse, r / x that inverse times r, and x / r
+        # one product by 1/r with no inverse
+        x, r = QuadraticNumber(F(1, 2), F(3, 4), 377), F(-2, 3)
+        want = {"1/x": x.inverse(), "r/x": x.inverse() * r, "x/r": x * F(-3, 2)}
+        calls = []
+
+        def counted(name):
+            method = vars(QuadraticNumber)[name]
+
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
+            return wrapper
+
+        for name in ("__mul__", "__rmul__", "inverse"):
+            monkeypatch.setattr(QuadraticNumber, name, counted(name))
+        for key, divide, made in (("1/x", lambda: 1 / x, ["inverse"]),
+                                  ("r/x", lambda: r / x, ["inverse", "__mul__"]),
+                                  ("x/r", lambda: x / r, ["__mul__"])):
+            del calls[:]
+            assert divide() == want[key] and calls == made, key
+
+    def test_an_element_of_another_field_is_refused(self):
+        x, y = QuadraticNumber(1, 1, 5), QuadraticNumber(1, 1, 377)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq):
+            for left, right in ((x, y), (y, x)):
+                with pytest.raises(ValueError, match="mixed quadratic fields"):
+                    op(left, right)
+
     def test_squarefree_kernel(self):
         assert squarefree_kernel(12) == (2, 3)
         assert squarefree_kernel(377) == (1, 377)

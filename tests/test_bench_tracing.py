@@ -57,18 +57,21 @@ def test_tracer_wraps_every_named_function_and_restores_it():
 
 
 def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
-    # pinned on the integer carrier, with validate_uv forming each product
+    # pinned on the integer carrier, with every 1 / x the bare inverse and
+    # no product (a reciprocal times 1 would read 18 more products: eight
+    # in w_eval's x - 1/x, two each in the q-powers, the sigma_i and the
+    # sigma_i', four in the family-2 rows); validate_uv forming each product
     # once; ChainParams forming 1/q, q^3 and 1/q^3 once per params (two
-    # inverses, four products), which _cleared and the family-2 columns
-    # read; family_matrix_y forming each sigma_i (three products, one
-    # inverse: q y_i serves both terms) and each sigma_i' (five products,
+    # inverses, two products), which _cleared and the family-2 columns
+    # read; family_matrix_y forming each sigma_i (two products, one
+    # inverse: q y_i serves both terms) and each sigma_i' (four products,
     # one inverse) once per root vector, not once per column; _cleared
     # multiplying by 1/q, not dividing by q; each column taking its leading
     # power once: a family-1 column one y^(1-N) (one inverse) and two
     # products per row (c_i sigma_i', then the power), a family-2 column
-    # 1/d_i times y (one inverse and two products per row: 1/d_i is the
-    # inverse times 1); and x**n taking one product per squaring and per
-    # set bit after the first (y**2 one, x**5 three).
+    # the bare inverse 1/d_i times y (one inverse and one product per row);
+    # and x**n taking one product per squaring and per set bit after the
+    # first (y**2 one, x**5 three).
     # The q-powers formed again in each _cleared call would read 8 more
     # products and 4 more inverses, root data formed per column 64 more
     # products and 16 more inverses, y / q in _cleared 4 more inverses (one
@@ -85,7 +88,7 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 232
+    assert tracer.counters["algebra.qnum_mul.calls"] == 214
     assert tracer.counters["algebra.qnum_inverse.calls"] == 34
 
 

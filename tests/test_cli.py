@@ -141,6 +141,19 @@ class TestSuite:
         assert errors
         assert all(r["params"] == _params_blob(build_params(cfg)) for r in errors)
 
+    @pytest.mark.parametrize("raw, error", [
+        ({"u": ["2", "3"], "v": ["2", "5"], "checks": ["theorem-quotient", "integral-rep"]},
+         "PoleError: vanishing factor w(v_i/u_j) (i=0 j=0)"),
+        ({"N": 2, "M": 1, "u": ["1"], "v": ["1/3"], "checks": ["theorem-quotient"]},
+         "PoleError: vanishing factor w(u_j) (j=0)"),
+    ])
+    def test_fixed_instance_that_fails_names_the_factor(self, raw, error):
+        # with nothing to draw, a failing check is the answer, not a cue to
+        # retry the same (u, v) until the draw budget runs out
+        records = run_suite(validate_config(raw))["records"]
+        assert [r["check"] for r in records] == raw["checks"]
+        assert all(not r["pass"] and r["error"] == error for r in records)
+
     def test_boundary_violation_becomes_error_records(self):
         # an irrational deformation parameter cannot build rational params
         cfg = validate_config({"checks": ["diagram-counts"], "Q": "2", "spin_twice": 2})
