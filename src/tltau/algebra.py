@@ -8,6 +8,7 @@ Three scalar modes drive everything downstream:
   quadratic field, exact, held as integer numerators over one denominator;
 * ``float``     -- mpmath arbitrary-precision floats, complex allowed, made
   by the context's own mpmath context, never at mpmath's global precision.
+  mpmath loads with the first float context, so exact modes never import it.
 
 Exact modes compare by literal equality.  Float mode keeps exact-zero tests
 for canonical-form bookkeeping (never dropping merely small numbers) and uses
@@ -31,11 +32,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cache
-from operator import add, itemgetter
-
-import mpmath as mp
-from mpmath.ctx_mp_python import mpnumeric
+from functools import cache, reduce
+from itertools import combinations
+from operator import add, itemgetter, mul
 
 
 def _sum(na, da, nb, db):
@@ -314,10 +313,18 @@ _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+[eE][+-]?\d+|\d+\.\d*[eE][+-
 _QUAD_RE = re.compile(r"^\(([^,()|]+),([^,()|]+)\|([+-]?\d+)\)$")
 
 
+_mpnumeric = ()  # mpmath's number base class, bound by the first _mp_context call
+
+
 @cache
 def _mp_context(prec):
-    """The mpmath context at prec bits, one per precision for the process."""
-    m = mp.MPContext()
+    """The mpmath context at prec bits, one per precision for the process.
+    The one import of mpmath in the package: the first float context loads
+    it and binds `_mpnumeric`, which an exact run never needs."""
+    global _mpnumeric
+    import mpmath
+    from mpmath.ctx_mp_python import mpnumeric as _mpnumeric
+    m = mpmath.MPContext()
     m.prec = prec
     return m
 
@@ -396,7 +403,7 @@ class FieldContext:
                 return _quad(x.numerator, 0, x.denominator, self.d)
             raise TypeError("cannot embed %r into Q(sqrt(%d))" % (x, self.d))
         m = self.mp
-        if isinstance(x, (mpnumeric, complex)):
+        if isinstance(x, (_mpnumeric, complex)):
             return m.convert(x)
         if isinstance(x, (int, Fraction)):
             return m.mpf(x.numerator) / m.mpf(x.denominator)
@@ -420,8 +427,8 @@ class FieldContext:
     def to_string(self, x):
         if isinstance(x, (int, Fraction, QuadraticNumber)):
             return str(x)
-        if isinstance(x, mpnumeric):
-            return mp.nstr(x, 24)
+        if isinstance(x, _mpnumeric):
+            return x.context.nstr(x, 24)
         raise TypeError("cannot serialize %r" % (x,))
 
     # -- comparisons -------------------------------------------------------
@@ -577,14 +584,15 @@ def miwa_series_invert(poly):
     return out
 
 
+def field_product(factors, ctx):
+    """The product of a list of field scalars, formed from its first factor
+    on (none is multiplied by one); one for the empty list."""
+    return reduce(mul, factors) if factors else ctx.one()
+
+
 def vandermonde(points, ctx):
     """prod_{i<j} (x_i - x_j), the determinant of the matrix x_i**(M-j)."""
-    out = ctx.one()
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            out = out * (pts[i] - pts[j])
-    return out
+    return field_product([a - b for a, b in combinations(points, 2)], ctx)
 
 
 class LaurentSeries:

@@ -23,10 +23,6 @@ from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from itertools import combinations
 
-from mpmath import mp
-from mpmath.ctx_mp_python import mpnumeric
-from mpmath.libmp import from_rational, round_nearest
-
 from .algebra import solve_linear
 from .chain import PoleError, pole_brackets, w_eval, _q_powers, _vals
 
@@ -52,13 +48,14 @@ class BetheSolution:
         self.search_iterations = search_iterations
 
     def max_residual(self):
-        return max((abs(r) for r in self.residuals), default=mp.mpf(0))
+        return max((abs(r) for r in self.residuals), default=0)
 
     def __repr__(self):
+        r = self.max_residual()
         return "BetheSolution(converged=%s, iterations=%d, max_residual=%s)" % (
             self.converged,
             self.iterations,
-            mp.nstr(self.max_residual(), 6) if self.residuals else "0",
+            r.context.nstr(r, 6) if self.residuals else "0",
         )
 
 
@@ -150,9 +147,9 @@ def _stand_in(N, q, ctx):
 
 def _mpc(z, m):
     """A `_Complex` as the mpc of the mpmath context m nearest to it, each
-    part rounded once from its exact integer ratio at m.prec bits."""
-    return m.make_mpc(tuple(from_rational(*x.as_integer_ratio(), m.prec, round_nearest)
-                            for x in (z.re, z.im)))
+    part its exact integer ratio p/q as one division rounded at m.prec bits."""
+    parts = (x.as_integer_ratio() for x in (z.re, z.im))
+    return m.make_mpc(tuple((m.convert(p) / q)._mpf_ for p, q in parts))
 
 
 def _part_operators(op):
@@ -185,10 +182,11 @@ class _Complex:
 
     @classmethod
     def of(cls, z):
-        """An int, float, complex, or mpf or mpc of any context, exactly."""
+        """An int, float, complex, Decimal, or mpf or mpc of any context,
+        exactly."""
         parts = []
         for x in (z.real, z.imag):
-            if isinstance(x, mpnumeric):
+            if not isinstance(x, (int, float, Decimal)):  # an mpf
                 man, exp = x.man_exp
                 man = -man if x < 0 else man
                 x = Decimal(man << exp) if exp >= 0 else Decimal("%dE%d" % (man * 5**-exp, exp))

@@ -313,9 +313,9 @@ def check_schur_expansion(cfg, p, seed):
     polys = [(lam, _schur.schur_miwa(lam, 6, ctx, 6)) for lam in _schur.partitions_bounded(6)]
     for npts in (1, 2, 3):
         pts = [ctx.embed(x) for x in _draw_distinct(rng, npts)]
-        times = _tau.miwa_map(pts, 6, ctx)
+        times, e = _tau.miwa_map(pts, 6, ctx), _schur.elementary_symmetric(pts, ctx)
         for lam, poly in polys:
-            lhs = _schur.schur_points(lam, pts, ctx)
+            lhs = _schur._schur_at_e(lam, e, ctx)
             rhs = poly.evaluate(times)
             resid = lhs - rhs
             if not ctx.residual_ok(resid, lhs):

@@ -93,9 +93,13 @@ def ell_indices(lam, npoints):
 def schur_points(lam, points, ctx):
     """s_lam on a finite point set by Jacobi-Trudi in the points' e_k; zero
     when the partition has more rows than there are points."""
-    parts, pts = partition_normalize(lam), list(points)
-    cmap = SchurCoeffMap(ctx, sum(parts), {parts: ctx.one()})
-    return schur_sum_e(cmap, len(pts)).evaluate(elementary_symmetric(pts, ctx))
+    return _schur_at_e(lam, elementary_symmetric(list(points), ctx), ctx)
+
+
+def _schur_at_e(lam, e, ctx):
+    """s_lam at the points whose elementary symmetric values are e_1..e_n."""
+    parts = partition_normalize(lam)
+    return schur_sum_e(SchurCoeffMap(ctx, sum(parts), {parts: ctx.one()}), len(e)).evaluate(e)
 
 
 @cache

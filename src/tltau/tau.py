@@ -20,7 +20,7 @@ of the two generating families F of the chain module.  This module gives:
 import math
 from itertools import combinations, product
 
-from .algebra import MiwaPolynomial, Rational, det, vandermonde
+from .algebra import MiwaPolynomial, Rational, det, field_product, vandermonde
 from .chain import family_matrix
 from . import schur as _schur
 
@@ -70,15 +70,10 @@ def tau_residue(p, u, family, points):
     if len(pts) != M:
         raise ValueError("need exactly M points")
     ctx = p.ctx
-    denoms = []
-    for k in range(M):
-        acc = ctx.one()
-        for m in range(M):
-            if m != k:
-                acc = acc * (pts[k] - pts[m])
-        if not acc:
-            raise ValueError("repeated evaluation points")
-        denoms.append(acc)
+    denoms = [field_product([pts[k] - x for m, x in enumerate(pts) if m != k], ctx)
+              for k in range(M)]
+    if not all(denoms):
+        raise ValueError("repeated evaluation points")
     fmat = family_matrix(p, u, family, pts)
     rows = []
     for i in range(M):
@@ -86,7 +81,8 @@ def tau_residue(p, u, family, points):
         for j in range(M):
             acc = ctx.zero()
             for k in range(M):
-                acc = acc + pts[k] ** (M - 1 - i) * fmat[j][k] / denoms[k]
+                term = fmat[j][k] if i == M - 1 else pts[k] ** (M - 1 - i) * fmat[j][k]
+                acc = acc + term / denoms[k]
             row.append(acc)
         rows.append(row)
     sign = -1 if (M * (M - 1) // 2) % 2 else 1
@@ -234,9 +230,7 @@ def andreev_residual(ctx, points, weights, fvals, gvals):
     lhs = det(smat, ctx)
     acc = ctx.zero()
     for ks in combinations(range(n), M):
-        mu = ctx.one()
-        for k in ks:
-            mu = mu * weights[k]
+        mu = field_product([weights[k] for k in ks], ctx)
         fminor = [[fvals[i][k] for k in ks] for i in range(M)]
         gminor = [[gvals[i][k] for k in ks] for i in range(M)]
         acc = acc + mu * det(fminor, ctx) * det(gminor, ctx)

@@ -70,14 +70,16 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
     # power once: a family-1 column one y^(1-N) (one inverse) and two
     # products per row (c_i sigma_i', then the power), a family-2 column
     # the bare inverse 1/d_i times y (one inverse and one product per row);
-    # and x**n taking one product per squaring and per set bit after the
-    # first (y**2 one, x**5 three).
+    # x**n taking one product per squaring and per set bit after the
+    # first (y**2 one, x**5 three); and each Vandermonde product formed
+    # from its first factor.
     # The q-powers formed again in each _cleared call would read 8 more
     # products and 4 more inverses, root data formed per column 64 more
     # products and 16 more inverses, y / q in _cleared 4 more inverses (one
     # per root and family-1 column), y^(1-N) formed per row 2 more inverses,
-    # and powers that start from 1 and square once too often 23 more
-    # products.  A fast path that multiplied or inverted without the counted
+    # powers that start from 1 and square once too often 23 more
+    # products, and the two Vandermondes of M = 2 points started from 1 two
+    # more.  A fast path that multiplied or inverted without the counted
     # methods would make these read lower.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -88,7 +90,7 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
         assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 214
+    assert tracer.counters["algebra.qnum_mul.calls"] == 212
     assert tracer.counters["algebra.qnum_inverse.calls"] == 34
 
 

@@ -268,7 +268,7 @@ class TestSuite:
         # the minor expansion without its alternating sign is the permanent
         ("pluecker", algebra, "det_ring", "term = -term", "term = term"),
         # (x_j - x_i) flips the sign of the M = 2 Vandermonde in det F / Delta
-        ("integral-rep", tau, "vandermonde", "pts[i] - pts[j]", "pts[j] - pts[i]"),
+        ("integral-rep", tau, "vandermonde", "a - b for", "b - a for"),
         # S_ij = sum_k mu_k f_i g_i is no longer the moment matrix
         ("andreev", tau, "andreev_residual", "gvals[j][k]", "gvals[i][k]"),
         # the moment determinant as a permanent gains the repeated-index

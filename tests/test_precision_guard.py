@@ -7,6 +7,10 @@ The one exception is a context that the same function has just made with
 MPContext().  An mpmath context here is a name imported from mpmath, a name
 bound to an expression rooted in one, or anything reached through an
 attribute `mp` (as `ctx.mp`).
+
+mpmath also has one loader: `algebra._mp_context` imports it when the first
+float context is made, so the exact modes never pay for loading it.  No
+other function, and no module body, may import it.
 """
 
 import ast
@@ -109,3 +113,43 @@ def test_engine_leaves_the_global_precision_alone(path):
 ])
 def test_guard_sees_each_form(source, lines):
     assert [line for line, _ in precision_breaches(source)] == lines
+
+
+def mpmath_imports(source):
+    """(line, enclosing function or None) for each import of mpmath."""
+    tree = ast.parse(source)
+    owner = {}
+    for f in ast.walk(tree):  # outer functions first, so the innermost name stays
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(n), f.name) for n in ast.walk(f))
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            roots = [a.name.split(".")[0] for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            roots = [(n.module or "").split(".")[0]]
+        else:
+            continue
+        if "mpmath" in roots:
+            out.append((n.lineno, owner.get(id(n))))
+    return sorted(out)
+
+
+def test_mpmath_loads_only_in_the_first_float_context():
+    found = {(path.name, fn) for path in SRC.glob("*.py")
+             for _, fn in mpmath_imports(path.read_text())}
+    assert found == {("algebra.py", "_mp_context")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import mpmath as mp", [(1, None)]),
+    ("from mpmath.libmp import from_rational", [(1, None)]),
+    ("import math, mpmath.libmp", [(1, None)]),
+    ("class C:\n    from mpmath import mp", [(2, None)]),
+    ("if True:\n    import mpmath", [(2, None)]),
+    ("def f():\n    import mpmath\n    def g():\n        from mpmath import mpf",
+     [(2, "f"), (4, "g")]),
+    ("import math\nfrom fractions import Fraction", []),
+])
+def test_import_scan_sees_each_form(source, found):
+    assert mpmath_imports(source) == found
