@@ -471,12 +471,10 @@ def det(rows, ctx):
     """Determinant of a square matrix of field scalars, by the minor expansion
     of ``det_ring`` in every field mode.  The empty matrix has determinant
     one."""
-    if not rows:
-        return ctx.one()
-    return det_ring(rows, ctx.zero())
+    return det_ring(rows) if rows else ctx.one()
 
 
-def det_ring(rows, zero):
+def det_ring(rows):
     """Division-free determinant for entries from a commutative ring.
 
     Minor expansion along the first rows, memoized on column subsets, so a
@@ -508,8 +506,7 @@ def det_ring(rows, zero):
         memo[cols] = acc
         return acc
 
-    out = minor(0, tuple(range(n)))
-    return zero + out
+    return minor(0, tuple(range(n)))
 
 
 def solve_linear(rows, rhs, ctx):
@@ -582,6 +579,12 @@ def miwa_series_invert(poly):
     for gw in g.values():
         out = out + gw
     return out
+
+
+def field_sum(terms, ctx):
+    """The sum of a list of field scalars, formed from its first term on (none
+    is added to zero); zero for the empty list."""
+    return reduce(add, terms) if terms else ctx.zero()
 
 
 def field_product(factors, ctx):
@@ -715,10 +718,7 @@ class LaurentSeries:
         return LaurentSeries(self.ctx, {w - m: c for w, c in g.items()}, self.trunc - 2 * m)
 
     def evaluate(self, x):
-        acc = self.ctx.zero()
-        for e, c in self.coeffs.items():
-            acc = acc + c * x**e
-        return acc
+        return field_sum([c * x**e for e, c in self.coeffs.items()], self.ctx)
 
     def is_even(self):
         return all(e % 2 == 0 for e in self.coeffs)
@@ -865,14 +865,14 @@ class MiwaPolynomial:
     def evaluate(self, times):
         if len(times) < self.K:
             raise ValueError("need %d time values" % self.K)
-        acc = self.ctx.zero()
+        terms = []
         for key, c in self.terms.items():
             term = c
             for m, k in enumerate(key):
                 if k:
                     term = term * times[m] ** k
-            acc = acc + term
-        return acc
+            terms.append(term)
+        return field_sum(terms, self.ctx)
 
     def restrict(self, maxweight):
         """The polynomial known only through weighted degree maxweight."""

@@ -24,7 +24,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from itertools import combinations
 
 from .algebra import solve_linear
-from .chain import PoleError, pole_brackets, w_eval, _q_powers, _vals
+from .chain import PoleError, pole_brackets, w_eval, _q_powers
 
 _MAXITER = 80  # Newton steps allowed to each stage (search, refinement) of a solve
 
@@ -62,9 +62,8 @@ class BetheSolution:
 def residue_vector(p, u):
     """The residues of Lambda at v = u_j, in any field mode: every pole
     bracket from one `pole_brackets` pass, times w(y) w(q^2 y), y = u_j^2."""
-    uu = _vals(u)
-    ys = [x * x for x in uu]
-    return [b * w_eval(y) * w_eval(p.q * p.q * y) for b, y in zip(pole_brackets(p, uu), ys)]
+    ys = [x * x for x in u]
+    return [b * w_eval(y) * w_eval(p.q * p.q * y) for b, y in zip(pole_brackets(p, u), ys)]
 
 
 def closed_form_single_roots(p):

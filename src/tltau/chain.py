@@ -45,7 +45,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .algebra import FieldContext, LaurentSeries, QuadraticNumber, Rational, det, squarefree_kernel
+from .algebra import (FieldContext, LaurentSeries, QuadraticNumber, Rational, det, field_sum,
+                      squarefree_kernel)
 
 
 class PoleError(ZeroDivisionError):
@@ -91,12 +92,9 @@ def _q_powers(q):
 
 
 def boundary_sum(Q, spin_twice):
-    """sum of Q^{2k} for k = -s..s, with 2s = spin_twice."""
-    acc = None
-    for t in range(-spin_twice, spin_twice + 1, 2):
-        term = Q**t
-        acc = term if acc is None else acc + term
-    return acc
+    """sum of Q^{2k} for k = -s..s, with 2s = spin_twice: never an empty sum,
+    so it needs no context for its zero."""
+    return field_sum([Q**t for t in range(-spin_twice, spin_twice + 1, 2)], None)
 
 
 class ChainParams:
@@ -182,7 +180,7 @@ class ChainParams:
         return cls(N, M, spin_twice, q, ctx.embed(Qf), ctx)
 
 
-class ParameterVector:
+class ParameterVector(tuple):
     """Tuple of spectral parameters with a role tag ('bethe' or 'free').
 
     The constructor enforces what it can see without q: entries nonzero and
@@ -196,40 +194,23 @@ class ParameterVector:
     tuples that no caller can change.
     """
 
-    __slots__ = ("values", "role", "_memo")
-
-    def __init__(self, values, role):
+    def __new__(cls, values, role):
         if role not in ("bethe", "free"):
             raise ValueError("role must be 'bethe' or 'free'")
-        vals = tuple(values)
-        for x in vals:
+        self = super().__new__(cls, values)
+        for x in self:
             if not x:
                 raise ValueError("parameter entries must be nonzero")
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[i] == vals[j]:
+        for i in range(len(self)):
+            for j in range(i + 1, len(self)):
+                if self[i] == self[j]:
                     raise ValueError("parameter entries must be pairwise distinct")
-        self.values = vals
         self.role = role
         self._memo = {}
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
+        return self
 
     def __repr__(self):
-        return "ParameterVector(%r, %r)" % (self.values, self.role)
-
-
-def _vals(u):
-    if isinstance(u, ParameterVector):
-        return u.values
-    return tuple(u)
+        return "ParameterVector(%r, %r)" % (tuple(self), self.role)
 
 
 def remember(u, key, make):
@@ -243,7 +224,7 @@ def remember(u, key, make):
     return got
 
 
-def validate_uv(p, u=None, v=None):
+def validate_uv(p, u=(), v=()):
     """Check the q-dependent admissibility sets, naming the factor that fails.
 
     For i != j: u_i u_j must avoid {+-1, +-1/q} and u_i/u_j, v_i/v_j must
@@ -251,28 +232,26 @@ def validate_uv(p, u=None, v=None):
     v_i must avoid {+-u_j, +-1/(q u_j)} and the eigenvalue poles w(q v^2) = 0.
     """
     q = p.q
-    uu = _vals(u) if u is not None else ()
-    vv = _vals(v) if v is not None else ()
-    for i in range(len(uu)):
-        for j in range(i + 1, len(uu)):
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
             ij = "i=%d j=%d" % (i, j)
-            prod = uu[i] * uu[j]
+            prod = u[i] * u[j]
             _refuse_pm(prod, 1, "w(u_i*u_j)", ij)
             _refuse_pm(prod * q, 1, "w(q*u_i*u_j)", ij)
-            _refuse_pm(uu[i], uu[j], "w(u_i/u_j)", ij)
-    for i, x in enumerate(vv):
+            _refuse_pm(u[i], u[j], "w(u_i/u_j)", ij)
+    for i, x in enumerate(v):
         _refuse_pm(x * x * q, 1, "w(q*v^2)", "i=%d" % i)
-        for j, y in enumerate(vv[:i]):
+        for j, y in enumerate(v[:i]):
             _refuse_pm(x, y, "w(v_i/v_j)", "i=%d j=%d" % (j, i))
-        for j, y in enumerate(uu):
+        for j, y in enumerate(u):
             ij = "i=%d j=%d" % (i, j)
             _refuse_pm(x, y, "w(v_i/u_j)", ij)
             _refuse_pm(x * y * q, 1, "w(q*v_i*u_j)", ij)
 
 
-def _check_row(uu, i):
-    if not 0 <= i < len(uu):
-        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(uu)))
+def _check_row(u, i):
+    if not 0 <= i < len(u):
+        raise ValueError("index i=%d outside the %d Bethe roots" % (i, len(u)))
 
 
 def _sigma(q, uj):
@@ -306,21 +285,20 @@ def pole_brackets(p, u):
     prod n1_i] / (2 u_j w(qy)^2 prod d_i), finite where w(y) w(q^2 y), the
     rest of the residue, vanishes.  Each root's 1/(q y) serves both sigma_j
     and w(q y).  Reads only p.N, p.q and its powers p.iq, p.q3, p.iq3."""
-    uu = _vals(u)
-    if not all(uu):
+    if not all(u):
         raise PoleError("w(u_j)", "root is zero")
     q, iq = p.q, p.iq
-    ys = [x * x for x in uu]
+    ys = [x * x for x in u]
     qys = [q * y for y in ys]
     rs = [1 / qy for qy in qys]
     ss = [qy + r for qy, r in zip(qys, rs)]
     e = 2 * p.N
     out = []
-    for j in range(len(uu)):
+    for j in range(len(u)):
         y, qy = ys[j], qys[j]
         _refuse_pm(qy, 1, "w(q*u_j^2)", "")
         wqy = qy - rs[j]
-        a, b, den = (qy - iq) ** e, (y - 1) ** e, 2 * uu[j] * wqy * wqy * y ** (p.N - 1)
+        a, b, den = (qy - iq) ** e, (y - 1) ** e, 2 * u[j] * wqy * wqy * y ** (p.N - 1)
         for i, s in enumerate(ss):
             if i != j:
                 n1, n2, d = _factors(p, y, s)
@@ -371,9 +349,9 @@ def leading_power(p, family):
 
 def _root_data(p, u):
     """(sigma-tuple, sigma'-tuple) of the roots u, kept by a ParameterVector."""
-    q, uu = p.q, _vals(u)
-    return remember(u, p, lambda: (tuple(_sigma(q, x) for x in uu),
-                                   tuple(_dsigma(q, x) for x in uu)))
+    q = p.q
+    return remember(u, p, lambda: (tuple(_sigma(q, x) for x in u),
+                                   tuple(_dsigma(q, x) for x in u)))
 
 
 def _rows(p, roots, family, y):
@@ -405,15 +383,14 @@ def family_matrix_y(p, u, family, ypoints):
 
 def lambda_du_y(p, i, y, u):
     """d Lambda / d u_i at v = sqrt(y)."""
-    _check_row(_vals(u), i)
+    _check_row(u, i)
     return family_matrix_y(p, u, 1, [y])[i][0]
 
 
 def kernel_y(p, u, ypoints):
     """Determinant-ratio kernel evaluated at squared points y_j = v_j^2."""
-    uu = _vals(u)
     ys = list(ypoints)
-    if len(uu) < 1 or len(ys) != len(uu):
+    if len(u) < 1 or len(ys) != len(u):
         raise ValueError("kernel_y needs len(u) = len(y) >= 1")
     num = det(family_matrix_y(p, u, 1, ys), p.ctx)
     den = det(family_matrix_y(p, u, 2, ys), p.ctx)
@@ -441,23 +418,21 @@ def lambda_du(p, i, v, u):
 
 def f2_eval(p, i, v, u):
     """Family-2 value 1/(w(v/u_i) w(q v u_i))."""
-    _check_row(_vals(u), i)
+    _check_row(u, i)
     return family_matrix_y(p, u, 2, [v * v])[i][0]
 
 
 def family_matrix(p, u, family, points):
     """Matrix F^(family)_i(x_j) with rows indexed by the Bethe roots."""
-    return family_matrix_y(p, u, family, [x * x for x in _vals(points)])
+    return family_matrix_y(p, u, family, [x * x for x in points])
 
 
 def kernel(p, u, v):
     """Determinant-ratio kernel det F^(1)_i(v_j) / det F^(2)_i(v_j)."""
-    uu = _vals(u)
-    vv = _vals(v)
-    if len(uu) < 1 or len(vv) != len(uu):
+    if len(u) < 1 or len(v) != len(u):
         raise ValueError("kernel needs len(u) = len(v) >= 1")
-    validate_uv(p, uu, vv)
-    return kernel_y(p, u, [x * x for x in vv])
+    validate_uv(p, u, v)
+    return kernel_y(p, u, [x * x for x in v])
 
 
 def slavnov(p, u, v):
@@ -477,22 +452,20 @@ def g_prefactor(p, u, v):
     """
     ctx = p.ctx
     q = p.q
-    uu = _vals(u)
-    vv = _vals(v)
-    M = len(uu)
-    if M < 1 or len(vv) != M:
+    M = len(u)
+    if M < 1 or len(v) != M:
         raise ValueError("g_prefactor needs len(u) = len(v) >= 1")
     out = ctx.embed(Rational(1, 2**M)) * p.Q ** (-M * p.spin_twice)
     for j in range(M):
-        wu = _w_nonzero(uu[j], "w(u_j)", "j=%d" % j)
-        wu2 = _w_nonzero(uu[j] * uu[j], "w(u_j^2)", "j=%d" % j)
-        wv2 = _w_nonzero(vv[j] * vv[j] * q * q, "w(q^2*v_j^2)", "j=%d" % j)
-        out = out * uu[j] * wu ** (2 * p.N) * wu2 / (wu2 * wv2)
+        wu = _w_nonzero(u[j], "w(u_j)", "j=%d" % j)
+        wu2 = _w_nonzero(u[j] * u[j], "w(u_j^2)", "j=%d" % j)
+        wv2 = _w_nonzero(v[j] * v[j] * q * q, "w(q^2*v_j^2)", "j=%d" % j)
+        out = out * u[j] * wu ** (2 * p.N) * wu2 / (wu2 * wv2)
     for i in range(M):
         for j in range(i):
             ij = "i=%d j=%d" % (i, j)
-            num = _w_nonzero(uu[i] * uu[j] * q * q, "w(q^2*u_i*u_j)", ij)
-            den = _w_nonzero(uu[i] * uu[j], "w(u_i*u_j)", ij)
+            num = _w_nonzero(u[i] * u[j] * q * q, "w(q^2*u_i*u_j)", ij)
+            den = _w_nonzero(u[i] * u[j], "w(u_i*u_j)", ij)
             out = out * num / den
     return out
 
@@ -526,7 +499,7 @@ def f_series(p, u, family, i, order):
     start = 2 * leading_power(p, family)
     if order < start:
         raise ValueError("order %d is below the family's starting exponent %d" % (order, start))
-    _check_row(_vals(u), i)
+    _check_row(u, i)
     return _z_series(taylor_rows(p, u, family, (order - start) // 2)[i], start, order)
 
 
@@ -536,7 +509,7 @@ def pole_radius_y(p, u):
     to place sample points safely inside convergence disks."""
     ctx = p.ctx
     cands = [ctx.magnitude(p.iq)]
-    for uj in _vals(u):
+    for uj in u:
         cands.append(ctx.magnitude(uj * uj))
         inv = ctx.one() / (p.q * uj)
         cands.append(ctx.magnitude(inv * inv))

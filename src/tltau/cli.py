@@ -22,7 +22,6 @@ Checks
 
 import argparse
 import json
-import math
 import random
 import sys
 import zlib
@@ -31,6 +30,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
+from .algebra import field_product
 from .chain import (
     ChainParams,
     ParameterVector,
@@ -46,86 +46,6 @@ from . import bethe as _bethe
 from . import diagrams as _diagrams
 from . import schur as _schur
 from . import tau as _tau
-
-
-CHECK_NAMES = (
-    "theorem-quotient",
-    "pluecker",
-    "integral-rep",
-    "hirota",
-    "schur-expansion",
-    "diagram-counts",
-    "andreev",
-    "bethe",
-)
-
-FIELD_MODES = ("rational", "quadratic", "float")
-
-# Every config key once, with its default (None: none) and its rule: an int
-# is an integer key's minimum, str asks for a string, a tuple lists the allowed
-# values and a list [rule, n] asks for a list of at least n items that each
-# keep that rule.
-KEYS = {
-    "field_mode": ("rational", FIELD_MODES),
-    "N": (2, 1),
-    "M": (2, 0),
-    "spin_twice": (1, 1),
-    "Q": ("-2", str),
-    "u": (None, [str, 0]),
-    "v": (None, [str, 0]),
-    "instances": (20, 1),
-    "seed": (1, 0),
-    "miwa_cutoff": (8, 4),
-    "schur_cutoff": (8, 2),
-    "lambda1_max": (None, 0),
-    "precision_bits": (192, 128),
-    "checks": (list(CHECK_NAMES), [CHECK_NAMES, 1]),
-}
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _violation(rule, x):
-    """What is wrong with the value x under a KEYS rule, or None."""
-    if isinstance(rule, list):
-        item_rule, least = rule
-        if not isinstance(x, list):
-            return "%r is not a list" % (x,)
-        if len(x) < least:
-            return "%r has fewer than the minimum of %d entries" % (x, least)
-        return next(filter(None, (_violation(item_rule, item) for item in x)), None)
-    if isinstance(rule, tuple):
-        return None if x in rule else "%r is not one of %s" % (x, ", ".join(rule))
-    if rule is str:
-        return None if isinstance(x, str) else "%r is not a string" % (x,)
-    if not isinstance(x, int) or isinstance(x, bool):
-        return "%r is not an integer" % (x,)
-    return "%d is less than the minimum of %d" % (x, rule) if x < rule else None
-
-
-def validate_config(raw):
-    """Check a raw config against KEYS and fill in the defaults.
-
-    Collects every violation, one "config key <name>: ..." line each, sorted
-    by key; an unknown key is one.  Then u and v must have M entries each.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object, not %s" % type(raw).__name__)
-    problems = []
-    for key in sorted(raw):
-        bad = _violation(KEYS[key][1], raw[key]) if key in KEYS else "unknown key"
-        if bad:
-            problems.append("config key %s: %s" % (key, bad))
-    if not problems:
-        cfg = {key: copy(default) for key, (default, _) in KEYS.items() if default is not None}
-        cfg.update(raw)
-        problems = ["config key %s: expected %d entries for M=%d" % (key, cfg["M"], cfg["M"])
-                    for key in ("u", "v") if key in cfg and len(cfg[key]) != cfg["M"]]
-    if problems:
-        raise ConfigError("\n".join(problems))
-    return cfg
 
 
 def build_params(cfg):
@@ -340,7 +260,7 @@ def check_schur_expansion(cfg, p, seed):
 
     ahi = _schur.slavnov_schur_coeffs(p, u, cutoff + 2)
     power = leading_power(p, 1) - leading_power(p, 2)
-    samples = [(w, math.prod((y ** power for y in w), start=ctx.one()), kernel_y(p, u, w))
+    samples = [(w, field_product([y ** power for y in w], ctx), kernel_y(p, u, w))
                for w in wsets]
     blob = _params_blob(p, u, extra={"part": "kernel-expansion", "cutoff": cutoff})
     out.append(_shrink_record(ctx, ahi, cutoff, samples, blob, seed))
@@ -435,9 +355,11 @@ def check_andreev(cfg, p, seed):
 
 
 def _poly_value(ctx, rng, degree, x):
-    """sum_d c_d x^d, the c_d drawn lowest first, evaluated by Horner."""
-    acc = ctx.zero()
-    for c in reversed([rng.randint(-9, 9) for _ in range(degree + 1)]):
+    """sum_d c_d x^d, the c_d drawn lowest first, evaluated by Horner from the
+    leading coefficient."""
+    *rest, lead = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    acc = ctx.embed(lead)
+    for c in reversed(rest):
         acc = acc * x + ctx.embed(c)
     return acc
 
@@ -480,19 +402,92 @@ def _fixed_vector(cfg, p, key, role):
     return vec
 
 
-# Checks that draw Bethe roots; at M = 0 each gives one passing record.
-ROOT_CHECKS = ("theorem-quotient", "pluecker", "integral-rep", "hirota", "schur-expansion")
+# -- check table and config keys -----------------------------------------------
 
+
+# Every check once, in registry order: (function, its subcommand or None,
+# whether it draws Bethe roots; at M = 0 such a check gives one passing record).
 CHECKS = {
-    "theorem-quotient": check_theorem_quotient,
-    "pluecker": check_pluecker,
-    "integral-rep": check_integral_rep,
-    "hirota": check_hirota,
-    "schur-expansion": check_schur_expansion,
-    "diagram-counts": check_diagram_counts,
-    "andreev": check_andreev,
-    "bethe": check_bethe,
+    "theorem-quotient": (check_theorem_quotient, "kernel-vs-tau", True),
+    "pluecker": (check_pluecker, "pluecker", True),
+    "integral-rep": (check_integral_rep, None, True),
+    "hirota": (check_hirota, "hirota", True),
+    "schur-expansion": (check_schur_expansion, "schur-expand", True),
+    "diagram-counts": (check_diagram_counts, "count-diagrams", False),
+    "andreev": (check_andreev, None, False),
+    "bethe": (check_bethe, "solve-bethe", False),
 }
+CHECK_NAMES = tuple(CHECKS)
+ROOT_CHECKS = tuple(name for name, (_, _, roots) in CHECKS.items() if roots)
+SUBCOMMAND_CHECKS = {"verify": None, **{sub: [name] for name, (_, sub, _) in CHECKS.items() if sub}}
+
+FIELD_MODES = ("rational", "quadratic", "float")
+
+# Every config key once, with its default (None: none) and its rule: an int
+# is an integer key's minimum, str asks for a string, a tuple lists the allowed
+# values and a list [rule, n] asks for a list of at least n items that each
+# keep that rule.
+KEYS = {
+    "field_mode": ("rational", FIELD_MODES),
+    "N": (2, 1),
+    "M": (2, 0),
+    "spin_twice": (1, 1),
+    "Q": ("-2", str),
+    "u": (None, [str, 0]),
+    "v": (None, [str, 0]),
+    "instances": (20, 1),
+    "seed": (1, 0),
+    "miwa_cutoff": (8, 4),
+    "schur_cutoff": (8, 2),
+    "lambda1_max": (None, 0),
+    "precision_bits": (192, 128),
+    "checks": (list(CHECK_NAMES), [CHECK_NAMES, 1]),
+}
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _violation(rule, x):
+    """What is wrong with the value x under a KEYS rule, or None."""
+    if isinstance(rule, list):
+        item_rule, least = rule
+        if not isinstance(x, list):
+            return "%r is not a list" % (x,)
+        if len(x) < least:
+            return "%r has fewer than the minimum of %d entries" % (x, least)
+        return next(filter(None, (_violation(item_rule, item) for item in x)), None)
+    if isinstance(rule, tuple):
+        return None if x in rule else "%r is not one of %s" % (x, ", ".join(rule))
+    if rule is str:
+        return None if isinstance(x, str) else "%r is not a string" % (x,)
+    if not isinstance(x, int) or isinstance(x, bool):
+        return "%r is not an integer" % (x,)
+    return "%d is less than the minimum of %d" % (x, rule) if x < rule else None
+
+
+def validate_config(raw):
+    """Check a raw config against KEYS and fill in the defaults.
+
+    Collects every violation, one "config key <name>: ..." line each, sorted
+    by key; an unknown key is one.  Then u and v must have M entries each.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError("config: expected a JSON object, not %s" % type(raw).__name__)
+    problems = []
+    for key in sorted(raw):
+        bad = _violation(KEYS[key][1], raw[key]) if key in KEYS else "unknown key"
+        if bad:
+            problems.append("config key %s: %s" % (key, bad))
+    if not problems:
+        cfg = {key: copy(default) for key, (default, _) in KEYS.items() if default is not None}
+        cfg.update(raw)
+        problems = ["config key %s: expected %d entries for M=%d" % (key, cfg["M"], cfg["M"])
+                    for key in ("u", "v") if key in cfg and len(cfg[key]) != cfg["M"]]
+    if problems:
+        raise ConfigError("\n".join(problems))
+    return cfg
 
 
 # -- suite driver --------------------------------------------------------------
@@ -509,11 +504,12 @@ def run_suite(cfg):
         return _assemble_report(cfg, records)
 
     def run_one(name):
+        check, _, draws_roots = CHECKS[name]
         seed = (cfg["seed"] + zlib.crc32(name.encode())) % 2**32
-        if p.M < 1 and name in ROOT_CHECKS:
+        if p.M < 1 and draws_roots:
             return [_record(name, _params_blob(p), seed, None, True)]
         try:
-            return CHECKS[name](cfg, p, seed)
+            return check(cfg, p, seed)
         except Exception as exc:  # recorded, never fatal to the suite
             return [_record(name, _params_blob(p), seed, None, False,
                             error="%s: %s" % (type(exc).__name__, exc))]
@@ -573,17 +569,6 @@ def _base_flags(sp):
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--text", dest="fmt", action="store_const", const="text")
     sp.add_argument("--out", help="also write the report to this file")
-
-
-SUBCOMMAND_CHECKS = {
-    "verify": None,
-    "kernel-vs-tau": ["theorem-quotient"],
-    "pluecker": ["pluecker"],
-    "hirota": ["hirota"],
-    "schur-expand": ["schur-expansion"],
-    "count-diagrams": ["diagram-counts"],
-    "solve-bethe": ["bethe"],
-}
 
 
 def make_parser():

@@ -34,8 +34,8 @@ coefficients of a Miwa polynomial by the Hall inner product (Macdonald I.4).
 from functools import cache
 from math import factorial, prod
 
-from .algebra import (FieldContext, MiwaPolynomial, Rational, det, det_ring, miwa_series_invert,
-                      vandermonde)
+from .algebra import (FieldContext, MiwaPolynomial, Rational, det, det_ring, field_product,
+                      miwa_series_invert, vandermonde)
 from .chain import family_matrix_y, leading_power, remember, taylor_rows
 
 
@@ -277,9 +277,7 @@ def tau_tilde_direct(p, u, family, points):
     if not vdm:
         raise ValueError("repeated evaluation points")
     power = leading_power(p, family)
-    pref = ctx.one()
-    for y in pts:
-        pref = pref * (y ** power)
+    pref = field_product([y ** power for y in pts], ctx)
     dm = det(family_matrix_y(p, u, family, pts), ctx)
     return dm / (pref * vdm)
 
@@ -338,10 +336,9 @@ def _schur_e(lam, M):
     if not lam:  # s_() = 1, in Lambda_0 too
         return (((0,) * M, 1),)
     ctx, w = FieldContext("rational"), sum(lam)
-    zero = MiwaPolynomial(ctx, M, w)
     rows = [[MiwaPolynomial(ctx, M, w, dict(_complete_e(M, part - i + j))) for j in range(M)]
             for i, part in enumerate(lam + (0,) * (M - len(lam)))]
-    return tuple((key, int(c)) for key, c in det_ring(rows, zero).terms.items())
+    return tuple((key, int(c)) for key, c in det_ring(rows).terms.items())
 
 
 def schur_sum_e(cmap, n):

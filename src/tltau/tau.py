@@ -20,7 +20,7 @@ of the two generating families F of the chain module.  This module gives:
 import math
 from itertools import combinations, product
 
-from .algebra import MiwaPolynomial, Rational, det, field_product, vandermonde
+from .algebra import MiwaPolynomial, Rational, det, field_product, field_sum, vandermonde
 from .chain import family_matrix
 from . import schur as _schur
 
@@ -31,13 +31,8 @@ from . import schur as _schur
 def miwa_map(points, K, ctx):
     """Times of a point set as a tuple: t_m = (1/m) sum_i x_i^m, m = 1..K."""
     pts = list(points)
-    out = []
-    for m in range(1, K + 1):
-        acc = ctx.zero()
-        for x in pts:
-            acc = acc + x ** m
-        out.append(acc * ctx.embed(Rational(1, m)))
-    return tuple(out)
+    return tuple(field_sum([x ** m for x in pts], ctx) * ctx.embed(Rational(1, m))
+                 for m in range(1, K + 1))
 
 
 # -- tau functions -------------------------------------------------------------
@@ -75,18 +70,11 @@ def tau_residue(p, u, family, points):
     if not all(denoms):
         raise ValueError("repeated evaluation points")
     fmat = family_matrix(p, u, family, pts)
-    rows = []
-    for i in range(M):
-        row = []
-        for j in range(M):
-            acc = ctx.zero()
-            for k in range(M):
-                term = fmat[j][k] if i == M - 1 else pts[k] ** (M - 1 - i) * fmat[j][k]
-                acc = acc + term / denoms[k]
-            row.append(acc)
-        rows.append(row)
-    sign = -1 if (M * (M - 1) // 2) % 2 else 1
-    return det(rows, ctx) * ctx.embed(sign)
+    rows = [[field_sum([(fmat[j][k] if i == M - 1 else pts[k] ** (M - 1 - i) * fmat[j][k])
+                        / denoms[k] for k in range(M)], ctx)
+             for j in range(M)] for i in range(M)]
+    d = det(rows, ctx)
+    return -d if (M * (M - 1) // 2) % 2 else d
 
 
 def pluecker_residual(p, u, family, bigset, smallset):
@@ -102,15 +90,11 @@ def pluecker_residual(p, u, family, bigset, smallset):
     M = p.M
     if len(X) != M + 1 or len(Y) != M - 1:
         raise ValueError("need |X| = M + 1 and |Y| = M - 1")
-    ctx = p.ctx
-    acc = ctx.zero()
-    sign = -1
+    terms = []
     for i in range(M + 1):
-        left = det_family(p, u, family, X[:i] + X[i + 1:])
-        right = det_family(p, u, family, Y + [X[i]])
-        acc = acc + ctx.embed(sign) * left * right
-        sign = -sign
-    return acc
+        term = det_family(p, u, family, X[:i] + X[i + 1:]) * det_family(p, u, family, Y + [X[i]])
+        terms.append(-term if i % 2 == 0 else term)
+    return field_sum(terms, p.ctx)
 
 
 # -- Hirota bilinear operators -------------------------------------------------
@@ -218,20 +202,12 @@ def andreev_residual(ctx, points, weights, fvals, gvals):
         raise ValueError("value tables must cover every point")
     if len(weights) != n:
         raise ValueError("need one weight per point")
-    smat = []
-    for i in range(M):
-        row = []
-        for j in range(M):
-            acc = ctx.zero()
-            for k in range(n):
-                acc = acc + weights[k] * fvals[i][k] * gvals[j][k]
-            row.append(acc)
-        smat.append(row)
-    lhs = det(smat, ctx)
-    acc = ctx.zero()
+    smat = [[field_sum([weights[k] * fvals[i][k] * gvals[j][k] for k in range(n)], ctx)
+             for j in range(M)] for i in range(M)]
+    rhs = []
     for ks in combinations(range(n), M):
         mu = field_product([weights[k] for k in ks], ctx)
         fminor = [[fvals[i][k] for k in ks] for i in range(M)]
         gminor = [[gvals[i][k] for k in ks] for i in range(M)]
-        acc = acc + mu * det(fminor, ctx) * det(gminor, ctx)
-    return lhs - acc
+        rhs.append(mu * det(fminor, ctx) * det(gminor, ctx))
+    return det(smat, ctx) - field_sum(rhs, ctx)

@@ -12,11 +12,10 @@ from tltau import chain, schur
 def lambda_residue(p, u, j):
     """Residue of Lambda at v = u_j, in any field mode: the pole bracket times
     w(u_j^2) w(q^2 u_j^2)."""
-    uu = chain._vals(u)
-    if not 0 <= j < len(uu):
-        raise ValueError("index j=%d outside the %d roots" % (j, len(uu)))
-    y = uu[j] * uu[j]
-    return chain.pole_brackets(p, uu)[j] * chain.w_eval(y) * chain.w_eval(p.q * p.q * y)
+    if not 0 <= j < len(u):
+        raise ValueError("index j=%d outside the %d roots" % (j, len(u)))
+    y = u[j] * u[j]
+    return chain.pole_brackets(p, u)[j] * chain.w_eval(y) * chain.w_eval(p.q * p.q * y)
 
 
 def lambda_series(p, u, order=None):

@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import tltau.cli
 from tltau import algebra
 
@@ -56,8 +58,19 @@ def test_tracer_wraps_every_named_function_and_restores_it():
         assert all(after[name][k] is v for k, v in space.items()), name
 
 
-def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
-    # pinned on the integer carrier, with every 1 / x the bare inverse and
+# (records, products, inverses) of one quadratic instance of each instance
+# check; pluecker and integral-rep give one record per family
+QUADRATIC_PINS = {
+    "theorem-quotient": (1, 212, 34),
+    "pluecker": (2, 307, 27),
+    "integral-rep": (2, 169, 35),
+    "andreev": (1, 184, 3),
+}
+
+
+@pytest.mark.parametrize("check", QUADRATIC_PINS)
+def test_tracer_counts_every_quadratic_scalar_product_and_inverse(check):
+    # theorem-quotient is pinned on the integer carrier, with every 1 / x the bare inverse and
     # no product (a reciprocal times 1 would read 18 more products: eight
     # in w_eval's x - 1/x, two each in the q-powers, the sigma_i and the
     # sigma_i', four in the family-2 rows); validate_uv forming each product
@@ -81,17 +94,24 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse():
     # products, and the two Vandermondes of M = 2 points started from 1 two
     # more.  A fast path that multiplied or inverted without the counted
     # methods would make these read lower.
+    # The other checks take signs as negations and start sums at their first
+    # term: pluecker multiplying each exchange term by +-1 reads 6 more
+    # products, integral-rep multiplying the residue determinant by its sign
+    # 2 more, and andreev starting Horner's rule at zero (zero times x first)
+    # 24 more.
+    records, products, inverses = QUADRATIC_PINS[check]
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        cfg = tltau.cli.validate_config({"checks": ["theorem-quotient"], "instances": 1,
+        cfg = tltau.cli.validate_config({"checks": [check], "instances": 1,
                                          "field_mode": "quadratic", "spin_twice": 2, "Q": "2"})
-        assert tltau.cli.run_suite(cfg)["summary"] == {"total": 1, "passed": 1, "failed": 0}
+        summary = tltau.cli.run_suite(cfg)["summary"]
+        assert summary == {"total": records, "passed": records, "failed": 0}
     finally:
         tracer.uninstall()
-    assert tracer.counters["algebra.qnum_mul.calls"] == 212
-    assert tracer.counters["algebra.qnum_inverse.calls"] == 34
+    assert tracer.counters["algebra.qnum_mul.calls"] == products
+    assert tracer.counters["algebra.qnum_inverse.calls"] == inverses
 
 
 def test_expansion_checks_build_each_taylor_table_once_and_pair_hirota_terms(monkeypatch):

@@ -308,6 +308,35 @@ class TestSuite:
         monkeypatch.setattr(tau, "combinations", lambda ks, M: list(combinations(ks, M))[:-1])
         assert verdicts() == [False] * 6
 
+    def test_quadratic_identity_checks_add_no_structural_zero(self, monkeypatch):
+        # every sum starts at its first term (algebra.field_sum), so no
+        # operand of + or - is the zero() object of a context made in the run
+        zeros, hits = [], []
+        init = FieldContext.__init__
+
+        def recording_init(ctx, *args, **kwargs):
+            init(ctx, *args, **kwargs)
+            zeros.append(ctx._zero)
+
+        def watched(name):
+            method = vars(algebra.QuadraticNumber)[name]
+
+            def wrapper(a, b):
+                if any(x is z for x in (a, b) for z in zeros):
+                    hits.append(name)
+                return method(a, b)
+            return wrapper
+
+        monkeypatch.setattr(FieldContext, "__init__", recording_init)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(algebra.QuadraticNumber, name, watched(name))
+        checks = ["theorem-quotient", "pluecker", "integral-rep", "andreev", "diagram-counts"]
+        cfg = validate_config({"checks": checks, "instances": 3, "field_mode": "quadratic",
+                               "spin_twice": 2, "Q": "2"})
+        assert run_suite(cfg)["summary"]["failed"] == 0
+        assert zeros
+        assert not hits, "%d operands are a context's zero" % len(hits)
+
     def test_bethe_sees_a_seeded_fault_in_the_pole_bracket(self, monkeypatch):
         # q^2 y - 1/q for q y - 1/q in the bracket's A term moves its zero
         # set: the solver then certifies roots of the wrong equation, which
