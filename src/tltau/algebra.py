@@ -25,16 +25,23 @@ So a caller never trims a result to its known weights by hand.
 One determinant, ``det_ring``, serves every scalar mode; one series inverse,
 ``_graded_inverse``, serves Laurent series (graded by exponent) and Miwa
 polynomials (graded by weight).
+
+Sums start at their first term, never at a context's zero: ``field_sum``
+adds a list of scalars, and ``keyed_sum`` adds (key, term) pairs into a
+sparse dict, a new key starting at its term.  Every sparse accumulation runs
+through ``keyed_sum``: the sums and products of Laurent series and Miwa
+polynomials here, and the Schur sums and coefficient maps of ``schur``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 
 def _sum(na, da, nb, db):
@@ -553,13 +560,8 @@ def _graded_inverse(parts, order):
     g0 = 1 / parts[0]
     g = {0: g0}
     for w in range(1, order + 1):
-        acc = None
-        for j, pj in parts.items():
-            if 0 < j <= w and w - j in g:
-                term = pj * g[w - j]
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            g[w] = acc * -g0
+        if terms := [pj * g[w - j] for j, pj in parts.items() if 0 < j <= w and w - j in g]:
+            g[w] = reduce(add, terms) * -g0
     return g
 
 
@@ -585,6 +587,15 @@ def field_sum(terms, ctx):
     """The sum of a list of field scalars, formed from its first term on (none
     is added to zero); zero for the empty list."""
     return reduce(add, terms) if terms else ctx.zero()
+
+
+def keyed_sum(out, pairs):
+    """Add each (key, term) pair into the dict ``out``, a new key starting at
+    its term (none is added to zero), and return ``out``."""
+    for key, c in pairs:
+        got = out.get(key)
+        out[key] = c if got is None else got + c
+    return out
 
 
 def field_product(factors, ctx):
@@ -660,11 +671,7 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             other = self._lift(other)
         t = min(self.trunc, other.trunc)
-        zero = self.ctx.zero()
-        out = {e: c for e, c in self.coeffs.items() if e <= t}
-        for e, c in other.coeffs.items():
-            if e <= t:
-                out[e] = out.get(e, zero) + c
+        out = keyed_sum({}, ((e, c) for s in (self, other) for e, c in s.coeffs.items() if e <= t))
         return LaurentSeries(self.ctx, out, t)
 
     __radd__ = __add__
@@ -690,13 +697,8 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return self.scale(other)
         t = min(self.trunc + other.min_exp(), other.trunc + self.min_exp())
-        zero = self.ctx.zero()
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= t:
-                    out[e] = out.get(e, zero) + c1 * c2
+        out = keyed_sum({}, ((e1 + e2, c1 * c2) for e1, c1 in self.coeffs.items()
+                             for e2, c2 in other.coeffs.items() if e1 + e2 <= t))
         return LaurentSeries(self.ctx, out, t)
 
     __rmul__ = __mul__
@@ -810,10 +812,7 @@ class MiwaPolynomial:
         if not isinstance(other, MiwaPolynomial):
             return NotImplemented
         cutoff = self._compat(other)
-        zero = self.ctx.zero()
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, zero) + c
+        out = keyed_sum(dict(self.terms), other.terms.items())
         if self.cutoff != other.cutoff:
             return MiwaPolynomial(self.ctx, self.K, cutoff, out)
         return self._result(out)
@@ -833,18 +832,12 @@ class MiwaPolynomial:
         if not isinstance(other, MiwaPolynomial):
             return self.scale(other)
         cutoff = self._compat(other)
-        # right operand by weight, so each left term stops at the room it leaves
-        right = sorted(((weighted_degree(k), k, c) for k, c in other.terms.items()),
-                       key=itemgetter(0))
-        zero = self.ctx.zero()
-        out = {}
-        for k1, c1 in self.terms.items():
-            room = cutoff - weighted_degree(k1)
-            for w2, k2, c2 in right:
-                if w2 > room:
-                    break
-                key = tuple(map(add, k1, k2))
-                out[key] = out.get(key, zero) + c1 * c2
+        # right operand by weight, so each left term takes the prefix that fits
+        right = sorted(other.terms.items(), key=lambda kc: weighted_degree(kc[0]))
+        weights = [weighted_degree(k) for k, _ in right]
+        out = keyed_sum({}, (
+            (tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in self.terms.items()
+            for k2, c2 in right[:bisect_right(weights, cutoff - weighted_degree(k1))]))
         return self._result(out, cutoff)
 
     __rmul__ = __mul__

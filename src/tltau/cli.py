@@ -233,7 +233,7 @@ def check_schur_expansion(cfg, p, seed):
     polys = [(lam, _schur.schur_miwa(lam, 6, ctx, 6)) for lam in _schur.partitions_bounded(6)]
     for npts in (1, 2, 3):
         pts = [ctx.embed(x) for x in _draw_distinct(rng, npts)]
-        times, e = _tau.miwa_map(pts, 6, ctx), _schur.elementary_symmetric(pts, ctx)
+        times, e = _tau.miwa_map(pts, 6, ctx), _schur.elementary_symmetric(pts)
         for lam, poly in polys:
             lhs = _schur._schur_at_e(lam, e, ctx)
             rhs = poly.evaluate(times)
@@ -283,7 +283,7 @@ def _shrink_record(ctx, hi, cutoff, samples, blob, seed):
     shrank = True
     worst_pair = (0.0, 0.0)
     for w, pref, direct in samples:
-        e = _schur.elementary_symmetric(w, ctx)
+        e = _schur.elementary_symmetric(w)
         dlo = ctx.magnitude(pref * low.evaluate(e) - direct)
         dhi = ctx.magnitude(pref * high.evaluate(e) - direct)
         if not dhi * 16 <= dlo:

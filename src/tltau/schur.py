@@ -17,12 +17,11 @@ assembles Schur coefficients as minors of it.  The normalized tau sums
 
     tau~(a) = sum_lam c_lam(a) s_lam,      c_lam(a) = det f^(a)[i][lam_j - j + M],
 
-are built in one pass over the cycle types mu_k of the times' monomials t^k,
-
-    [tau~(a)]_k = sum_{|lam| = |mu_k|} c_lam(a) chi^lam(mu_k) / prod_m k_m!,
-
-of which one Schur polynomial is the case of a single partition.  On n points
-the same sums are one polynomial in e_1..e_n (`schur_sum_e`) at their e_k.
+are keyed sums (`algebra.keyed_sum`) of c_lam(a) times a cached table of
+s_lam per partition, on both sides: in the times t_1..t_K (`_schur_t`,
+[s_lam]_{t^k} = chi^lam(mu_k) / prod_m k_m!, mu_k the cycle type of t^k) and
+on n points as one polynomial in e_1..e_n (`_schur_e`, `schur_sum_e`) at
+their e_k.  One Schur polynomial reads its table alone.
 
 `slavnov_schur_coeffs` divides the two tau sums in Lambda_M = Q[e_1..e_M],
 the symmetric functions of M variables: restriction to M variables kills
@@ -35,7 +34,7 @@ from functools import cache
 from math import factorial, prod
 
 from .algebra import (FieldContext, MiwaPolynomial, Rational, det, det_ring, field_product,
-                      miwa_series_invert, vandermonde)
+                      keyed_sum, miwa_series_invert, vandermonde)
 from .chain import family_matrix_y, leading_power, remember, taylor_rows
 
 
@@ -93,13 +92,14 @@ def ell_indices(lam, npoints):
 def schur_points(lam, points, ctx):
     """s_lam on a finite point set by Jacobi-Trudi in the points' e_k; zero
     when the partition has more rows than there are points."""
-    return _schur_at_e(lam, elementary_symmetric(list(points), ctx), ctx)
+    return _schur_at_e(lam, elementary_symmetric(points), ctx)
 
 
 def _schur_at_e(lam, e, ctx):
     """s_lam at the points whose elementary symmetric values are e_1..e_n."""
-    parts = partition_normalize(lam)
-    return schur_sum_e(SchurCoeffMap(ctx, sum(parts), {parts: ctx.one()}), len(e)).evaluate(e)
+    parts, n = partition_normalize(lam), len(e)
+    return MiwaPolynomial(ctx, n, sum(parts),
+                          {key: ctx.embed(k) for key, k in _schur_e(parts, n)}).evaluate(e)
 
 
 @cache
@@ -144,35 +144,21 @@ def schur_miwa(lam, cutoff, ctx, K=None):
     parts = partition_normalize(lam)
     if sum(parts) > cutoff:
         raise ValueError("partition weight exceeds the cutoff")
-    return _character_sum([(parts, ctx.one())], cutoff, ctx, K)
+    K = max(cutoff, 1) if K is None else K
+    return MiwaPolynomial(ctx, K, cutoff, {key: ctx.embed(r) for key, r in _schur_t(parts, K)})
 
 
-def _character_sum(coeffs, cutoff, ctx, K=None):
-    """sum_lam c_lam s_lam in the times t_1..t_K for (lam, c_lam) pairs of
-    weight at most cutoff, in one pass over the cycle types mu:
-
-        [sum_lam c_lam s_lam]_{t^k} = sum_{|lam| = |mu_k|} c_lam chi^lam(mu_k) / prod_m k_m!.
-    """
-    if K is None:
-        K = max(cutoff, 1)
-    by_weight = {}
-    for lam, c in coeffs:
-        by_weight.setdefault(sum(lam), []).append((lam, c))
-    terms = {}
-    for mu in _partitions(max(by_weight, default=0), None):
-        group = by_weight.get(sum(mu))
-        if group is None or max(mu, default=0) > K:
-            continue
-        key = tuple(mu.count(m) for m in range(1, K + 1))
-        denom = prod(map(factorial, key))
-        acc = None
-        for lam, c in group:
-            if chi := _character(lam, mu):
-                term = c * ctx.embed(Rational(chi, denom))
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            terms[key] = acc
-    return MiwaPolynomial(ctx, K, cutoff, terms)
+@cache
+def _schur_t(lam, K):
+    """s_lam in the times t_1..t_K as (key, Rational) pairs, key[m - 1] the
+    power of t_m: [s_lam]_{t^k} = chi^lam(mu_k) / prod_m k_m!, mu_k the cycle
+    type with k_m parts m; cycle types with a part above K drop out."""
+    out = []
+    for mu in _partitions(sum(lam), None):
+        if sum(mu) == sum(lam) and max(mu, default=0) <= K and (chi := _character(lam, mu)):
+            key = tuple(mu.count(m) for m in range(1, K + 1))
+            out.append((key, Rational(chi, prod(map(factorial, key)))))
+    return tuple(out)
 
 
 # -- coefficient extraction ---------------------------------------------------
@@ -252,17 +238,22 @@ def cauchy_binet_coeffs(p, u, family, cutoff):
 
 
 def tau_schur_poly(p, u, family, cutoff, K=None):
-    """Normalized tau sum as a Miwa polynomial: sum_lam c_lam s_lam(t)."""
-    return _character_sum(cauchy_binet_coeffs(p, u, family, cutoff).items(), cutoff, p.ctx, K)
+    """Normalized tau sum as a Miwa polynomial: sum_lam c_lam s_lam(t), one
+    keyed sum of each c_lam times the table of s_lam in the times."""
+    ctx, K = p.ctx, max(cutoff, 1) if K is None else K
+    return MiwaPolynomial(ctx, K, cutoff, keyed_sum({}, (
+        (key, c * ctx.embed(r)) for lam, c in cauchy_binet_coeffs(p, u, family, cutoff).items()
+        for key, r in _schur_t(lam, K))))
 
 
-def elementary_symmetric(points, ctx):
-    """e_1 .. e_n of n points, the coefficients of prod_i (1 + x_i z)."""
-    e = [ctx.one()] + [ctx.zero()] * len(points)
-    for i, x in enumerate(points, 1):
-        for k in range(i, 0, -1):
-            e[k] = e[k] + x * e[k - 1]
-    return e[1:]
+def elementary_symmetric(points):
+    """e_1 .. e_n of n points, the coefficients of prod_i (1 + x_i z), each
+    formed from its first term: a new point x adds x * e_(k-1) to each e_k."""
+    e = []
+    for x in points:
+        step = [x] + [x * b for b in e]
+        e = [a + b for a, b in zip(e, step)] + step[len(e):]
+    return e
 
 
 def tau_tilde_direct(p, u, family, points):
@@ -300,17 +291,16 @@ def poly_to_schur(poly, maxlen):
     ctx = poly.ctx
     if poly.K < poly.cutoff:
         raise ValueError("need K >= cutoff for a Schur-basis expansion")
-    acc = {lam: ctx.zero() for lam in partitions_bounded(poly.cutoff, maxlen)}
     by_weight = {}
-    for lam in acc:
+    for lam in partitions_bounded(poly.cutoff, maxlen):
         by_weight.setdefault(sum(lam), []).append(lam)
+    out = {}
     for key, c in poly.terms.items():
         mu = tuple(m for m in range(poly.K, 0, -1) for _ in range(key[m - 1]))
         denom = prod(m**k for m, k in enumerate(key, 1))
-        for lam in by_weight.get(sum(mu), ()):
-            if chi := _character(lam, mu):
-                acc[lam] = acc[lam] + ctx.embed(Rational(chi, denom)) * c
-    return {lam: a for lam, a in acc.items() if a}
+        keyed_sum(out, ((lam, ctx.embed(Rational(chi, denom)) * c)
+                        for lam in by_weight.get(sum(mu), ()) if (chi := _character(lam, mu))))
+    return {lam: a for lam, a in out.items() if a}
 
 
 @cache
@@ -320,19 +310,18 @@ def _complete_e(M, n):
     h_0 = 1 and h_(n<0) = 0."""
     if n <= 0:
         return (((0,) * M, 1),) if n == 0 else ()
-    out = {}
-    for k in range(1, M + 1):
-        for key, c in _complete_e(M, n - k):
-            key = key[: k - 1] + (key[k - 1] + 1,) + key[k:]
-            out[key] = out.get(key, 0) + (-1) ** (k - 1) * c
+    out = keyed_sum({}, ((key[: k - 1] + (key[k - 1] + 1,) + key[k:], (-1) ** (k - 1) * c)
+                         for k in range(1, M + 1) for key, c in _complete_e(M, n - k)))
     return tuple((key, c) for key, c in out.items() if c)
 
 
 @cache
 def _schur_e(lam, M):
-    """s_lam (at most M rows) in Lambda_M as (key, int) pairs, key[m - 1] the
-    power of e_m: the Jacobi-Trudi determinant det(h_(lam_i - i + j)), its
-    entries held as Miwa polynomials of K = M (e_m has weight m)."""
+    """s_lam in Lambda_M as (key, int) pairs, key[m - 1] the power of e_m: the
+    Jacobi-Trudi determinant det(h_(lam_i - i + j)), its entries held as Miwa
+    polynomials of K = M (e_m has weight m); no pairs for more than M rows."""
+    if len(lam) > M:  # s_lam vanishes in M variables
+        return ()
     if not lam:  # s_() = 1, in Lambda_0 too
         return (((0,) * M, 1),)
     ctx, w = FieldContext("rational"), sum(lam)
@@ -343,15 +332,10 @@ def _schur_e(lam, M):
 
 def schur_sum_e(cmap, n):
     """sum_lam c_lam s_lam in n variables as a Miwa polynomial in e_1..e_n
-    (K = n, e_m of weight m, known through cmap's cutoff): each s_lam of at
-    most n rows from its Jacobi-Trudi table in Lambda_n; longer ones vanish."""
-    ctx, zero = cmap.ctx, cmap.ctx.zero()
-    terms = {}
-    for lam, c in cmap.items():
-        if len(lam) <= n:
-            for key, k in _schur_e(lam, n):
-                terms[key] = terms.get(key, zero) + c * k
-    return MiwaPolynomial(ctx, n, cmap.cutoff, terms)
+    (K = n, e_m of weight m, known through cmap's cutoff): one keyed sum of
+    each c_lam times the Jacobi-Trudi table of s_lam in Lambda_n."""
+    return MiwaPolynomial(cmap.ctx, n, cmap.cutoff, keyed_sum({}, (
+        (key, c * k) for lam, c in cmap.items() for key, k in _schur_e(lam, n))))
 
 
 def slavnov_schur_coeffs(p, u, cutoff):
@@ -360,14 +344,13 @@ def slavnov_schur_coeffs(p, u, cutoff):
     sums divided as graded series in Lambda_M, read off heaviest partition
     first (lex order) as the coefficient of s_lam's leading monomial
     prod_m e_m^(lam_m - lam_(m+1)), with A_lam s_lam then subtracted."""
-    ctx, M, zero = p.ctx, p.M, p.ctx.zero()
+    ctx, M = p.ctx, p.M
     tau1, tau2 = (schur_sum_e(cauchy_binet_coeffs(p, u, family, cutoff), M) for family in (1, 2))
     rest = (tau1 * miwa_series_invert(tau2)).terms
     out = {}
     for lam in reversed(_partitions(cutoff, M)):
-        padded = lam + (0,) * (M + 1 - len(lam))
+        padded = lam + (0,) * (M + 1)
         if a := rest.get(tuple(padded[m] - padded[m + 1] for m in range(M))):
             out[lam] = a
-            for key, k in _schur_e(lam, M):
-                rest[key] = rest.get(key, zero) - a * k
+            keyed_sum(rest, ((key, a * -k) for key, k in _schur_e(lam, M)))
     return SchurCoeffMap(ctx, cutoff, out)

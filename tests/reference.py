@@ -47,4 +47,4 @@ def schur_sum_eval(cmap, points, ctx):
     """sum_lam c_lam s_lam on a point set: `schur.schur_sum_e` in
     n = len(points) variables at the points' elementary symmetric functions."""
     pts = list(points)
-    return schur.schur_sum_e(cmap, len(pts)).evaluate(schur.elementary_symmetric(pts, ctx))
+    return schur.schur_sum_e(cmap, len(pts)).evaluate(schur.elementary_symmetric(pts))

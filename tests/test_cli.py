@@ -236,7 +236,10 @@ class TestSuite:
         assert "(-1) ** height" in source
         namespace = dict(vars(schur))
         exec(source.replace("(-1) ** height", "(-1) ** (height + 1)"), namespace)
+        # a fresh _schur_t, whose memo the faulty characters fill
+        exec(textwrap.dedent(inspect.getsource(schur._schur_t)), namespace)
         monkeypatch.setattr(schur, "_character", namespace["_character"])
+        monkeypatch.setattr(schur, "_schur_t", namespace["_schur_t"])
         assert not _schur_record("points-vs-times")["pass"]
 
     def test_hirota_sees_a_wrong_cauchy_binet_coefficient(self, monkeypatch):
@@ -336,6 +339,70 @@ class TestSuite:
         assert run_suite(cfg)["summary"]["failed"] == 0
         assert zeros
         assert not hits, "%d operands are a context's zero" % len(hits)
+
+    def test_expansion_checks_pin_their_structural_zeros_and_ones(self, monkeypatch):
+        # every keyed sum starts a new key at its term (algebra.keyed_sum) and
+        # every Schur polynomial reads its own table, so few rational + or -
+        # see a context's zero() and few * see its one().  What is left:
+        #   * 132 differences: check_schur_expansion's lhs - rhs for partitions
+        #     longer than the point set, whose Jacobi-Trudi sums are empty;
+        #   * 300 products: the unit coefficient of chain's y-series, in
+        #     LaurentSeries products and scalings;
+        #   * 32 products: _shrink_record's unit prefactor on the
+        #     reconstruction samples.
+        contexts, counts = [], {"+-": 0, "*": 0}
+        init = FieldContext.__init__
+
+        def recording_init(ctx, *args, **kwargs):
+            init(ctx, *args, **kwargs)
+            contexts.append(ctx)
+
+        def watched(name, kind, attr):
+            method = vars(algebra.Rational)[name]
+
+            def wrapper(a, b):
+                if any(x is getattr(c, attr) for x in (a, b) for c in contexts):
+                    counts[kind] += 1
+                return method(a, b)
+            return wrapper
+
+        monkeypatch.setattr(FieldContext, "__init__", recording_init)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(algebra.Rational, name, watched(name, "+-", "_zero"))
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(algebra.Rational, name, watched(name, "*", "_one"))
+        for seed in (1, 2, 3):
+            cfg = validate_config({"checks": ["hirota", "schur-expansion"], "seed": seed})
+            assert (cfg["miwa_cutoff"], cfg["schur_cutoff"]) == (8, 8)
+            assert run_suite(cfg)["summary"]["failed"] == 0
+        assert counts == {"+-": 132, "*": 332}
+
+    def test_expansion_checks_see_a_keyed_sum_that_subtracts(self, monkeypatch):
+        # got - c for got + c subtracts every later term of a key: the Laurent
+        # and Miwa sums and products, the tau sums and the Lambda_M tables
+        # all go wrong, so every hirota and schur-expansion record fails
+        def verdicts(seed):
+            cfg = validate_config({"checks": ["hirota", "schur-expansion"], "seed": seed})
+            recs = run_suite(cfg)["records"]
+            assert len(recs) == 6 and not any("error" in r for r in recs)
+            return [r["pass"] for r in recs]
+
+        seeds = (1, 2, 3)
+        assert all(all(verdicts(seed)) for seed in seeds)
+
+        source = textwrap.dedent(inspect.getsource(algebra.keyed_sum))
+        assert "got + c" in source
+        namespace = dict(vars(algebra))
+        exec(source.replace("got + c", "got - c"), namespace)
+        faulty = namespace["keyed_sum"]
+        # fresh Lambda_M tables, whose memos the faulty sum fills
+        tables = dict(vars(schur), keyed_sum=faulty)
+        for name in ("_complete_e", "_schur_e"):
+            exec(textwrap.dedent(inspect.getsource(getattr(schur, name))), tables)
+            monkeypatch.setattr(schur, name, tables[name])
+        monkeypatch.setattr(algebra, "keyed_sum", faulty)
+        monkeypatch.setattr(schur, "keyed_sum", faulty)
+        assert not any(any(verdicts(seed)) for seed in seeds)
 
     def test_bethe_sees_a_seeded_fault_in_the_pole_bracket(self, monkeypatch):
         # q^2 y - 1/q for q y - 1/q in the bracket's A term moves its zero
