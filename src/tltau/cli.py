@@ -7,6 +7,10 @@ a pass flag, plus a summary.  Reruns with the same config are byte-identical
 apart from the timestamp.  Subcommands run a single check with the same
 report shape.
 
+Each check is a generator of cases, (params, instance seed, residual, pass
+[, error]), one per record; `run_suite` names them and writes the records,
+and a check that yields no case gets an error record.
+
 Checks
   theorem-quotient   kernel(u, v) equals tau1(v) / tau2(v)
   pluecker           the exchange sum over point sets vanishes
@@ -157,56 +161,48 @@ def _record(check, params, seed, residual, ok, error=None):
     return rec
 
 
-# -- checks -------------------------------------------------------------------
+def _compared(ctx, params, seed, resid, scale):
+    """The case of a two-route check: the residual between the routes, which
+    must vanish (exact modes) or be small against `scale` (float)."""
+    return params, seed, ctx.to_string(resid), ctx.residual_ok(resid, scale)
+
+
+# -- checks: each yields its cases --------------------------------------------
 
 
 def check_theorem_quotient(cfg, p, seed):
-    ctx = p.ctx
-    out = []
     for iseed, u, v in _instances(cfg, p, seed, accept=lambda uu, vv: slavnov(p, uu, vv)):
         kv = kernel(p, u, v)
         resid = kv - _tau.tau_det(p, u, 1, v) / _tau.tau_det(p, u, 2, v)
-        out.append(_record("theorem-quotient", _params_blob(p, u, v), iseed,
-                           ctx.to_string(resid), ctx.residual_ok(resid, kv)))
-    return out
+        yield _compared(p.ctx, _params_blob(p, u, v), iseed, resid, kv)
 
 
 def check_pluecker(cfg, p, seed):
     ctx = p.ctx
-    out = []
     for iseed, u, xy in _instances(cfg, p, seed, vcount=2 * p.M):
-        X = list(xy)[: p.M + 1]
-        Y = list(xy)[p.M + 1 :]
+        X, Y = list(xy)[: p.M + 1], list(xy)[p.M + 1 :]
         for family in (1, 2):
             resid = _tau.pluecker_residual(p, u, family, X, Y)
             scale = _tau.det_family(p, u, family, X[1:]) * _tau.det_family(p, u, family, Y + [X[0]])
-            ok = ctx.residual_ok(resid, scale)
             blob = _params_blob(p, u, extra={"family": family,
                                              "X": [ctx.to_string(x) for x in X],
                                              "Y": [ctx.to_string(x) for x in Y]})
-            out.append(_record("pluecker", blob, iseed, ctx.to_string(resid), ok))
-    return out
+            yield _compared(ctx, blob, iseed, resid, scale)
 
 
 def check_integral_rep(cfg, p, seed):
-    ctx = p.ctx
-    out = []
     for iseed, u, v in _instances(cfg, p, seed):
         for family in (1, 2):
             direct = _tau.tau_det(p, u, family, v)
-            viares = _tau.tau_residue(p, u, family, v)
-            resid = viares - direct
-            ok = ctx.residual_ok(resid, direct)
-            blob = _params_blob(p, u, v, extra={"family": family})
-            out.append(_record("integral-rep", blob, iseed, ctx.to_string(resid), ok))
-    return out
+            resid = _tau.tau_residue(p, u, family, v) - direct
+            yield _compared(p.ctx, _params_blob(p, u, v, extra={"family": family}), iseed,
+                            resid, direct)
 
 
 def check_hirota(cfg, p, seed):
     ctx = p.ctx
     u, _ = draw_instance(p, random.Random(seed), _fixed_vector(cfg, p, "u", "bethe"), vcount=0)
     D = cfg["miwa_cutoff"]
-    out = []
     for family in (1, 2):
         taup = _schur.tau_schur_poly(p, u, family, D, D)
         applied = _tau.hirota_kp_check(taup)
@@ -218,14 +214,12 @@ def check_hirota(cfg, p, seed):
             residual = "0" if ok else ctx.to_string(max(applied.terms.values(), key=ctx.magnitude))
         blob = _params_blob(p, u, extra={"family": family, "operator": "D1^4+3D2^2-4D1D3",
                                          "cutoff": D})
-        out.append(_record("hirota", blob, seed, residual, ok))
-    return out
+        yield blob, seed, residual, ok
 
 
 def check_schur_expansion(cfg, p, seed):
     ctx = p.ctx
     rng = random.Random(seed)
-    out = []
 
     # Jacobi-Trudi in e_k vs characters in the times, all |lam| <= 6, 1..3 points
     worst = ctx.zero()
@@ -236,16 +230,12 @@ def check_schur_expansion(cfg, p, seed):
         times, e = _tau.miwa_map(pts, 6, ctx), _schur.elementary_symmetric(pts)
         for lam, poly in polys:
             lhs = _schur._schur_at_e(lam, e, ctx)
-            rhs = poly.evaluate(times)
-            resid = lhs - rhs
+            resid = lhs - poly.evaluate(times)
             if not ctx.residual_ok(resid, lhs):
                 ok_pts = False
             if ctx.magnitude(resid) > ctx.magnitude(worst):
                 worst = resid
-    out.append(
-        _record("schur-expansion", _params_blob(p, extra={"part": "points-vs-times"}),
-                seed, ctx.to_string(worst), ok_pts)
-    )
+    yield _params_blob(p, extra={"part": "points-vs-times"}), seed, ctx.to_string(worst), ok_pts
 
     u, _ = draw_instance(p, rng, _fixed_vector(cfg, p, "u", "bethe"), vcount=0)
     cutoff = cfg["schur_cutoff"]
@@ -256,22 +246,21 @@ def check_schur_expansion(cfg, p, seed):
         samples = [(w, ctx.one(), _schur.tau_tilde_direct(p, u, family, w)) for w in wsets]
         blob = _params_blob(p, u, extra={"part": "reconstruction", "family": family,
                                          "cutoff": cutoff})
-        out.append(_shrink_record(ctx, hi, cutoff, samples, blob, seed))
+        yield _shrink_record(ctx, hi, cutoff, samples, blob, seed)
 
     ahi = _schur.slavnov_schur_coeffs(p, u, cutoff + 2)
     power = leading_power(p, 1) - leading_power(p, 2)
     samples = [(w, field_product([y ** power for y in w], ctx), kernel_y(p, u, w))
                for w in wsets]
     blob = _params_blob(p, u, extra={"part": "kernel-expansion", "cutoff": cutoff})
-    out.append(_shrink_record(ctx, ahi, cutoff, samples, blob, seed))
-    return out
+    yield _shrink_record(ctx, ahi, cutoff, samples, blob, seed)
 
 
 def _shrink_record(ctx, hi, cutoff, samples, blob, seed):
-    """One schur-expansion record: on every sample (w, pref, direct) the error
+    """One schur-expansion case: on every sample (w, pref, direct) the error
     of pref * (Schur sum of `hi`) against `direct` must be at most 1/16 of
-    that of its part through weight `cutoff`, two weights lower; two zero
-    errors pass.
+    that of its part through weight `cutoff`, two weights lower, which in
+    turn must be at most |direct|; two zero errors pass.
 
     `_sample_ysets` keeps every point below R/16, R the smallest pole radius,
     so two more weights should cut the error by a factor of 16**2 or more.
@@ -286,11 +275,11 @@ def _shrink_record(ctx, hi, cutoff, samples, blob, seed):
         e = _schur.elementary_symmetric(w)
         dlo = ctx.magnitude(pref * low.evaluate(e) - direct)
         dhi = ctx.magnitude(pref * high.evaluate(e) - direct)
-        if not dhi * 16 <= dlo:
+        if not dhi * 16 <= dlo <= ctx.magnitude(direct):
             shrank = False
         if dhi > worst_pair[1]:
             worst_pair = (dlo, dhi)
-    return _record("schur-expansion", blob, seed, "%g -> %g" % worst_pair, shrank)
+    return blob, seed, "%g -> %g" % worst_pair, shrank
 
 
 def _sample_ysets(p, u, rng):
@@ -318,11 +307,11 @@ def check_diagram_counts(cfg, p, seed):
         lam1 = {1: 12, 2: 13, 3: 12}.get(M, 11 + (M % 2))
     lam = (M + 1) % 2
     if lam1 < lam:
-        return [_record("diagram-counts", {"M": M, "lambda1_max": lam1}, seed, None, False,
-                        error="lambda1_max %d is below %d, the least lambda_1 with the parity "
-                              "of M + 1" % (lam1, lam))]
+        yield ({"M": M, "lambda1_max": lam1}, seed, None, False,
+               "lambda1_max %d is below %d, the least lambda_1 with the parity of M + 1"
+               % (lam1, lam))
+        return
     lam1 -= (lam1 - (M + 1)) % 2
-    out = []
     while lam <= lam1:
         enumerated = len(_diagrams.enumerate_admissible(M, lam))
         closed = _diagrams.count_closed(M, lam)
@@ -330,15 +319,13 @@ def check_diagram_counts(cfg, p, seed):
         ok = enumerated == closed == nested
         blob = {"M": M, "lambda1_max": lam, "enumerated": enumerated,
                 "closed_form": closed, "nested_sum": nested}
-        out.append(_record("diagram-counts", blob, seed, str(enumerated - closed), ok))
+        yield blob, seed, str(enumerated - closed), ok
         lam += 2
-    return out
 
 
 def check_andreev(cfg, p, seed):
     ctx = p.ctx
     M = max(p.M, 1)
-    out = []
     for i in range(cfg["instances"]):
         iseed = seed + i
         rng = random.Random(iseed)
@@ -349,9 +336,7 @@ def check_andreev(cfg, p, seed):
         gv = [[_poly_value(ctx, rng, d + 1, x) for x in pts] for d in range(M)]
         resid = _tau.andreev_residual(ctx, pts, wts, fv, gv)
         blob = {"M": M, "points": [ctx.to_string(x) for x in pts], "mode": ctx.mode}
-        out.append(_record("andreev", blob, iseed, ctx.to_string(resid),
-                           ctx.residual_ok(resid, 1)))
-    return out
+        yield _compared(ctx, blob, iseed, resid, 1)
 
 
 def _poly_value(ctx, rng, degree, x):
@@ -366,30 +351,28 @@ def _poly_value(ctx, rng, degree, x):
 
 def check_bethe(cfg, p, seed):
     if p.M == 0:
-        return [_record("bethe", {"N": p.N, "M": 0}, seed, None, True)]
+        yield {"N": p.N, "M": 0}, seed, None, True
+        return
     pf = build_params(dict(cfg, field_mode="float"))
     ctx = pf.ctx
     sols = [s for s in _bethe.solve_bethe_grid(pf) if _bethe.is_regular(pf, s.roots)]
-    out = []
     if not sols:
-        out.append(_record("bethe", {"N": pf.N, "M": pf.M}, seed, None, False,
-                           error="no regular root set converged from any palette start"))
+        yield ({"N": pf.N, "M": pf.M}, seed, None, False,
+               "no regular root set converged from any palette start")
     tol = ctx.mp.mpf("1e-10")
     for s in sols:
         blob = {"N": pf.N, "M": pf.M, "roots": [ctx.to_string(r) for r in s.roots],
                 "iterations": s.iterations, "search_iterations": s.search_iterations}
         resid = s.max_residual()
-        out.append(_record("bethe", blob, seed, ctx.mp.nstr(resid, 8), s.converged and resid < tol))
+        yield blob, seed, ctx.mp.nstr(resid, 8), s.converged and resid < tol
     if pf.M == 1:
         closed = _bethe.closed_form_single_roots(pf)
         matched = len(sols) == len(closed) and all(
             min(min(abs(s.roots[0] - c), abs(s.roots[0] + c)) for c in closed) < tol
             for s in sols
         )
-        out.append(_record("bethe", {"N": pf.N, "M": 1, "part": "closed-form-match",
-                                     "found": len(sols), "expected": len(closed)},
-                           seed, str(len(sols) - len(closed)), matched))
-    return out
+        yield ({"N": pf.N, "M": 1, "part": "closed-form-match", "found": len(sols),
+                "expected": len(closed)}, seed, str(len(sols) - len(closed)), matched)
 
 
 def _fixed_vector(cfg, p, key, role):
@@ -504,17 +487,19 @@ def run_suite(cfg):
         return _assemble_report(cfg, records)
 
     def run_one(name):
+        """The check's cases, or one case that says why there are none."""
         check, _, draws_roots = CHECKS[name]
         seed = (cfg["seed"] + zlib.crc32(name.encode())) % 2**32
+        blob = _params_blob(p)
         if p.M < 1 and draws_roots:
-            return [_record(name, _params_blob(p), seed, None, True)]
+            return [(blob, seed, None, True)]
         try:
-            return check(cfg, p, seed)
+            return list(check(cfg, p, seed)) or [(blob, seed, None, False,
+                                                  "check yielded no record")]
         except Exception as exc:  # recorded, never fatal to the suite
-            return [_record(name, _params_blob(p), seed, None, False,
-                            error="%s: %s" % (type(exc).__name__, exc))]
+            return [(blob, seed, None, False, "%s: %s" % (type(exc).__name__, exc))]
 
-    records = [rec for name in names for rec in run_one(name)]
+    records = [_record(name, *case) for name in names for case in run_one(name)]
     return _assemble_report(cfg, records)
 
 

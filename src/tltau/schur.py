@@ -82,7 +82,7 @@ def ell_indices(lam, npoints):
     partition in normal form (a tuple), padded to npoints rows."""
     if len(lam) > npoints:
         raise ValueError("partition has more than %d rows" % npoints)
-    padded = lam + (0,) * (npoints - len(lam))
+    padded = lam + (0,) * npoints
     return tuple(padded[j] - (j + 1) + npoints for j in range(npoints))
 
 

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 from mpmath import mp
 
-from tltau import algebra, diagrams, schur, tau
+from tltau import algebra, cli, diagrams, schur, tau
 from tltau.algebra import FieldContext
 from tltau.cli import (
     CHECK_NAMES,
@@ -310,6 +310,51 @@ class TestSuite:
         assert verdicts() == [True] * 6
         monkeypatch.setattr(tau, "combinations", lambda ks, M: list(combinations(ks, M))[:-1])
         assert verdicts() == [False] * 6
+
+    def test_a_check_that_yields_nothing_fails(self, monkeypatch, capsys):
+        # an empty check certifies nothing, so it must not pass as 0/0: one
+        # error record names it and the run fails
+        monkeypatch.setitem(cli.CHECKS, "pluecker", (lambda cfg, p, seed: iter(()),
+                                                     "pluecker", True))
+        assert main(["pluecker", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+        (rec,) = report["records"]
+        assert (rec["check"], rec["error"]) == ("pluecker", "check yielded no record")
+
+    def test_instance_checks_fail_when_no_instance_is_drawn(self, monkeypatch):
+        # seed - count for seed + count in _instances draws nothing
+        checks = ["theorem-quotient", "pluecker", "integral-rep"]
+        cfg = validate_config({"checks": checks, "instances": 2})
+        assert run_suite(cfg)["summary"]["failed"] == 0
+
+        source = textwrap.dedent(inspect.getsource(cli._instances))
+        assert "range(seed, seed + count)" in source
+        namespace = dict(vars(cli))
+        exec(source.replace("seed + count", "seed - count"), namespace)
+        monkeypatch.setattr(cli, "_instances", namespace["_instances"])
+        recs = run_suite(cfg)["records"]
+        assert [(r["check"], r["pass"], r["error"]) for r in recs] == [
+            (name, False, "check yielded no record") for name in checks]
+
+    def test_shrink_records_bound_the_low_error_by_the_direct_value(self, monkeypatch):
+        # pref * low + direct for pref * low - direct inflates the low error
+        # to about 2 |direct|, which the 16-fold shrink alone would accept
+        def verdicts():
+            recs = run_suite(validate_config({"checks": ["schur-expansion"]}))["records"]
+            assert not any("error" in r for r in recs)
+            return [(r["params"]["part"], r["pass"]) for r in recs]
+
+        parts = ["points-vs-times", "reconstruction", "reconstruction", "kernel-expansion"]
+        assert verdicts() == [(part, True) for part in parts]
+
+        old = "pref * low.evaluate(e) - direct"
+        source = textwrap.dedent(inspect.getsource(cli._shrink_record))
+        assert old in source
+        namespace = dict(vars(cli))
+        exec(source.replace(old, "pref * low.evaluate(e) + direct"), namespace)
+        monkeypatch.setattr(cli, "_shrink_record", namespace["_shrink_record"])
+        assert verdicts() == [(part, part == "points-vs-times") for part in parts]
 
     def test_quadratic_identity_checks_add_no_structural_zero(self, monkeypatch):
         # every sum starts at its first term (algebra.field_sum), so no

@@ -148,11 +148,11 @@ def direct_shrink_record(ctx, hi, cutoff, samples, blob, seed):
     for w, pref, direct in samples:
         dlo = ctx.magnitude(pref * schur_sum_eval(lo, w, ctx) - direct)
         dhi = ctx.magnitude(pref * schur_sum_eval(hi, w, ctx) - direct)
-        if not dhi * 16 <= dlo:
+        if not dhi * 16 <= dlo <= ctx.magnitude(direct):
             shrank = False
         if dhi > worst_pair[1]:
             worst_pair = (dlo, dhi)
-    return cli._record("schur-expansion", blob, seed, "%g -> %g" % worst_pair, shrank)
+    return blob, seed, "%g -> %g" % worst_pair, shrank
 
 
 # -- comparisons -------------------------------------------------------------------
