@@ -235,18 +235,7 @@ class QuadraticNumber:
         return self.inverse() if o == 1 else self.inverse() * o
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out, base = None, self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return _quad(1, 0, 1, self.d) if out is None else out
+        return power(self, n, self) if n else _quad(1, 0, 1, self.d)
 
     def __neg__(self):
         return _quad(-self.n, -self.m, self.c, self.d)
@@ -604,6 +593,18 @@ def field_product(factors, ctx):
     return reduce(mul, factors) if factors else ctx.one()
 
 
+def power(x, n, first):
+    """x ** n for an integer n != 0, squaring from the highest bit of |n| on:
+    `first` is x ** 1 as its carrier forms it (x itself, or x rounded), and a
+    negative n gives 1 / x ** -n.  Each carrier's __pow__ gives its own n = 0."""
+    if n < 0:
+        return 1 / power(x, -n, first)
+    out = first
+    for bit in bin(n)[3:]:
+        out = out * out * x if bit == "1" else out * out
+    return out
+
+
 def vandermonde(points, ctx):
     """prod_{i<j} (x_i - x_j), the determinant of the matrix x_i**(M-j)."""
     return field_product([a - b for a, b in combinations(points, 2)], ctx)
@@ -704,12 +705,8 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series power wants a nonnegative integer")
-        out = LaurentSeries(self.ctx, {0: self.ctx.one()}, self.trunc - self.min_exp())
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, self) if n else LaurentSeries(
+            self.ctx, {0: self.ctx.one()}, self.trunc - self.min_exp())
 
     def invert(self):
         """Multiplicative inverse through order trunc - 2*min_exp."""

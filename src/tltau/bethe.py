@@ -23,7 +23,7 @@ from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from itertools import combinations
 
-from .algebra import solve_linear
+from .algebra import power, solve_linear
 from .chain import PoleError, pole_brackets, w_eval, _q_powers
 
 _MAXITER = 80  # Newton steps allowed to each stage (search, refinement) of a solve
@@ -210,12 +210,8 @@ class _Complex:
         return _Complex(-self.re, -self.im)
 
     def __pow__(self, n):
-        if not n:
-            return _Complex(Decimal(1))
-        out = _Complex(+self.re, +self.im)  # rounded, as 1 * 1 * self was
-        for bit in bin(abs(n))[3:]:
-            out = out * out * self if bit == "1" else out * out
-        return out if n > 0 else 1 / out
+        # x ** 1 is x rounded to the decimal context, as 1 * 1 * x would be
+        return power(self, n, _Complex(+self.re, +self.im)) if n else _Complex(Decimal(1))
 
     def __eq__(self, o):
         o = o if type(o) is _Complex else _Complex(Decimal(o))
@@ -316,15 +312,17 @@ def _central_jacobian(p, roots, step):
 
 
 def is_regular(p, roots):
-    """True when no root is within 1e-8 of an excluded point, u_j^2 in
-    {+-1, +-1/q^2}, where the residue vanishes through its factor
-    w(u_j^2) w(q^2 u_j^2) and not through the pole bracket.  Runs in
-    complex doubles: the floor sits eight orders above their rounding."""
+    """True when every |u_j^2| is in [1e-8, 1e8] and no root is within 1e-8
+    of an excluded point, u_j^2 in {+-1, +-1/q^2}, where the residue vanishes
+    through its factor w(u_j^2) w(q^2 u_j^2) and not through the pole bracket.
+    The brackets decay as u_j runs off to 0 or infinity, where a set can pass
+    the step test far from any finite root.  Runs in complex doubles: the
+    floor sits eight orders above their rounding."""
     q = complex(p.q)
     for r in roots:
         r = complex(r)
         u2 = r * r
-        if abs(w_eval(u2)) < 1e-8 or abs(w_eval(u2 * q * q)) < 1e-8:
+        if not 1e-8 <= abs(u2) <= 1e8 or min(abs(w_eval(u2)), abs(w_eval(u2 * q * q))) < 1e-8:
             return False
     return True
 

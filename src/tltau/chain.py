@@ -187,11 +187,9 @@ class ParameterVector(tuple):
     pairwise distinct.  The q-dependent excluded sets are checked by
     validate_uv at the operations that depend on them.
 
-    Used as roots, a vector keeps what is computed on it in one store, read
+    Used as roots, a vector keeps chain's data on it in one store, read
     through `remember`: the root data (sigma-tuple, sigma'-tuple), keyed by
-    params; the columns, keyed by (params, family, y); and schur's Taylor
-    tables and Cauchy-Binet maps, keyed by (params, family, order, tag), as
-    tuples that no caller can change.
+    params, and the columns, keyed by (params, family, y).
     """
 
     def __new__(cls, values, role):

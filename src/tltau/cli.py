@@ -241,14 +241,15 @@ def check_schur_expansion(cfg, p, seed):
     cutoff = cfg["schur_cutoff"]
     wsets = _sample_ysets(p, u, rng)
 
+    hi = {}
     for family in (1, 2):
-        hi = _schur.cauchy_binet_coeffs(p, u, family, cutoff + 2)
+        hi[family] = _schur.cauchy_binet_coeffs(p, u, family, cutoff + 2)
         samples = [(w, ctx.one(), _schur.tau_tilde_direct(p, u, family, w)) for w in wsets]
         blob = _params_blob(p, u, extra={"part": "reconstruction", "family": family,
                                          "cutoff": cutoff})
-        yield _shrink_record(ctx, hi, cutoff, samples, blob, seed)
+        yield _shrink_record(ctx, hi[family], cutoff, samples, blob, seed)
 
-    ahi = _schur.slavnov_schur_coeffs(p, u, cutoff + 2)
+    ahi = _schur.schur_quotient(hi[1], hi[2], p.M)
     power = leading_power(p, 1) - leading_power(p, 2)
     samples = [(w, field_product([y ** power for y in w], ctx), kernel_y(p, u, w))
                for w in wsets]

@@ -12,8 +12,9 @@ partition has more than n rows.
 The expansion engine reads Taylor coefficients of the two generating
 families off their series in the squared variable y = v^2
 (chain.taylor_rows, from each family's leading power on, every family-1 row
-from one shell), keeps that table on the Bethe ParameterVector, and
-assembles Schur coefficients as minors of it.  The normalized tau sums
+from one shell) and assembles Schur coefficients as minors of that table.
+It keeps nothing on the roots: a caller keeps the maps it reuses.  The
+normalized tau sums
 
     tau~(a) = sum_lam c_lam(a) s_lam,      c_lam(a) = det f^(a)[i][lam_j - j + M],
 
@@ -23,7 +24,7 @@ s_lam per partition, on both sides: in the times t_1..t_K (`_schur_t`,
 on n points as one polynomial in e_1..e_n (`_schur_e`, `schur_sum_e`) at
 their e_k.  One Schur polynomial reads its table alone.
 
-`slavnov_schur_coeffs` divides the two tau sums in Lambda_M = Q[e_1..e_M],
+`schur_quotient` divides the two tau sums in Lambda_M = Q[e_1..e_M],
 the symmetric functions of M variables: restriction to M variables kills
 exactly the s_lam of more than M rows, which M points cannot see, and keeps
 the rest independent (Macdonald I.2-I.3).  `poly_to_schur` reads Schur
@@ -35,7 +36,7 @@ from math import factorial, prod
 
 from .algebra import (FieldContext, MiwaPolynomial, Rational, det, det_ring, field_product,
                       keyed_sum, miwa_series_invert, vandermonde)
-from .chain import family_matrix_y, leading_power, remember, taylor_rows
+from .chain import family_matrix_y, leading_power, taylor_rows
 
 
 # -- partitions ------------------------------------------------------------
@@ -92,14 +93,13 @@ def ell_indices(lam, npoints):
 def schur_points(lam, points, ctx):
     """s_lam on a finite point set by Jacobi-Trudi in the points' e_k; zero
     when the partition has more rows than there are points."""
-    return _schur_at_e(lam, elementary_symmetric(points), ctx)
+    return _schur_at_e(partition_normalize(lam), elementary_symmetric(points), ctx)
 
 
 def _schur_at_e(lam, e, ctx):
-    """s_lam at the points whose elementary symmetric values are e_1..e_n."""
-    parts, n = partition_normalize(lam), len(e)
-    return MiwaPolynomial(ctx, n, sum(parts),
-                          {key: ctx.embed(k) for key, k in _schur_e(parts, n)}).evaluate(e)
+    """s_lam, lam in normal form, at the points with elementary symmetric e."""
+    return MiwaPolynomial(ctx, len(e), sum(lam),
+                          {key: ctx.embed(k) for key, k in _schur_e(lam, len(e))}).evaluate(e)
 
 
 @cache
@@ -169,29 +169,21 @@ def fhat_table(p, u, family, nmax):
 
     fhat[i][n] is the z-series coefficient of row i's generating function at
     exponent 2 n + start, where start is the family's fixed leading offset:
-    the coefficient of y**n in chain.taylor_rows.  A ParameterVector u keeps
-    the table, a tuple of row tuples, keyed by (p, family, nmax, "taylor").
+    the coefficient of y**n in chain.taylor_rows, as a tuple of row tuples.
     """
-    return remember(u, (p, family, nmax, "taylor"), lambda: tuple(
-        tuple(s.coeff(n) for n in range(nmax + 1)) for s in taylor_rows(p, u, family, nmax)))
+    return tuple(tuple(map(s.coeff, range(nmax + 1))) for s in taylor_rows(p, u, family, nmax))
 
 
 class SchurCoeffMap:
-    """Finitely many Schur coefficients, canonically keyed by partition."""
+    """Finitely many Schur coefficients, kept as given: `entries` maps partitions
+    in normal form, of weight at most `cutoff`, to nonzero coefficients."""
 
     __slots__ = ("ctx", "cutoff", "entries")
 
     def __init__(self, ctx, cutoff, entries):
         self.ctx = ctx
         self.cutoff = cutoff
-        store = {}
-        for lam, c in entries.items():
-            lam = partition_normalize(lam)
-            if sum(lam) > cutoff:
-                raise ValueError("partition weight exceeds the cutoff")
-            if c:
-                store[lam] = c
-        self.entries = store
+        self.entries = entries
 
     def coeff(self, lam):
         return self.entries.get(partition_normalize(lam), self.ctx.zero())
@@ -216,25 +208,18 @@ class SchurCoeffMap:
 
 def cauchy_binet_coeffs(p, u, family, cutoff):
     """Schur coefficients of the normalized tau sum as minors of the Taylor
-    table in the squared variable: c_lam = det fhat[i][lam_j - j + M].  A
-    ParameterVector u keeps the coefficients, keyed by (p, family, cutoff,
-    "cauchy-binet"); each call returns a new map.
-    """
+    table in the squared variable: c_lam = det fhat[i][lam_j - j + M], a new
+    map on each call."""
     M = p.M
     if M < 1:
         raise ValueError("need at least one row")
-
-    def minors():
-        table = fhat_table(p, u, family, cutoff + M - 1)
-        entries = []
-        for lam in partitions_bounded(cutoff, M):
-            cols = ell_indices(lam, M)
-            if c := det([[table[i][n] for n in cols] for i in range(M)], p.ctx):
-                entries.append((lam, c))
-        return tuple(entries)
-
-    coeffs = remember(u, (p, family, cutoff, "cauchy-binet"), minors)
-    return SchurCoeffMap(p.ctx, cutoff, dict(coeffs))
+    table = fhat_table(p, u, family, cutoff + M - 1)
+    entries = {}
+    for lam in _partitions(cutoff, M):
+        cols = ell_indices(lam, M)
+        if c := det([[row[n] for n in cols] for row in table], p.ctx):
+            entries[lam] = c
+    return SchurCoeffMap(p.ctx, cutoff, entries)
 
 
 def tau_schur_poly(p, u, family, cutoff, K=None):
@@ -339,18 +324,22 @@ def schur_sum_e(cmap, n):
 
 
 def slavnov_schur_coeffs(p, u, cutoff):
-    """Schur coefficients A_lam, |lam| <= cutoff, at most M rows (the rest
-    cannot contribute on M points), of the quotient of the two normalized tau
-    sums divided as graded series in Lambda_M, read off heaviest partition
-    first (lex order) as the coefficient of s_lam's leading monomial
+    """Schur coefficients A_lam, |lam| <= cutoff, at most M rows, of the
+    quotient of the two normalized tau sums (see schur_quotient)."""
+    return schur_quotient(*(cauchy_binet_coeffs(p, u, family, cutoff) for family in (1, 2)), p.M)
+
+
+def schur_quotient(c1, c2, M):
+    """Schur coefficients A_lam, |lam| <= c1.cutoff, at most M rows (the rest
+    cannot contribute on M points), of sum c1_lam s_lam / sum c2_lam s_lam
+    divided as graded series in Lambda_M, read off heaviest partition first
+    (lex order) as the coefficient of s_lam's leading monomial
     prod_m e_m^(lam_m - lam_(m+1)), with A_lam s_lam then subtracted."""
-    ctx, M = p.ctx, p.M
-    tau1, tau2 = (schur_sum_e(cauchy_binet_coeffs(p, u, family, cutoff), M) for family in (1, 2))
-    rest = (tau1 * miwa_series_invert(tau2)).terms
+    rest = (schur_sum_e(c1, M) * miwa_series_invert(schur_sum_e(c2, M))).terms
     out = {}
-    for lam in reversed(_partitions(cutoff, M)):
+    for lam in reversed(_partitions(c1.cutoff, M)):
         padded = lam + (0,) * (M + 1)
         if a := rest.get(tuple(padded[m] - padded[m + 1] for m in range(M))):
             out[lam] = a
             keyed_sum(rest, ((key, a * -k) for key, k in _schur_e(lam, M)))
-    return SchurCoeffMap(ctx, cutoff, out)
+    return SchurCoeffMap(c1.ctx, c1.cutoff, out)

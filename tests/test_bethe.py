@@ -400,6 +400,20 @@ class TestRegularity:
         for r in closed_form_single_roots(p):
             assert is_regular(p, (r,))
 
+    def test_root_sets_run_off_to_zero_or_infinity_do_not_pass(self):
+        # the step test is relative for |u| > 1 and the brackets decay as
+        # u -> 0, so some starts stop far from any finite root: at (1, 1)
+        # every converged set has |u^2| ~ 1e-20, at (1, 2) and (2, 3) some do
+        def passing_roots(N, M, Q):
+            cfg = validate_config({"checks": ["bethe"], "N": N, "M": M, "Q": Q})
+            return [[complex(x.replace(" ", "")) for x in r["params"]["roots"]]
+                    for r in run_suite(cfg)["records"] if r["pass"] and "roots" in r["params"]]
+
+        assert passing_roots(1, 1, "-2") == passing_roots(1, 1, "5") == []
+        for N, M in ((1, 2), (2, 3)):
+            sets = passing_roots(N, M, "5")
+            assert sets and all(1e-8 < abs(r * r) < 1e8 for roots in sets for r in roots)
+
     def test_doubles_agree_with_mpmath_near_the_excluded_points(self):
         # is_regular runs in complex doubles; at 1e-9 and 1e-7 from each
         # excluded u^2, in four directions, it gives the verdict of the same

@@ -386,13 +386,15 @@ class TestSuite:
         assert not hits, "%d operands are a context's zero" % len(hits)
 
     def test_expansion_checks_pin_their_structural_zeros_and_ones(self, monkeypatch):
-        # every keyed sum starts a new key at its term (algebra.keyed_sum) and
-        # every Schur polynomial reads its own table, so few rational + or -
-        # see a context's zero() and few * see its one().  What is left:
+        # every keyed sum starts a new key at its term (algebra.keyed_sum),
+        # every Schur polynomial reads its own table and every power starts
+        # at its base (algebra.power), so few rational + or - see a context's
+        # zero() and few * see its one().  What is left:
         #   * 132 differences: check_schur_expansion's lhs - rhs for partitions
         #     longer than the point set, whose Jacobi-Trudi sums are empty;
-        #   * 300 products: the unit coefficient of chain's y-series, in
-        #     LaurentSeries products and scalings;
+        #   * 240 products: the unit coefficient of chain's y-series, 186 in
+        #     LaurentSeries products (48 of them in powers of a series in y)
+        #     and 54 in scalings;
         #   * 32 products: _shrink_record's unit prefactor on the
         #     reconstruction samples.
         contexts, counts = [], {"+-": 0, "*": 0}
@@ -420,7 +422,25 @@ class TestSuite:
             cfg = validate_config({"checks": ["hirota", "schur-expansion"], "seed": seed})
             assert (cfg["miwa_cutoff"], cfg["schur_cutoff"]) == (8, 8)
             assert run_suite(cfg)["summary"]["failed"] == 0
-        assert counts == {"+-": 132, "*": 332}
+        assert counts == {"+-": 132, "*": 272}
+
+    def test_expansion_checks_form_each_coefficient_map_once(self, monkeypatch):
+        # schur keeps no map on the roots, so a map fetched again is formed
+        # again: schur-expansion hands its two reconstruction maps to the
+        # quotient, and hirota's tau sums read one map per family
+        calls = []
+        real = schur.cauchy_binet_coeffs
+
+        def counted(p, u, family, cutoff):
+            calls.append((family, cutoff))
+            return real(p, u, family, cutoff)
+
+        monkeypatch.setattr(schur, "cauchy_binet_coeffs", counted)
+        for check, cutoff in (("schur-expansion", 10), ("hirota", 8)):
+            calls.clear()
+            summary = run_suite(validate_config({"checks": [check], "seed": 1}))["summary"]
+            assert summary["failed"] == 0
+            assert calls == [(1, cutoff), (2, cutoff)]
 
     def test_expansion_checks_see_a_keyed_sum_that_subtracts(self, monkeypatch):
         # got - c for got + c subtracts every later term of a key: the Laurent
