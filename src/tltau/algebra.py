@@ -505,23 +505,15 @@ def det_ring(rows):
     return minor(0, tuple(range(n)))
 
 
-def solve_linear(rows, rhs, ctx):
-    """Solve the square system A x = b by Gaussian elimination.
-
-    Exact modes pivot on the first nonzero entry; float mode on the largest
-    magnitude.  Raises on a singular matrix.
-    """
+def solve_linear(rows, rhs):
+    """Solve the square system A x = b by Gaussian elimination, pivoting on
+    the entry of largest magnitude.  Raises on a singular matrix."""
     n = len(rows)
     m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
     for k in range(n):
-        if ctx.mode == "float":
-            piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-            if not m[piv][k]:
-                raise ValueError("singular linear system")
-        else:
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                raise ValueError("singular linear system")
+        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if not m[piv][k]:
+            raise ValueError("singular linear system")
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
         for i in range(k + 1, n):

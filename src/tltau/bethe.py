@@ -11,8 +11,8 @@ then a refinement at working precision on `_Complex` (two Decimal parts) that
 starts there with chord steps on a central-difference Jacobian in doubles.
 Each stage reads q and its powers from a stand-in for the params, formed once
 on the stage's carrier, and the refinement hands its roots and brackets back
-to the context's mpmath context, exactly rounded.  The regularity filter
-`is_regular` runs in complex doubles.
+to the context's mpmath context, exactly rounded.  A converged solution is
+regular (`is_regular`, in complex doubles) before and after the refinement.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
@@ -21,7 +21,7 @@ than +-1 (those two make w(u^2 q) vanish and are spurious).
 import math
 from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
-from itertools import combinations
+from itertools import combinations, islice
 
 from .algebra import power, solve_linear
 from .chain import PoleError, pole_brackets, w_eval, _q_powers
@@ -101,8 +101,9 @@ def solve_bethe(p, guess, tol=None, known=()):
     hands each root and bracket back as the mpc of p.ctx.mp nearest to it.
     `iterations` counts the refinement's steps and `search_iterations`
     the search's; the reported roots and brackets are the refinement's.
-    A search root within 1e-9 of a set in `known` (each as _canonical_roots
-    gives it) is not refined: it ends with converged False and no steps.
+    A search root that is irregular or within 1e-9 of a set in `known` (each
+    as _canonical_roots gives it) is not refined: it ends with converged
+    False and no steps; irregular refined roots end with converged False.
     """
     if p.ctx.mode != "float":
         raise ValueError("the root solver runs in float mode")
@@ -114,11 +115,13 @@ def solve_bethe(p, guess, tol=None, known=()):
         raise ValueError("starting roots must be pairwise distinct")
     if not roots:
         return BetheSolution([], [], True, 0, "nothing to solve")
-    double = _stand_in(p.N, complex(p.q), p.ctx)
+    double = _stand_in(p.N, complex(p.q))
     found, res, converged, steps, message = _newton(
         double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None)
     canon = _canonical_roots(found)
-    if converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
+    if converged and not is_regular(p, found):
+        converged, message = False, "irregular root set"
+    elif converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
         converged, message = False, "repeats a root set already found"
     if not converged:
         return BetheSolution(map(m.mpc, found), map(m.mpc, res), False, 0, message, steps)
@@ -126,22 +129,24 @@ def solve_bethe(p, guess, tol=None, known=()):
     with localcontext(Context(math.ceil(p.ctx.prec * math.log10(2)) + 6, ROUND_HALF_EVEN)):
         half = Decimal(2) ** -(p.ctx.prec // 2)
         roots, res, converged, iterations, message = _newton(
-            _stand_in(p.N, _Complex.of(p.q), p.ctx),
+            _stand_in(p.N, _Complex.of(p.q)),
             [_Complex.of(x) for x in (found if steps else roots)],
             half if tol is None else _Complex.of(m.mpf(tol)).re, 0, half,
             chord and [[_Complex.of(x) for x in row] for row in chord])
     roots, res = ([_mpc(z, m) for z in v] for v in (roots, res))
+    if converged and not is_regular(p, roots):
+        converged, message = False, "refinement ran off to an irregular set"
     return BetheSolution(roots, res, converged, iterations, message, steps)
 
 
-_StandIn = namedtuple("_StandIn", "N q ctx iq q3 iq3")
+_StandIn = namedtuple("_StandIn", "N q iq q3 iq3")
 
 
-def _stand_in(N, q, ctx):
-    """Each stage's stand-in for ChainParams: what `_brackets` and
-    `solve_linear` read, with q and its `_q_powers` formed once on the
-    stage's carrier (a complex double, then a `_Complex`)."""
-    return _StandIn(N, q, ctx, *_q_powers(q))
+def _stand_in(N, q):
+    """Each stage's stand-in for ChainParams: what `_brackets` reads, with q
+    and its `_q_powers` formed once on the stage's carrier (a complex double,
+    then a `_Complex`)."""
+    return _StandIn(N, q, *_q_powers(q))
 
 
 def _mpc(z, m):
@@ -247,7 +252,7 @@ def _newton(p, roots, tol, xtol, step, chord):
         if chord is None:
             jac = _jacobian(p, roots, res, step)
         try:
-            delta = solve_linear(jac, res, p.ctx)
+            delta = solve_linear(jac, res)
         except (ZeroDivisionError, ValueError):
             return roots, res, False, it, "singular jacobian"
         if xtol and all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
@@ -316,8 +321,9 @@ def is_regular(p, roots):
     of an excluded point, u_j^2 in {+-1, +-1/q^2}, where the residue vanishes
     through its factor w(u_j^2) w(q^2 u_j^2) and not through the pole bracket.
     The brackets decay as u_j runs off to 0 or infinity, where a set can pass
-    the step test far from any finite root.  Runs in complex doubles: the
-    floor sits eight orders above their rounding."""
+    the step test far from any finite root.  `solve_bethe` asks it before and
+    after refining.  Runs in complex doubles: the floor sits eight orders
+    above their rounding."""
     q = complex(p.q)
     for r in roots:
         r = complex(r)
@@ -337,17 +343,11 @@ _PALETTE = (0.45 + 0.35j, 0.85 + 0.55j, 1.25 + 0.2j, 0.3 - 0.85j, 1.6 + 0.75j, 0
 
 
 def solve_bethe_grid(p, tol=None):
-    """Run the solver from at most 64 starting sets drawn from a deterministic
-    palette and return the distinct converged solutions (roots normalized to
-    the right half-plane, solutions deduplicated as sets)."""
-    if p.M == 0:
-        return [BetheSolution([], [], True, 0, "nothing to solve")]
-    if p.M == 1:
-        guesses = [[z] for z in _PALETTE]
-    else:
-        guesses = [list(c) for c in combinations(_PALETTE, p.M)]
+    """Run the solver from the first 64 M-subsets of a 12-start palette and
+    return the distinct converged, hence regular, solutions (roots in the
+    right half-plane, sets deduplicated); M = 0 gives the empty solution."""
     known, found = [], []
-    for g in guesses[:64]:
+    for g in islice(combinations(_PALETTE, p.M), 64):
         try:
             sol = solve_bethe(p, g, tol=tol, known=known)
         except ValueError:

@@ -233,16 +233,16 @@ class TestSolveLinear:
     def test_exact_solution(self):
         rows = [[F(2), F(1)], [F(1), F(3)]]
         rhs = [F(5), F(10)]
-        x = solve_linear(rows, rhs, RAT)
+        x = solve_linear(rows, rhs)
         assert [rows[i][0] * x[0] + rows[i][1] * x[1] for i in range(2)] == rhs
 
     def test_singular_raises(self):
         with pytest.raises(ValueError):
-            solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)], RAT)
+            solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
 
     def test_needs_row_swap(self):
         rows = [[F(0), F(1)], [F(1), F(0)]]
-        assert solve_linear(rows, [F(3), F(4)], RAT) == [F(4), F(3)]
+        assert solve_linear(rows, [F(3), F(4)]) == [F(4), F(3)]
 
 
 class TestQuadraticNumber:

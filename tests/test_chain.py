@@ -11,9 +11,7 @@ evaluation inside the convergence radius.
 """
 
 import functools
-import inspect
 import random
-import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -652,7 +650,7 @@ class TestOneFormula:
 
 
 class TestSeededFault:
-    def test_doubled_b_term_turns_every_reference_red(self, monkeypatch):
+    def test_doubled_b_term_turns_every_reference_red(self, monkeypatch, seed_fault):
         # one fault in the shared shell reaches values and series; residues
         # come from the pole bracket, whose B term (y - 1)^(2N) is the shell's
         # with the residue prefactor cancelled, so it is doubled there too
@@ -666,9 +664,5 @@ class TestSeededFault:
         assert _du_mismatches()
         assert _series_mismatches(2, (F(2),))
         old = "(y - 1) ** e"
-        source = textwrap.dedent(inspect.getsource(chain.pole_brackets))
-        assert old in source
-        namespace = dict(vars(chain))
-        exec(source.replace(old, "2 * " + old), namespace)
-        monkeypatch.setattr(chain, "pole_brackets", namespace["pole_brackets"])
+        seed_fault(chain, "pole_brackets", old, "2 * " + old)
         assert lambda_residue(params(2, 2), roots(2, 3), 0) != F(5335875, 11648)

@@ -1,17 +1,15 @@
 """Config validation, report assembly, determinism, and exit codes."""
 
-import inspect
 import json
 import os
 import subprocess
 import sys
-import textwrap
 from itertools import combinations
 
 import pytest
 from mpmath import mp
 
-from tltau import algebra, cli, diagrams, schur, tau
+from tltau import algebra, bethe, chain, cli, diagrams, schur, tau
 from tltau.algebra import FieldContext
 from tltau.cli import (
     CHECK_NAMES,
@@ -131,6 +129,22 @@ class TestSuite:
         assert (rec["check"], rec["params"], rec["pass"]) == ("bethe", {"N": 3, "M": 2}, False)
         assert rec["error"] == "no regular root set converged from any palette start"
 
+    @pytest.mark.parametrize("Q", ["-2", "3", "5", "-1/3", "1/2"])
+    def test_bethe_passes_at_one_site_with_one_root(self, Q):
+        # the closed form has 2(N - 1) = 0 roots at N = 1, and none is found
+        cfg = validate_config({"checks": ["bethe"], "N": 1, "M": 1, "Q": Q})
+        recs = run_suite(cfg)["records"]
+        want = {"N": 1, "M": 1, "part": "closed-form-match", "found": 0, "expected": 0}
+        assert [(r["params"], r["pass"]) for r in recs] == [(want, True)]
+
+    def test_bethe_at_one_root_fails_when_expected_roots_are_missing(self, monkeypatch):
+        # at M = 1 no record of its own marks an empty grid: the closed-form
+        # match fails on the four roots it expects at N = 3
+        monkeypatch.setattr(bethe, "solve_bethe_grid", lambda p, tol=None: [])
+        recs = run_suite(validate_config({"checks": ["bethe"], "N": 3, "M": 1}))["records"]
+        want = {"N": 3, "M": 1, "part": "closed-form-match", "found": 0, "expected": 4}
+        assert [(r["params"], r["pass"]) for r in recs] == [(want, False)]
+
     def test_repeated_roots_become_error_record(self):
         cfg = validate_config(
             {"checks": ["theorem-quotient"], "M": 2, "u": ["2", "2"], "instances": 1}
@@ -186,7 +200,7 @@ class TestSuite:
         report = run_suite(cfg)
         assert report["summary"]["failed"] == 0, [r["residual"] for r in report["records"]]
 
-    def test_kernel_expansion_sees_a_dropped_sign_in_the_h_recurrence(self, monkeypatch):
+    def test_kernel_expansion_sees_a_dropped_sign_in_the_h_recurrence(self, seed_fault):
         # h_n = sum_k e_k h_(n-k) without (-1)^(k-1) is not the complete
         # symmetric function in M variables (h_2 becomes e_1^2 + e_2), so each
         # s_lam of the Lambda_M route is wrong from weight 2 on: the low Schur
@@ -205,13 +219,8 @@ class TestSuite:
 
         assert all(all(verdicts(seed)) for seed in seeds)
 
-        source = textwrap.dedent(inspect.getsource(schur._complete_e))
-        assert "(-1) ** (k - 1) * " in source
-        namespace = dict(vars(schur))
-        exec(source.replace("(-1) ** (k - 1) * ", ""), namespace)
-        # a fresh _schur_e, whose memo the faulty recurrence fills
-        exec(textwrap.dedent(inspect.getsource(schur._schur_e)), namespace)
-        monkeypatch.setattr(schur, "_schur_e", namespace["_schur_e"])
+        # with a fresh _schur_e, whose memo the faulty recurrence fills
+        seed_fault(schur, "_complete_e", "(-1) ** (k - 1) * ", "", rebuild=[schur._schur_e])
         assert not any(any(verdicts(seed)) for seed in seeds)
 
     def test_points_vs_times_builds_each_schur_polynomial_once(self, monkeypatch):
@@ -226,20 +235,15 @@ class TestSuite:
         assert _schur_record("points-vs-times")["pass"]
         assert sorted(built) == sorted(schur.partitions_bounded(6))
 
-    def test_points_vs_times_sees_a_flipped_hook_height_sign(self, monkeypatch):
+    def test_points_vs_times_sees_a_flipped_hook_height_sign(self, seed_fault):
         # (-1)^(height + 1) for every removed rim hook turns chi^lam(mu) into
         # (-1)^len(mu) chi^lam(mu), so s_(1) = t_1 becomes -t_1 and the
         # character route leaves Jacobi-Trudi in the points' e_k
         assert _schur_record("points-vs-times")["pass"]
 
-        source = textwrap.dedent(inspect.getsource(schur._character))
-        assert "(-1) ** height" in source
-        namespace = dict(vars(schur))
-        exec(source.replace("(-1) ** height", "(-1) ** (height + 1)"), namespace)
-        # a fresh _schur_t, whose memo the faulty characters fill
-        exec(textwrap.dedent(inspect.getsource(schur._schur_t)), namespace)
-        monkeypatch.setattr(schur, "_character", namespace["_character"])
-        monkeypatch.setattr(schur, "_schur_t", namespace["_schur_t"])
+        # with a fresh _schur_t, whose memo the faulty characters fill
+        seed_fault(schur, "_character", "(-1) ** height", "(-1) ** (height + 1)",
+                   rebuild=[schur._schur_t])
         assert not _schur_record("points-vs-times")["pass"]
 
     def test_hirota_sees_a_wrong_cauchy_binet_coefficient(self, monkeypatch):
@@ -278,7 +282,7 @@ class TestSuite:
         # terms that the sum over M-subsets leaves out
         ("andreev", algebra, "det_ring", "term = -term", "term = term"),
     ])
-    def test_instance_check_sees_a_seeded_fault(self, monkeypatch, check, module, name, old, new):
+    def test_instance_check_sees_a_seeded_fault(self, seed_fault, check, module, name, old, new):
         def passes():
             cfg = validate_config({"checks": [check], "instances": 5})
             recs = run_suite(cfg)["records"]
@@ -287,11 +291,7 @@ class TestSuite:
 
         assert all(passes())
 
-        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-        assert old in source
-        namespace = dict(vars(module))
-        exec(source.replace(old, new), namespace)
-        monkeypatch.setattr(module, name, namespace[name])
+        seed_fault(module, name, old, new)
         verdicts = passes()
         assert verdicts.count(False) * 2 > len(verdicts), verdicts
 
@@ -322,22 +322,18 @@ class TestSuite:
         (rec,) = report["records"]
         assert (rec["check"], rec["error"]) == ("pluecker", "check yielded no record")
 
-    def test_instance_checks_fail_when_no_instance_is_drawn(self, monkeypatch):
+    def test_instance_checks_fail_when_no_instance_is_drawn(self, seed_fault):
         # seed - count for seed + count in _instances draws nothing
         checks = ["theorem-quotient", "pluecker", "integral-rep"]
         cfg = validate_config({"checks": checks, "instances": 2})
         assert run_suite(cfg)["summary"]["failed"] == 0
 
-        source = textwrap.dedent(inspect.getsource(cli._instances))
-        assert "range(seed, seed + count)" in source
-        namespace = dict(vars(cli))
-        exec(source.replace("seed + count", "seed - count"), namespace)
-        monkeypatch.setattr(cli, "_instances", namespace["_instances"])
+        seed_fault(cli, "_instances", "range(seed, seed + count)", "range(seed, seed - count)")
         recs = run_suite(cfg)["records"]
         assert [(r["check"], r["pass"], r["error"]) for r in recs] == [
             (name, False, "check yielded no record") for name in checks]
 
-    def test_shrink_records_bound_the_low_error_by_the_direct_value(self, monkeypatch):
+    def test_shrink_records_bound_the_low_error_by_the_direct_value(self, seed_fault):
         # pref * low + direct for pref * low - direct inflates the low error
         # to about 2 |direct|, which the 16-fold shrink alone would accept
         def verdicts():
@@ -348,12 +344,8 @@ class TestSuite:
         parts = ["points-vs-times", "reconstruction", "reconstruction", "kernel-expansion"]
         assert verdicts() == [(part, True) for part in parts]
 
-        old = "pref * low.evaluate(e) - direct"
-        source = textwrap.dedent(inspect.getsource(cli._shrink_record))
-        assert old in source
-        namespace = dict(vars(cli))
-        exec(source.replace(old, "pref * low.evaluate(e) + direct"), namespace)
-        monkeypatch.setattr(cli, "_shrink_record", namespace["_shrink_record"])
+        seed_fault(cli, "_shrink_record", "pref * low.evaluate(e) - direct",
+                   "pref * low.evaluate(e) + direct")
         assert verdicts() == [(part, part == "points-vs-times") for part in parts]
 
     def test_quadratic_identity_checks_add_no_structural_zero(self, monkeypatch):
@@ -442,7 +434,7 @@ class TestSuite:
             assert summary["failed"] == 0
             assert calls == [(1, cutoff), (2, cutoff)]
 
-    def test_expansion_checks_see_a_keyed_sum_that_subtracts(self, monkeypatch):
+    def test_expansion_checks_see_a_keyed_sum_that_subtracts(self, seed_fault):
         # got - c for got + c subtracts every later term of a key: the Laurent
         # and Miwa sums and products, the tau sums and the Lambda_M tables
         # all go wrong, so every hirota and schur-expansion record fails
@@ -455,27 +447,16 @@ class TestSuite:
         seeds = (1, 2, 3)
         assert all(all(verdicts(seed)) for seed in seeds)
 
-        source = textwrap.dedent(inspect.getsource(algebra.keyed_sum))
-        assert "got + c" in source
-        namespace = dict(vars(algebra))
-        exec(source.replace("got + c", "got - c"), namespace)
-        faulty = namespace["keyed_sum"]
-        # fresh Lambda_M tables, whose memos the faulty sum fills
-        tables = dict(vars(schur), keyed_sum=faulty)
-        for name in ("_complete_e", "_schur_e"):
-            exec(textwrap.dedent(inspect.getsource(getattr(schur, name))), tables)
-            monkeypatch.setattr(schur, name, tables[name])
-        monkeypatch.setattr(algebra, "keyed_sum", faulty)
-        monkeypatch.setattr(schur, "keyed_sum", faulty)
+        # with fresh Lambda_M tables, whose memos the faulty sum fills
+        seed_fault(algebra, "keyed_sum", "got + c", "got - c",
+                   rebuild=[schur._complete_e, schur._schur_e], into=[algebra, schur])
         assert not any(any(verdicts(seed)) for seed in seeds)
 
-    def test_bethe_sees_a_seeded_fault_in_the_pole_bracket(self, monkeypatch):
+    def test_bethe_sees_a_seeded_fault_in_the_pole_bracket(self, seed_fault):
         # q^2 y - 1/q for q y - 1/q in the bracket's A term moves its zero
         # set: the solver then certifies roots of the wrong equation, which
         # only the closed form of the single root can tell.  (The n2_i
         # factors hold only the other roots, so at M = 1 they are absent.)
-        from tltau import bethe, chain
-
         def verdicts():
             recs = run_suite(validate_config({"checks": ["bethe"], "M": 1}))["records"]
             assert not any("error" in r for r in recs)
@@ -484,15 +465,10 @@ class TestSuite:
         clean = verdicts()
         assert all(ok for _, ok in clean) and ("closed-form-match", True) in clean
 
-        old = "(qy - iq) ** e"
-        source = textwrap.dedent(inspect.getsource(chain.pole_brackets))
-        assert old in source
-        namespace = dict(vars(chain))
-        exec(source.replace(old, "(qy * q - iq) ** e"), namespace)
-        monkeypatch.setattr(bethe, "pole_brackets", namespace["pole_brackets"])
+        seed_fault(chain, "pole_brackets", "(qy - iq) ** e", "(qy * q - iq) ** e", into=[bethe])
         assert ("closed-form-match", False) in verdicts()
 
-    def test_diagram_counts_see_a_wrong_two_row_closed_form(self, monkeypatch):
+    def test_diagram_counts_see_a_wrong_two_row_closed_form(self, seed_fault):
         # for odd lam, (lam + 1)(lam + 3) / 8 is an integer and (lam + 1)^2 / 8
         # is below it, so the two-row closed form is off on every
         # default-config record (M = 2)
@@ -504,12 +480,8 @@ class TestSuite:
 
         assert verdicts() == [True] * 7
 
-        old = "(lam1max + 1) * (lam1max + 3) // 8"
-        source = textwrap.dedent(inspect.getsource(diagrams.count_closed))
-        assert old in source
-        namespace = dict(vars(diagrams))
-        exec(source.replace(old, "(lam1max + 1) * (lam1max + 1) // 8"), namespace)
-        monkeypatch.setattr(diagrams, "count_closed", namespace["count_closed"])
+        seed_fault(diagrams, "count_closed", "(lam1max + 1) * (lam1max + 3) // 8",
+                   "(lam1max + 1) * (lam1max + 1) // 8")
         assert verdicts() == [False] * 7
 
     def test_root_checks_name_opposite_config_roots(self):

@@ -13,10 +13,8 @@ shows.
 """
 
 import importlib.util
-import inspect
 import math
 import random
-import textwrap
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -244,16 +242,13 @@ def test_hall_pairing_by_weight_matches_every_pair(p, u):
         assert poly_to_schur(quotient, maxlen) == direct_poly_to_schur(quotient, maxlen)
 
 
-def test_hall_pairing_sees_a_wrong_pairing_weight():
+def test_hall_pairing_sees_a_wrong_pairing_weight(seed_fault):
     # dividing each [f]_k by prod k_m! as well puts the pairing weight
     # <t^k, t^k> = prod k_m!/m^k_m off by that factor
     p, u = INSTANCES[1]
     quotient = tau_schur_poly(p, u, 1, 6) * miwa_series_invert(tau_schur_poly(p, u, 2, 6))
-    source = textwrap.dedent(inspect.getsource(schur.poly_to_schur))
-    assert "prod(m**k for" in source
-    namespace = dict(vars(schur))
-    exec(source.replace("prod(m**k for", "prod(m**k * factorial(k) for"), namespace)
-    assert namespace["poly_to_schur"](quotient, p.M) != direct_poly_to_schur(quotient, p.M)
+    faulty = seed_fault(schur, "poly_to_schur", "prod(m**k for", "prod(m**k * factorial(k) for")
+    assert faulty(quotient, p.M) != direct_poly_to_schur(quotient, p.M)
 
 
 @pytest.mark.parametrize("N, M, mode", [(2, 1, "rational"), (2, 2, "rational"), (3, 2, "rational"),
