@@ -20,7 +20,8 @@ of the two generating families F of the chain module.  This module gives:
 import math
 from itertools import combinations, product
 
-from .algebra import MiwaPolynomial, Rational, det, field_product, field_sum, vandermonde
+from .algebra import (MiwaPolynomial, Rational, det, field_product, field_sum, vandermonde,
+                      weighted_degree)
 from .chain import family_matrix
 from . import schur as _schur
 
@@ -105,11 +106,13 @@ def kp_operator():
     return {(4,): 1, (0, 2): 3, (1, 0, 1): -4}
 
 
-def _iter_deriv(poly, beta, cache):
+def _iter_deriv(poly, beta, known, cache):
+    """d^beta poly known through weight known, formed once per beta from the
+    terms of poly that reach it."""
     while beta and not beta[-1]:  # D1^4's (1,) and D1 D3's (1, 0, 0) share one key
         beta = beta[:-1]
     if beta not in cache:
-        out = poly
+        out = poly.restrict(known + weighted_degree(beta))
         for m, k in enumerate(beta, 1):
             for _ in range(k):
                 out = out.deriv(m)
@@ -126,6 +129,8 @@ def hirota_apply(op, f, g):
 
     The Miwa truncation rules make the result known through
     min(f.cutoff, g.cutoff) less the largest weight of the operator's terms.
+    Each derivative is formed only through that weight, from the operand's
+    terms that reach it, so no product forms a term the result cannot know.
     A D_m beyond the operands' K and operands of different K raise
     ValueError (from ``deriv`` and from the Miwa product).
 
@@ -133,7 +138,8 @@ def hirota_apply(op, f, g):
     product, so only beta <= alpha - beta is formed, the unequal ones twice.
     """
     ctx = f.ctx
-    out = MiwaPolynomial(ctx, f.K, min(f.cutoff, g.cutoff))
+    known = min(f.cutoff, g.cutoff) - max(map(weighted_degree, op), default=0)
+    out = MiwaPolynomial(ctx, f.K, known)
     cf = {}
     cg = cf if f is g else {}
     for alpha, c in op.items():
@@ -147,8 +153,8 @@ def hirota_apply(op, f, g):
                 coeff = -coeff
             if paired and beta < gamma:
                 coeff *= 2
-            df = _iter_deriv(f, beta, cf)
-            dg = _iter_deriv(g, gamma, cg)
+            df = _iter_deriv(f, beta, known, cf)
+            dg = _iter_deriv(g, gamma, known, cg)
             out = out + (df * dg).scale(ctx.embed(c * coeff))
     return out
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
@@ -433,6 +434,35 @@ class TestSuite:
             summary = run_suite(validate_config({"checks": [check], "seed": 1}))["summary"]
             assert summary["failed"] == 0
             assert calls == [(1, cutoff), (2, cutoff)]
+
+    def test_hirota_forms_only_the_weights_its_residual_knows(self, monkeypatch):
+        # the Miwa term pairs formed inside hirota_apply, each left term with
+        # the prefix of the weight-sorted right operand that fits the product's
+        # cutoff: 424 on default hirota with tau in t_1..t_4 and every product
+        # through weight 4, 926 with tau in t_1..t_8 and products through 6
+        pairs, depth = [0], [0]
+        mul, apply = algebra.MiwaPolynomial.__mul__, tau.hirota_apply
+
+        def counted_mul(f, g):
+            if depth[0] and isinstance(g, algebra.MiwaPolynomial):
+                cutoff = min(f.cutoff, g.cutoff)
+                weights = sorted(map(algebra.weighted_degree, g.terms))
+                pairs[0] += sum(bisect_right(weights, cutoff - algebra.weighted_degree(k))
+                                for k in f.terms)
+            return mul(f, g)
+
+        def counted_apply(*args):
+            depth[0] += 1
+            try:
+                return apply(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(algebra.MiwaPolynomial, "__mul__", counted_mul)
+        monkeypatch.setattr(tau, "hirota_apply", counted_apply)
+        summary = run_suite(validate_config({"checks": ["hirota"]}))["summary"]
+        assert summary == {"total": 2, "passed": 2, "failed": 0}
+        assert 0 < pairs[0] <= 424
 
     def test_expansion_checks_see_a_keyed_sum_that_subtracts(self, seed_fault):
         # got - c for got + c subtracts every later term of a key: the Laurent

@@ -2,11 +2,12 @@
 
 Each test keeps a local copy of the direct route: a Schur polynomial per
 partition summed with its coefficient, every beta of a Hirota operator on
-(tau, tau), one Taylor series per row, one bialternant per partition, the
-Miwa product over all term pairs, the Hall pairing of every partition with
-every monomial, the tau quotient formed in all the times (not in the
-symmetric functions of M variables) and read back by that pairing, and a
-schur-expansion record from two separate Schur sums.
+(tau, tau), the KP residual of tau in all the times with every product
+through its operands' cutoff, one Taylor series per row, one bialternant
+per partition, the Miwa product over all term pairs, the Hall pairing of
+every partition with every monomial, the tau quotient formed in all the
+times (not in the symmetric functions of M variables) and read back by that
+pairing, and a schur-expansion record from two separate Schur sums.
 They are compared exactly on rational instances and on one instance over
 Q(sqrt 377); the last three also in float mode, where the order of the sums
 shows.
@@ -45,7 +46,7 @@ from tltau.schur import (
     slavnov_schur_coeffs,
     tau_schur_poly,
 )
-from tltau.tau import hirota_apply, kp_operator
+from tltau.tau import hirota_apply, hirota_kp_check, kp_operator
 from reference import schur_sum_eval
 
 RAT = FieldContext("rational")
@@ -103,6 +104,16 @@ def direct_hirota_apply(op, f, g):
                     dg = dg.deriv(m)
             out = out + (df * dg).scale(c * f.ctx.embed(coeff))
     return out
+
+
+def direct_kp_residual(p, u, family, D):
+    """The KP residual of tau in all the times t_1..t_D, every product formed
+    through its operands' cutoff, then read through weight D - 4 in the times
+    t_1..t_K of the hirota check: the keys lose entries that must be zero."""
+    K = max(D - 4, 3)
+    full = direct_hirota_apply(kp_operator(), *[tau_schur_poly(p, u, family, D, D)] * 2)
+    assert all(not any(key[K:]) for key in full.terms)
+    return MiwaPolynomial(p.ctx, K, D - 4, {key[:K]: c for key, c in full.terms.items()})
 
 
 def direct_mul(f, g):
@@ -186,6 +197,48 @@ def test_paired_hirota_terms_match_every_beta(p, u):
             want = direct_hirota_apply(op, tau, twin)
             assert hirota_apply(op, tau, tau) == want
             assert hirota_apply(op, tau, twin) == want
+
+
+def check_kp_residual(p, u, family, D):
+    """The hirota check's residual: tau in t_1..t_K only."""
+    return hirota_kp_check(tau_schur_poly(p, u, family, D, max(D - 4, 3)))
+
+
+@pytest.mark.parametrize("p, u", INSTANCES, ids=IDS)
+def test_kp_residual_in_few_times_matches_the_full_one(p, u):
+    for D, family in product((4, 5, 8, 10), (1, 2)):
+        assert check_kp_residual(p, u, family, D) == direct_kp_residual(p, u, family, D)
+
+
+def test_kp_residual_in_few_times_turns_red_on_the_same_faults(monkeypatch):
+    # one more unit of any c_lam with |lam| <= 8 and at most two rows, in the
+    # default hirota config: both residuals agree, so the check turns red on
+    # the same faults; 35 of the 50 (partition, family) faults turn it red,
+    # and (8), (7, 1) and family 1's (4, 4) leave it green
+    cfg = cli.validate_config({"checks": ["hirota"]})
+    p = cli.build_params(cfg)
+    ctx, D = p.ctx, cfg["miwa_cutoff"]
+    u = [ctx.from_string(s) for s in cli.run_suite(cfg)["records"][0]["params"]["u"]]
+    real = schur.cauchy_binet_coeffs
+    red = set()
+    for lam in partitions_bounded(8, 2):
+        def faulty(*args, lam=lam):
+            cmap = real(*args)
+            cmap.entries[lam] = cmap.entries.get(lam, ctx.zero()) + ctx.one()
+            return cmap
+
+        monkeypatch.setattr(schur, "cauchy_binet_coeffs", faulty)
+        for family in (1, 2):
+            resid = check_kp_residual(p, u, family, D)
+            assert resid == direct_kp_residual(p, u, family, D), (lam, family)
+            if not resid.is_zero():
+                red.add((lam, family))
+        recs = cli.run_suite(cfg)["records"]
+        assert {(lam, r["params"]["family"]) for r in recs if not r["pass"]} == {
+            fault for fault in red if fault[0] == lam}
+    assert (D, p.M, len(red)) == (8, 2, 35)
+    assert not {((8,), 1), ((8,), 2), ((7, 1), 1), ((7, 1), 2), ((4, 4), 1)} & red
+    assert ((4, 4), 2) in red
 
 
 @pytest.mark.parametrize("p, u", INSTANCES, ids=IDS)
