@@ -25,9 +25,12 @@ The formula reads the roots only through their sigma_j, formed once per root
 vector, so u_j -> -u_j and u_j -> 1/(q u_j) leave it unchanged.  Family 1 is
 F^(1)_i = d Lambda / d u_i: n/d_i becomes d(n/d_i)/d sigma_i = y (n - d_i)/d_i^2,
 times sigma_i' = 2(q u_i - 1/(q u_i^3)), which the roots' data carries.
-Family 2 is F^(2)_i = y/d_i = 1/(w(v/u_i) w(q v u_i)).  At y = u_j^2, A n1_j
-and B n2_j share the factor w(y) w(q^2 y), so the residue of Lambda at v = u_j
-is that factor times a pole bracket, in which it is cancelled in closed form.
+Family 2 is F^(2)_i = y/d_i = 1/(w(v/u_i) w(q v u_i)) = 1/(sigma(v) - sigma_i),
+sigma(v) = q y + 1/(q y): a Cauchy matrix, so det F^(2) is (-1)^M times the
+Cauchy product in the sigma_i and sigma(v_j), nonzero on every pair validate_uv
+admits.  At y = u_j^2, A n1_j and B n2_j share the factor w(y) w(q^2 y), so the
+residue of Lambda at v = u_j is that factor times a pole bracket, in which it is
+cancelled in closed form.
 
 The formula only adds, multiplies and divides, so one code path serves every
 carrier: field scalars for pointwise values (the v-form entry points evaluate
@@ -225,26 +228,35 @@ def remember(u, key, make):
 def validate_uv(p, u=(), v=()):
     """Check the q-dependent admissibility sets, naming the factor that fails.
 
-    For i != j: u_i u_j must avoid {+-1, +-1/q} and u_i/u_j, v_i/v_j must
-    avoid +-1 (each makes two rows or columns of F equal up to sign); every
-    v_i must avoid {+-u_j, +-1/(q u_j)} and the eigenvalue poles w(q v^2) = 0.
+    sigma(a) = sigma(b) exactly when w(a/b) or w(q a b) vanishes.  For i != j,
+    w(u_i/u_j), w(q u_i u_j), w(v_i/v_j) and w(q v_i v_j) are sigma-coincidences
+    (two rows or columns of each family proportional); w(v_i/u_j), w(q v_i u_j)
+    and w(q v_i^2) are poles; where w(v_i) or w(q v_i) vanishes Lambda is free of
+    the roots, so the family-1 column is 0, and where w(q u_j^2) does sigma_j'
+    and the family-1 row are; w(u_i u_j) is a pole of the prefactor G alone.
     """
     q = p.q
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
+    for j, x in enumerate(u):
+        qx = q * x
+        _refuse_pm(qx * x, 1, "w(q*u_j^2)", "j=%d" % j)
+        for i, y in enumerate(u[:j]):
             ij = "i=%d j=%d" % (i, j)
-            prod = u[i] * u[j]
-            _refuse_pm(prod, 1, "w(u_i*u_j)", ij)
-            _refuse_pm(prod * q, 1, "w(q*u_i*u_j)", ij)
-            _refuse_pm(u[i], u[j], "w(u_i/u_j)", ij)
+            _refuse_pm(y * x, 1, "w(u_i*u_j)", ij)
+            _refuse_pm(qx * y, 1, "w(q*u_i*u_j)", ij)
+            _refuse_pm(y, x, "w(u_i/u_j)", ij)
     for i, x in enumerate(v):
-        _refuse_pm(x * x * q, 1, "w(q*v^2)", "i=%d" % i)
+        qx = q * x
+        _refuse_pm(x, 1, "w(v_i)", "i=%d" % i)
+        _refuse_pm(qx, 1, "w(q*v_i)", "i=%d" % i)
+        _refuse_pm(qx * x, 1, "w(q*v^2)", "i=%d" % i)
         for j, y in enumerate(v[:i]):
-            _refuse_pm(x, y, "w(v_i/v_j)", "i=%d j=%d" % (j, i))
+            ij = "i=%d j=%d" % (j, i)
+            _refuse_pm(x, y, "w(v_i/v_j)", ij)
+            _refuse_pm(qx * y, 1, "w(q*v_i*v_j)", ij)
         for j, y in enumerate(u):
             ij = "i=%d j=%d" % (i, j)
             _refuse_pm(x, y, "w(v_i/u_j)", ij)
-            _refuse_pm(x * y * q, 1, "w(q*v_i*u_j)", ij)
+            _refuse_pm(qx * y, 1, "w(q*v_i*u_j)", ij)
 
 
 def _check_row(u, i):

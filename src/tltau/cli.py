@@ -9,7 +9,9 @@ report shape.
 
 Each check is a generator of cases, (params, instance seed, residual, pass
 [, error]), one per record; `run_suite` names them and writes the records,
-and a check that yields no case gets an error record.
+and a check that yields no case gets an error record.  Every check that
+reads (u, v) draws it through `draw_instance`, whose one admissibility rule
+is `chain.validate_uv`; no check refuses a draw on its own.
 
 Checks
   theorem-quotient   kernel(u, v) equals tau1(v) / tau2(v)
@@ -43,7 +45,6 @@ from .chain import (
     kernel_y,
     leading_power,
     pole_radius_y,
-    slavnov,
     validate_uv,
 )
 from . import bethe as _bethe
@@ -85,13 +86,12 @@ def _draw_distinct(rng, count):
     return out
 
 
-def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None):
-    """Draw admissible (u, v) for the chain, rejecting excluded values.
+def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None):
+    """Draw (u, v) that chain.validate_uv admits, for up to 500 draws.
 
-    Rejection covers the model's pole sets, for up to 500 draws; a fixed u
-    and v (or u alone when vcount is 0) are checked once.  An optional
-    accept(u, v) callback lets the caller reject draws with singular derived
-    quantities (it should raise to reject).  Deterministic given the rng state.
+    validate_uv is the one admissibility rule: a draw it refuses is drawn
+    again, and a fixed u and v (or u alone when vcount is 0) are checked
+    once.  Deterministic given the rng state.
     """
     ctx = p.ctx
     vcount = p.M if vcount is None else vcount
@@ -108,25 +108,24 @@ def draw_instance(p, rng, fixed_u=None, vcount=None, fixed_v=None, accept=None):
             else:
                 v = fixed_v
             validate_uv(p, u, v if v is not None else ())
-            if accept is not None:
-                accept(u, v)
             return u, v
-        except (ValueError, PoleError, ZeroDivisionError):
+        except PoleError:
             if fixed_u is not None and (fixed_v is not None or not vcount):
                 raise  # nothing was drawn, so another try fails alike
     raise RuntimeError("could not draw an admissible instance")
 
 
-def _instances(cfg, p, seed, vcount=None, accept=None):
-    """Yield (instance seed, u, v), instance i drawn from Random(seed + i):
-    `instances` of them, or one when the config fixes both u and v.  A
-    `vcount` draws that many points as v and ignores the config's v."""
+def _instances(cfg, p, seed, vcount=None):
+    """Yield (instance seed, u, v), instance i drawn by draw_instance from
+    Random(seed + i): `instances` of them, or one when the config fixes both
+    u and v.  A `vcount` draws that many points as v and ignores the
+    config's v."""
     fixed_u = _fixed_vector(cfg, p, "u", "bethe")
     fixed_v = _fixed_vector(cfg, p, "v", "free") if vcount is None else None
     count = 1 if fixed_u is not None and fixed_v is not None else cfg["instances"]
     for iseed in range(seed, seed + count):
         u, v = draw_instance(p, random.Random(iseed), fixed_u=fixed_u, vcount=vcount,
-                             fixed_v=fixed_v, accept=accept)
+                             fixed_v=fixed_v)
         yield iseed, u, v
 
 
@@ -171,7 +170,7 @@ def _compared(ctx, params, seed, resid, scale):
 
 
 def check_theorem_quotient(cfg, p, seed):
-    for iseed, u, v in _instances(cfg, p, seed, accept=lambda uu, vv: slavnov(p, uu, vv)):
+    for iseed, u, v in _instances(cfg, p, seed):
         kv = kernel(p, u, v)
         resid = kv - _tau.tau_det(p, u, 1, v) / _tau.tau_det(p, u, 2, v)
         yield _compared(p.ctx, _params_blob(p, u, v), iseed, resid, kv)

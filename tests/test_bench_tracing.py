@@ -61,9 +61,9 @@ def test_tracer_wraps_every_named_function_and_restores_it():
 # (records, products, inverses) of one quadratic instance of each instance
 # check; pluecker and integral-rep give one record per family
 QUADRATIC_PINS = {
-    "theorem-quotient": (1, 212, 34),
-    "pluecker": (2, 307, 27),
-    "integral-rep": (2, 169, 35),
+    "theorem-quotient": (1, 161, 21),
+    "pluecker": (2, 309, 27),
+    "integral-rep": (2, 170, 35),
     "andreev": (1, 184, 3),
 }
 
@@ -73,8 +73,10 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse(check):
     # theorem-quotient is pinned on the integer carrier, with every 1 / x the bare inverse and
     # no product (a reciprocal times 1 would read 18 more products: eight
     # in w_eval's x - 1/x, two each in the q-powers, the sigma_i and the
-    # sigma_i', four in the family-2 rows); validate_uv forming each product
-    # once; ChainParams forming 1/q, q^3 and 1/q^3 once per params (two
+    # sigma_i', four in the family-2 rows); validate_uv forming q x once per
+    # root and point and reading it in every factor with a q (two products
+    # per root or point, two per pair of roots, one per other pair);
+    # ChainParams forming 1/q, q^3 and 1/q^3 once per params (two
     # inverses, two products), which _cleared and the family-2 columns
     # read; family_matrix_y forming each sigma_i (two products, one
     # inverse: q y_i serves both terms) and each sigma_i' (four products,
@@ -91,11 +93,14 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse(check):
     # products and 16 more inverses, y / q in _cleared 4 more inverses (one
     # per root and family-1 column), y^(1-N) formed per row 2 more inverses,
     # powers that start from 1 and square once too often 23 more
-    # products, and the two Vandermondes of M = 2 points started from 1 two
-    # more.  A fast path that multiplied or inverted without the counted
-    # methods would make these read lower.
+    # products, the two Vandermondes of M = 2 points started from 1 two
+    # more, q v_i u_j formed as v_i u_j q 8 more (two validate_uv calls of
+    # four such pairs) and a second admissibility test that formed the
+    # Slavnov product on each draw 54 more.  A fast path that multiplied or
+    # inverted without the counted methods would make these read lower.
     # The other checks take signs as negations and start sums at their first
-    # term: pluecker multiplying each exchange term by +-1 reads 6 more
+    # term, and read q v_i u_j alike (pluecker 8 more without it, integral-rep
+    # 4): pluecker multiplying each exchange term by +-1 reads 6 more
     # products, integral-rep multiplying the residue determinant by its sign
     # 2 more, and andreev starting Horner's rule at zero (zero times x first)
     # 24 more.

@@ -378,6 +378,31 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_bethe(p, [mp.mpf(2), mp.mpf(2) + mp.mpf("1e-13")])
 
+    def test_no_roots_is_nothing_to_solve(self):
+        # at M = 0 the empty start is the solution, and the palette's one
+        # empty subset gives the grid that solution alone
+        p = fparams(2, 0)
+        sol = solve_bethe(p, [])
+        assert (sol.roots, sol.residuals, sol.converged, sol.iterations, sol.message) == (
+            (), (), True, 0, "nothing to solve")
+        assert [(s.roots, s.message) for s in solve_bethe_grid(p)] == [((), "nothing to solve")]
+
+    def test_singular_jacobian_ends_the_run_at_its_start(self):
+        # a chord Jacobian that solve_linear refuses stops the loop,
+        # unconverged, where it stands
+        double = bethe._stand_in(2, 2 + 0j)
+        start = [0.45 + 0.35j, 0.85 + 0.55j]
+        got = bethe._newton(double, start, 0, 0, 2.0**-26, [[0, 0], [0, 0]])
+        assert got == (start, bethe._brackets(double, start), False, 1, "singular jacobian")
+
+    def test_central_jacobian_is_none_when_a_bump_lands_on_a_pole(self):
+        # u_0 = -h bumps up onto u_0 = 0, where pole_brackets names w(u_j);
+        # u_0 = -2h does not
+        double, h = bethe._stand_in(2, 2 + 0j), 2.0**-17
+        assert bethe._central_jacobian(double, [complex(-h), 0.85 + 0.55j], h) is None
+        jac = bethe._central_jacobian(double, [complex(-2 * h), 0.85 + 0.55j], h)
+        assert len(jac) == 2 and all(len(row) == 2 and all(row) for row in jac)
+
     def test_solution_repr(self):
         sol = BetheSolution((mp.mpf(1),), (mp.mpf(0),), True, 3, "converged")
         assert "converged=True" in repr(sol)

@@ -13,12 +13,13 @@ evaluation inside the convergence radius.
 import functools
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 import sympy
 
 from tltau import chain
-from tltau.algebra import FieldContext, LaurentSeries, QuadraticNumber, det
+from tltau.algebra import FieldContext, LaurentSeries, QuadraticNumber, det, field_product
 from tltau.chain import (
     ChainParams,
     ParameterVector,
@@ -228,6 +229,30 @@ class TestEigenvalueOracle:
             assert lambda_eval(p, v, u) == lambda_eval(p, -v, u)
 
 
+class TestCauchyForm:
+    """F2_i(v) = 1/(sigma(v) - sigma(u_i)), sigma(x) = q x^2 + 1/(q x^2): a
+    Cauchy matrix, so det F2 vanishes only where two sigma coincide."""
+
+    @pytest.mark.parametrize("spin_twice, Q, mode", [(1, F(-2), "rational"),
+                                                     (2, F(2), "quadratic")])
+    def test_family_2_is_a_cauchy_matrix(self, spin_twice, Q, mode):
+        for M, us, vs in ((2, (2, 3), (F(1, 3), F(7, 5))),
+                          (3, (2, 3, F(5, 7)), (F(1, 3), F(7, 5), F(11, 4)))):
+            p = ChainParams.from_boundary(2, M, spin_twice, Q, mode=mode)
+            ctx, q = p.ctx, p.q
+            u = ParameterVector([ctx.embed(x) for x in us], "bethe")
+            v = [ctx.embed(x) for x in vs]
+            validate_uv(p, u, v)
+            x = [q * a * a + 1 / (q * a * a) for a in u]
+            y = [q * b * b + 1 / (q * b * b) for b in v]
+            f2 = family_matrix(p, u, 2, v)
+            assert f2 == [[1 / (yj - xi) for yj in y] for xi in x]
+            cauchy = (field_product([(x[j] - x[i]) * (y[i] - y[j])
+                                     for i, j in combinations(range(M), 2)], ctx)
+                      / field_product([xi - yj for xi in x for yj in y], ctx))
+            assert det(f2, ctx) == (-1) ** M * cauchy != 0
+
+
 class TestBoundary:
     def test_q_from_rational_discriminants(self):
         p = ChainParams.from_boundary(2, 1, 1, F(-2))
@@ -300,6 +325,24 @@ class TestPoles:
         with pytest.raises(PoleError) as e:
             validate_uv(p, roots(2, 3), [F(5), F(-5)])
         assert e.value.factor == "w(v_i/v_j)"
+
+    @pytest.mark.parametrize("Q, u, v, factor, where", [
+        (F(-2), (3, 7), (1, F(5, 3)), "w(v_i)", "i=0"),          # B = 0 at y = 1
+        (F(-2), (3, 7), (F(5, 3), F(1, 2)), "w(q*v_i)", "i=1"),  # A = 0 at y = 1/q^2
+        (F(-2), (3, 7), (5, F(1, 10)), "w(q*v_i*v_j)", "i=0 j=1"),  # sigma(v_0) = sigma(v_1)
+        (F(-4), (F(1, 2), 3), (5, 7), "w(q*u_j^2)", "j=0"),      # sigma_0' = 0
+    ])
+    def test_structural_zeros_of_family_1_are_named(self, Q, u, v, factor, where):
+        # each point makes det F1 vanish, so a record there would pass on
+        # 0 = 0; validate_uv and the kernel name the factor instead (q = 2
+        # from Q = -2, q = 4 from Q = -4)
+        p = ChainParams.from_boundary(2, 2, 1, Q)
+        u, v = roots(*u), [F(x) for x in v]
+        assert det(family_matrix(p, u, 1, v), RAT) == 0
+        for call in (validate_uv, kernel):
+            with pytest.raises(PoleError) as e:
+                call(p, u, v)
+            assert str(e.value) == "vanishing factor %s (%s)" % (factor, where)
 
     def test_eigenvalue_pole_in_quadratic_field(self):
         ctx = FieldContext("quadratic", d=2)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -159,8 +160,8 @@ class TestSuite:
     @pytest.mark.parametrize("raw, error", [
         ({"u": ["2", "3"], "v": ["2", "5"], "checks": ["theorem-quotient", "integral-rep"]},
          "PoleError: vanishing factor w(v_i/u_j) (i=0 j=0)"),
-        ({"N": 2, "M": 1, "u": ["1"], "v": ["1/3"], "checks": ["theorem-quotient"]},
-         "PoleError: vanishing factor w(u_j) (j=0)"),
+        ({"N": 2, "M": 1, "u": ["3"], "v": ["1"], "checks": ["theorem-quotient"]},
+         "PoleError: vanishing factor w(v_i) (i=0)"),
     ])
     def test_fixed_instance_that_fails_names_the_factor(self, raw, error):
         # with nothing to draw, a failing check is the answer, not a cue to
@@ -168,6 +169,19 @@ class TestSuite:
         records = run_suite(validate_config(raw))["records"]
         assert [r["check"] for r in records] == raw["checks"]
         assert all(not r["pass"] and r["error"] == error for r in records)
+
+    @pytest.mark.parametrize("raw", [{"N": 2, "M": 1, "u": ["1"], "v": ["1/3"]},
+                                     {"u": ["2", "1/8"], "v": ["3", "5/7"]}])
+    def test_theorem_quotient_runs_at_the_prefactor_poles(self, raw):
+        # w(u_j) and w(q^2 u_i u_j) vanish only in G, which kernel = tau1/tau2
+        # does not hold, so validate_uv admits the pair and the identity holds
+        recs = run_suite(validate_config(dict(raw, checks=["theorem-quotient"])))["records"]
+        assert [(r["check"], r["pass"], "error" in r) for r in recs] == [
+            ("theorem-quotient", True, False)]
+        p = build_params(validate_config(raw))
+        u = chain.ParameterVector([p.ctx.from_string(x) for x in raw["u"]], "bethe")
+        with pytest.raises(chain.PoleError):
+            chain.g_prefactor(p, u, [p.ctx.from_string(x) for x in raw["v"]])
 
     def test_boundary_violation_becomes_error_records(self):
         # an irrational deformation parameter cannot build rational params
@@ -522,11 +536,54 @@ class TestSuite:
         assert [r["check"] for r in recs] == list(ROOT_CHECKS)
         assert all(not r["pass"] and "w(u_i/u_j)" in r["error"] for r in recs)
 
+    @pytest.mark.parametrize("raw", [{}, {"field_mode": "float"}, {"Q": "-4"},
+                                     {"field_mode": "quadratic", "spin_twice": 2, "Q": "2"}])
+    def test_identity_records_never_pass_on_a_structural_zero(self, raw):
+        # default verify's theorem-quotient, integral-rep and pluecker records
+        # (the seeds depend only on the check's name, so running these three
+        # alone gives the same records): every theorem-quotient and
+        # integral-rep (u, v) has det F1 != 0 and det F2 != 0, and no
+        # pluecker point set has v = +-1, q v = +-1, q v_i v_j = +-1 or a
+        # root with q u^2 = +-1, where a family-1 determinant is 0 = 0.
+        # Float draws are rationals of height at most 13, read back exactly.
+        cfg = validate_config(dict(raw, checks=["theorem-quotient", "pluecker", "integral-rep"]))
+        p = build_params(cfg)
+        if p.ctx.mode == "float":
+            p = build_params(dict(cfg, field_mode="rational"))
+            read = lambda xs: [Fraction(x).limit_denominator(13) for x in xs]
+        else:
+            read = lambda xs: [p.ctx.from_string(x) for x in xs]
+
+        def is_pm1(x):
+            return x * x == 1
+
+        recs = run_suite(cfg)["records"]
+        assert len(recs) == 100 and all(r["pass"] for r in recs)
+        q = p.q
+        for r in recs:
+            u = read(r["params"]["u"])
+            if r["check"] == "pluecker":
+                pts = read(r["params"]["X"] + r["params"]["Y"])
+                assert not any(is_pm1(q * x * x) for x in u)
+                assert not any(is_pm1(x) or is_pm1(q * x) for x in pts)
+                assert not any(is_pm1(q * x * y) for x, y in combinations(pts, 2))
+            else:
+                v = read(r["params"]["v"])
+                for family in (1, 2):
+                    assert algebra.det(chain.family_matrix(p, u, family, v), p.ctx), (r, family)
+
     def test_root_checks_pass_once_without_roots(self):
         cfg = validate_config({"checks": list(ROOT_CHECKS), "M": 0})
         recs = run_suite(cfg)["records"]
         assert [r["check"] for r in recs] == list(ROOT_CHECKS)
         assert all(r["pass"] and r["residual"] is None for r in recs)
+
+    def test_bethe_without_roots_is_one_passing_record(self):
+        # bethe draws no roots, so run_suite leaves M = 0 to check_bethe
+        recs = run_suite(validate_config({"checks": ["bethe"], "M": 0}))["records"]
+        assert recs == [{"check": "bethe", "params": {"N": 2, "M": 0},
+                         "instance_seed": recs[0]["instance_seed"], "residual": None,
+                         "pass": True}]
 
     def test_float_records_do_not_depend_on_an_earlier_precision(self):
         # a 400-bit context made earlier in the process must not raise the

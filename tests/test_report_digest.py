@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TOTAL = "182bab51c7d651edc333f8bfdad525cae23e8b80"
+TOTAL = "25f2879b80ee91ce9a8f415f39908309861ff525"
 
 
 def test_report_bytes_match_the_pinned_digest(tmp_path):
