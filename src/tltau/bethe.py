@@ -11,8 +11,9 @@ then a refinement at working precision on `_Complex` (two Decimal parts) that
 starts there with chord steps on a central-difference Jacobian in doubles.
 Each stage reads q and its powers from a stand-in for the params, formed once
 on the stage's carrier, and the refinement hands its roots and brackets back
-to the context's mpmath context, exactly rounded.  A converged solution is
-regular (`is_regular`, in complex doubles) before and after the refinement.
+to the context's mpmath context, exactly rounded.  Both stages keep to the
+regular set (`is_regular`, in complex doubles): a run ends where it leaves
+it, so a converged solution is regular.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
@@ -101,27 +102,26 @@ def solve_bethe(p, guess, tol=None, known=()):
     hands each root and bracket back as the mpc of p.ctx.mp nearest to it.
     `iterations` counts the refinement's steps and `search_iterations`
     the search's; the reported roots and brackets are the refinement's.
-    A search root that is irregular or within 1e-9 of a set in `known` (each
-    as _canonical_roots gives it) is not refined: it ends with converged
-    False and no steps; irregular refined roots end with converged False.
+    A stage whose start or step lands outside the regular set (`is_regular`)
+    ends there with converged False and the message "ran off to an irregular
+    set"; a search root within 1e-9 of a set in `known` (each as
+    _canonical_roots gives it) is not refined: it ends with converged False
+    and no steps.
     """
     if p.ctx.mode != "float":
         raise ValueError("the root solver runs in float mode")
     if len(guess) != p.M:
         raise ValueError("need exactly M starting roots")
     m = p.ctx.mp
-    roots = [m.mpc(x) for x in guess]
-    if _min_separation(roots) < 1e-12:
+    starts = [complex(x) for x in guess]
+    if _min_separation(starts) < 1e-12:
         raise ValueError("starting roots must be pairwise distinct")
-    if not roots:
+    if not starts:
         return BetheSolution([], [], True, 0, "nothing to solve")
     double = _stand_in(p.N, complex(p.q))
-    found, res, converged, steps, message = _newton(
-        double, [complex(x) for x in roots], 1e-12, 1e-12, 2.0**-26, None)
+    found, res, converged, steps, message = _newton(double, starts, 1e-12, 1e-12, 2.0**-26, None)
     canon = _canonical_roots(found)
-    if converged and not is_regular(p, found):
-        converged, message = False, "irregular root set"
-    elif converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
+    if converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
         converged, message = False, "repeats a root set already found"
     if not converged:
         return BetheSolution(map(m.mpc, found), map(m.mpc, res), False, 0, message, steps)
@@ -130,13 +130,11 @@ def solve_bethe(p, guess, tol=None, known=()):
         half = Decimal(2) ** -(p.ctx.prec // 2)
         roots, res, converged, iterations, message = _newton(
             _stand_in(p.N, _Complex.of(p.q)),
-            [_Complex.of(x) for x in (found if steps else roots)],
+            [_Complex.of(x) for x in (found if steps else map(m.mpc, guess))],
             half if tol is None else _Complex.of(m.mpf(tol)).re, 0, half,
             chord and [[_Complex.of(x) for x in row] for row in chord])
-    roots, res = ([_mpc(z, m) for z in v] for v in (roots, res))
-    if converged and not is_regular(p, roots):
-        converged, message = False, "refinement ran off to an irregular set"
-    return BetheSolution(roots, res, converged, iterations, message, steps)
+    return BetheSolution((_mpc(z, m) for z in roots), (_mpc(z, m) for z in res), converged,
+                         iterations, message, steps)
 
 
 _StandIn = namedtuple("_StandIn", "N q iq q3 iq3")
@@ -228,6 +226,9 @@ class _Complex:
     def __abs__(self):
         return (self.re * self.re + self.im * self.im).sqrt()
 
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
 
 def _newton(p, roots, tol, xtol, step, chord):
     """Damped Newton iteration on the brackets, in the carrier of p.q and roots.
@@ -239,36 +240,45 @@ def _newton(p, roots, tol, xtol, step, chord):
     central-difference handoff) is used instead until a step fails to cut
     the error tenfold.
     Steps are halved when the error fails to drop or when roots threaten to
-    collide.  Returns (roots, brackets, converged, steps, message).
+    collide.  The start and every accepted iterate must be regular
+    (`is_regular`): a run that leaves the regular set ends there, unconverged,
+    with the message "ran off to an irregular set".  The error and the trial
+    guards compare magnitudes in complex doubles, `abs(complex(x))`, on
+    either carrier.
+    Returns (roots, brackets, converged, steps, message).
     """
     res = _brackets(p, roots)
     if res is None:
         raise ValueError("starting roots sit on a pole of the bracket map")
-    err = max(abs(r) for r in res)
+    err = max(abs(complex(r)) for r in res)
     jac = chord
-    for it in range(1, _MAXITER + 1):
+    for it in range(_MAXITER + 1):
+        if not is_regular(p, roots):
+            return roots, res, False, it, "ran off to an irregular set"
         if err < tol:
-            return roots, res, True, it - 1, "converged"
+            return roots, res, True, it, "converged"
+        if it == _MAXITER:
+            return roots, res, False, it, "iteration limit"
         if chord is None:
             jac = _jacobian(p, roots, res, step)
         try:
             delta = solve_linear(jac, res)
         except (ZeroDivisionError, ValueError):
-            return roots, res, False, it, "singular jacobian"
+            return roots, res, False, it + 1, "singular jacobian"
         if xtol and all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
-            return roots, res, True, it - 1, "converged"
+            return roots, res, True, it, "converged"
         lam = 1.0
         moved = False
         while lam >= 1 / 512:
             trial = [r - lam * d for r, d in zip(roots, delta)]
-            if _min_separation(trial) < 1e-12 or any(abs(x) < 1e-12 for x in trial):
+            if _min_separation(trial) < 1e-12 or any(abs(complex(x)) < 1e-12 for x in trial):
                 lam /= 2
                 continue
             rest = _brackets(p, trial)
             if rest is None:
                 lam /= 2
                 continue
-            errt = max(abs(r) for r in rest)
+            errt = max(abs(complex(r)) for r in rest)
             if errt < err or lam <= 1 / 256:
                 if chord is not None and errt * 10 > err:
                     chord = None
@@ -277,9 +287,7 @@ def _newton(p, roots, tol, xtol, step, chord):
                 break
             lam /= 2
         if not moved:
-            return roots, res, False, it, "step stalled (roots colliding or on a pole)"
-    converged = err < tol
-    return roots, res, converged, _MAXITER, "converged" if converged else "iteration limit"
+            return roots, res, False, it + 1, "step stalled (roots colliding or on a pole)"
 
 
 def _brackets(p, u):
@@ -321,9 +329,9 @@ def is_regular(p, roots):
     of an excluded point, u_j^2 in {+-1, +-1/q^2}, where the residue vanishes
     through its factor w(u_j^2) w(q^2 u_j^2) and not through the pole bracket.
     The brackets decay as u_j runs off to 0 or infinity, where a set can pass
-    the step test far from any finite root.  `solve_bethe` asks it before and
-    after refining.  Runs in complex doubles: the floor sits eight orders
-    above their rounding."""
+    the step test far from any finite root.  `_newton` asks it of its start
+    and of every step it takes.  Runs in complex doubles: the floor sits
+    eight orders above their rounding."""
     q = complex(p.q)
     for r in roots:
         r = complex(r)
@@ -334,7 +342,7 @@ def is_regular(p, roots):
 
 
 def _min_separation(roots):
-    return min((abs(a - b) for a, b in combinations(roots, 2)), default=float("inf"))
+    return min((abs(complex(a - b)) for a, b in combinations(roots, 2)), default=float("inf"))
 
 
 # Starting roots as complex doubles, exact whatever mpmath's precision.

@@ -41,7 +41,6 @@ from .chain import (
     ChainParams,
     ParameterVector,
     PoleError,
-    kernel,
     kernel_y,
     leading_power,
     pole_radius_y,
@@ -171,7 +170,7 @@ def _compared(ctx, params, seed, resid, scale):
 
 def check_theorem_quotient(cfg, p, seed):
     for iseed, u, v in _instances(cfg, p, seed):
-        kv = kernel(p, u, v)
+        kv = kernel_y(p, u, [x * x for x in v])  # draw_instance has validated (u, v)
         resid = kv - _tau.tau_det(p, u, 1, v) / _tau.tau_det(p, u, 2, v)
         yield _compared(p.ctx, _params_blob(p, u, v), iseed, resid, kv)
 

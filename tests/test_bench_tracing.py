@@ -61,7 +61,7 @@ def test_tracer_wraps_every_named_function_and_restores_it():
 # (records, products, inverses) of one quadratic instance of each instance
 # check; pluecker and integral-rep give one record per family
 QUADRATIC_PINS = {
-    "theorem-quotient": (1, 161, 21),
+    "theorem-quotient": (1, 146, 21),
     "pluecker": (2, 309, 27),
     "integral-rep": (2, 170, 35),
     "andreev": (1, 184, 3),
@@ -94,9 +94,10 @@ def test_tracer_counts_every_quadratic_scalar_product_and_inverse(check):
     # per root and family-1 column), y^(1-N) formed per row 2 more inverses,
     # powers that start from 1 and square once too often 23 more
     # products, the two Vandermondes of M = 2 points started from 1 two
-    # more, q v_i u_j formed as v_i u_j q 8 more (two validate_uv calls of
-    # four such pairs) and a second admissibility test that formed the
-    # Slavnov product on each draw 54 more.  A fast path that multiplied or
+    # more, q v_i u_j formed as v_i u_j q 4 more (four such pairs), a second
+    # validate_uv call through chain.kernel on the pair draw_instance has
+    # already validated 15 more, and a second admissibility test that formed
+    # the Slavnov product on each draw 54 more.  A fast path that multiplied or
     # inverted without the counted methods would make these read lower.
     # The other checks take signs as negations and start sums at their first
     # term, and read q v_i u_j alike (pluecker 8 more without it, integral-rep

@@ -468,6 +468,30 @@ class TestRegularity:
         sols = [solve_bethe(p, [z]) for z in bethe._PALETTE]
         assert [(s.converged, s.iterations) for s in sols] == [(False, 0)] * 12
 
+    def test_runs_that_leave_the_regular_set_end_there(self):
+        # let run, these two (2, 2) starts take all _MAXITER search steps off
+        # to |u^2| ~ 1e16 and 1e-7; the guard in _newton ends each where it
+        # first leaves the regular set, unconverged and unrefined
+        p = fparams(2, 2)
+        for start in ((0.3 - 0.85j, 1.1 - 0.9j), (0.55 + 0.95j, 0.35 + 0.6j)):
+            sol = solve_bethe(p, start)
+            assert (sol.converged, sol.iterations, sol.message) == (
+                False, 0, "ran off to an irregular set")
+            assert 0 < sol.search_iterations < bethe._MAXITER // 2
+            assert not is_regular(p, sol.roots)
+
+    @pytest.mark.parametrize("carrier", [complex, bethe._Complex.of])
+    @pytest.mark.parametrize("first", [1e-5 + 0j, 1 + 1e-10j])
+    def test_newton_from_an_irregular_start_ends_at_once(self, carrier, first):
+        # |u_0^2| = 1e-10 is below the floor, and u_0^2 = 1 + 2e-10 j within
+        # 1e-8 of an excluded point: on either carrier no step is taken
+        with decimal.localcontext(decimal.Context(64)):
+            p = bethe._stand_in(2, carrier(2))
+            start = [carrier(first), carrier(0.85 + 0.55j)]
+            got = bethe._newton(p, start, 0, 0, 2.0**-26, None)
+            assert got == (start, bethe._brackets(p, start), False, 0,
+                           "ran off to an irregular set")
+
     @pytest.mark.parametrize("Q", ["3", "5"])
     def test_grid_returns_only_regular_root_sets(self, Q):
         # at (1, 2) some sets are regular after the search and run off to 0
@@ -496,9 +520,9 @@ class TestGrid:
     def test_grid_searches_in_complex_doubles(self, monkeypatch):
         # 64 starts at (2, 2): the search runs in complex doubles, and each of
         # the 61 converged starts takes three bracket vectors at working
-        # precision, two chord steps on the central-difference Jacobian handed
-        # over from the search (193 in all, 10 of them on one refinement that
-        # stalls).  Newton at working precision from every start reads 1,607.
+        # precision, its start and two chord steps on the central-difference
+        # Jacobian handed over from the search (183 in all).  Newton at working
+        # precision from every start reads 1,607.
         # At M = 1 a start whose search lands on a root already found is not
         # refined, so each distinct root costs three.  Every working-precision
         # vector is taken on the decimal carrier at 64 digits (192 bits).
@@ -513,7 +537,7 @@ class TestGrid:
         on_carrier = (bethe._Complex, {bethe._Complex}, 64)
         monkeypatch.setattr(bethe, "_brackets", counted)
         assert len(solve_bethe_grid(fparams(2, 2))) > 0
-        assert 0 < len(working) <= 193
+        assert 0 < len(working) <= 183
         assert all(w == on_carrier for w in working)
         for N in (2, 3, 4):
             del working[:]
@@ -537,6 +561,21 @@ class TestGrid:
             del steps[:]
             assert solve_bethe_grid(fparams(N, 1))
             assert steps and max(steps) <= 2, (N, steps)
+
+    def test_grid_search_stops_runs_that_leave_the_regular_set(self, monkeypatch):
+        # at (2, 2) the 64 starts take 1,842 bracket vectors in complex
+        # doubles, 244 of them the central-difference handoffs; letting the
+        # runs that leave the regular set go on to their end reads 2,963
+        double = []
+        real = bethe._brackets
+
+        def counted(p, u):
+            double.append(isinstance(p.q, complex))
+            return real(p, u)
+
+        monkeypatch.setattr(bethe, "_brackets", counted)
+        assert len(solve_bethe_grid(fparams(2, 2))) == 61
+        assert sum(double) <= 1850
 
     def test_on_shell_identities_hold_in_float(self):
         # at an on-shell root the factorized inner product still matches
