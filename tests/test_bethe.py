@@ -7,6 +7,7 @@ compared against the closed-form root family as they come.
 """
 
 import decimal
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -35,7 +36,7 @@ from tltau.chain import (
     slavnov,
     w_eval,
 )
-from tltau.cli import run_suite, validate_config
+from tltau.cli import format_json, run_suite, validate_config
 from reference import lambda_residue
 
 RAT = FieldContext("rational")
@@ -647,3 +648,17 @@ class TestCheckRecords:
                         assert abs(ta + tb) / (abs(ta) + abs(tb)) < mp.mpf("1e-10"), roots
                 passed[N, M] = len(sets)
         assert passed[2, 2] > 0
+
+    @pytest.mark.parametrize("N, M, Q, bits, sha1", [
+        (4, 2, "-2", 128, "b5176a844db454bf5d8316596f09620dcb11be5f"),
+        (4, 2, "-2", 400, "c6cee1e32c3b84260549d3c166637f4e5eff7784"),
+        (3, 1, "1/2", 400, "29e6c008c94696aaaa8160a24a68ee5d00c801c9"),
+    ])
+    def test_report_bytes_away_from_192_bits(self, N, M, Q, bits, sha1):
+        # tools/report_digest.py runs the solver only at 192 bits; these pin
+        # the timestamp-free bethe report, formed as the digest forms it, at
+        # a lower and a higher working precision
+        report = run_suite(validate_config({"checks": ["bethe"], "field_mode": "float",
+                                            "N": N, "M": M, "Q": Q, "precision_bits": bits}))
+        del report["timestamp"]
+        assert hashlib.sha1(format_json(report).encode()).hexdigest() == sha1
