@@ -5,15 +5,12 @@ denominators.  Its residues there, `residue_vector`, are w(u_j^2)
 w(q^2 u_j^2) times the pole brackets `chain.pole_brackets`, and a root vector
 is on shell exactly when every bracket vanishes.  The prefactor's zeros,
 u_j^2 in {+-1, +-1/q^2}, are excluded points of the model, and the bracket
-does not vanish there.  The solver drives the brackets to zero by damped
-Newton iteration, in two stages of one loop: a search in complex doubles,
-then a refinement at working precision on `_Complex` (two Decimal parts) that
-starts there with chord steps on a central-difference Jacobian in doubles.
-Each stage reads q and its powers from a stand-in for the params, formed once
-on the stage's carrier, and the refinement hands its roots and brackets back
-to the context's mpmath context, exactly rounded.  Both stages keep to the
-regular set (`is_regular`, in complex doubles): a run ends where it leaves
-it, so a converged solution is regular.
+does not vanish there.  The solver drives the brackets to zero in two
+stages, each on a stand-in for the params (`_stand_in`): a damped Newton
+search in complex doubles (`_newton`), then chord steps at working precision
+on `_Complex`, two Decimal parts (`_refine`).  Both keep to the regular set
+(`is_regular`): a run ends where it leaves it, so a converged solution is
+regular.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
@@ -27,7 +24,7 @@ from itertools import combinations, islice
 from .algebra import power, solve_linear
 from .chain import PoleError, pole_brackets, w_eval, _q_powers
 
-_MAXITER = 80  # Newton steps allowed to each stage (search, refinement) of a solve
+_MAXITER = 80  # steps allowed to each stage (search, refinement) of a solve
 
 
 class BetheSolution:
@@ -88,25 +85,14 @@ def closed_form_single_roots(p):
 def solve_bethe(p, guess, tol=None, known=()):
     """Drive the pole brackets to zero from one start, float mode only.
 
-    The search runs the damped Newton loop in complex doubles until the
-    brackets fall below 1e-12 or the Newton step below 1e-12 of the roots
-    (where rounding in doubles can keep the brackets above 1e-12 at a
-    root); a start that stalls or runs out of steps there ends with
-    converged False.  The refinement runs the same loop at working precision
-    from the search's root (from the guess itself when the search took no
-    step) until the brackets fall below `tol`, 2^(-prec/2) by default.  Its
-    chord steps use a central difference in complex doubles at the search's
-    root (step 2^-17 max(1, |u_j|), good to about 1e-10, so two steps reach
-    2^-96); when a central bump lands on a pole it runs plain Newton steps.
-    It runs in a fresh decimal context of ceil(prec log10 2) + 6 digits, and
-    hands each root and bracket back as the mpc of p.ctx.mp nearest to it.
-    `iterations` counts the refinement's steps and `search_iterations`
-    the search's; the reported roots and brackets are the refinement's.
-    A stage whose start or step lands outside the regular set (`is_regular`)
-    ends there with converged False and the message "ran off to an irregular
-    set"; a search root within 1e-9 of a set in `known` (each as
-    _canonical_roots gives it) is not refined: it ends with converged False
-    and no steps.
+    A start whose search (`_newton`) does not converge, or converges within
+    1e-9 of a set in `known` (as _canonical_roots gives it), ends there with
+    converged False.  The refinement (`_refine`, tol 2^(-prec/2) by default)
+    starts from the search's root, or from the guess when the search took no
+    step, in a fresh decimal context of ceil(prec log10 2) + 6 digits, and
+    hands each root and bracket back as the nearest mpc of p.ctx.mp.
+    `iterations` counts the refinement's steps and `search_iterations` the
+    search's; the reported roots and brackets are the refinement's.
     """
     if p.ctx.mode != "float":
         raise ValueError("the root solver runs in float mode")
@@ -119,20 +105,19 @@ def solve_bethe(p, guess, tol=None, known=()):
     if not starts:
         return BetheSolution([], [], True, 0, "nothing to solve")
     double = _stand_in(p.N, complex(p.q))
-    found, res, converged, steps, message = _newton(double, starts, 1e-12, 1e-12, 2.0**-26, None)
+    found, res, converged, steps, message = _newton(double, starts)
     canon = _canonical_roots(found)
     if converged and any(max(abs(x - y) for x, y in zip(canon, k)) <= 1e-9 for k in known):
         converged, message = False, "repeats a root set already found"
     if not converged:
         return BetheSolution(map(m.mpc, found), map(m.mpc, res), False, 0, message, steps)
-    chord = _central_jacobian(double, found, 2.0**-17)
+    chord = _central_jacobian(double, found, 2.0**-17) or _jacobian(double, found, res)
     with localcontext(Context(math.ceil(p.ctx.prec * math.log10(2)) + 6, ROUND_HALF_EVEN)):
-        half = Decimal(2) ** -(p.ctx.prec // 2)
-        roots, res, converged, iterations, message = _newton(
+        roots, res, converged, iterations, message = _refine(
             _stand_in(p.N, _Complex.of(p.q)),
             [_Complex.of(x) for x in (found if steps else map(m.mpc, guess))],
-            half if tol is None else _Complex.of(m.mpf(tol)).re, 0, half,
-            chord and [[_Complex.of(x) for x in row] for row in chord])
+            Decimal(2) ** -(p.ctx.prec // 2) if tol is None else _Complex.of(m.mpf(tol)).re,
+            [[_Complex.of(x) for x in row] for row in chord])
     return BetheSolution((_mpc(z, m) for z in roots), (_mpc(z, m) for z in res), converged,
                          iterations, message, steps)
 
@@ -230,64 +215,81 @@ class _Complex:
         return complex(float(self.re), float(self.im))
 
 
-def _newton(p, roots, tol, xtol, step, chord):
-    """Damped Newton iteration on the brackets, in the carrier of p.q and roots.
+def _newton(p, roots):
+    """Damped Newton search on the brackets, in complex doubles.
 
-    Converged means the largest bracket is below `tol`, or every Newton
-    correction below `xtol` times max(1, |u_j|) (a zero `xtol` skips that
-    test).  Each Jacobian is a forward difference with step `step` times
-    max(1, |u_j|); a given `chord` Jacobian (in `solve_bethe`, the
-    central-difference handoff) is used instead until a step fails to cut
-    the error tenfold.
-    Steps are halved when the error fails to drop or when roots threaten to
-    collide.  The start and every accepted iterate must be regular
-    (`is_regular`): a run that leaves the regular set ends there, unconverged,
-    with the message "ran off to an irregular set".  The error and the trial
-    guards compare magnitudes in complex doubles, `abs(complex(x))`, on
-    either carrier.
+    Converged means the largest bracket is below 1e-12, or every Newton
+    correction below 1e-12 max(1, |u_j|), where rounding in doubles can keep
+    the brackets above 1e-12 at a root.  Each step solves `_jacobian`, and
+    is halved when the error fails to drop or roots threaten to collide.  The
+    start and every accepted iterate must be regular (`is_regular`): a run
+    that leaves the regular set ends there, unconverged, with the message
+    "ran off to an irregular set".
     Returns (roots, brackets, converged, steps, message).
     """
     res = _brackets(p, roots)
     if res is None:
         raise ValueError("starting roots sit on a pole of the bracket map")
-    err = max(abs(complex(r)) for r in res)
-    jac = chord
+    err = max(abs(r) for r in res)
     for it in range(_MAXITER + 1):
         if not is_regular(p, roots):
             return roots, res, False, it, "ran off to an irregular set"
-        if err < tol:
+        if err < 1e-12:
             return roots, res, True, it, "converged"
         if it == _MAXITER:
             return roots, res, False, it, "iteration limit"
-        if chord is None:
-            jac = _jacobian(p, roots, res, step)
         try:
-            delta = solve_linear(jac, res)
+            delta = solve_linear(_jacobian(p, roots, res), res)
         except (ZeroDivisionError, ValueError):
             return roots, res, False, it + 1, "singular jacobian"
-        if xtol and all(abs(d) < xtol * max(1, abs(x)) for d, x in zip(delta, roots)):
+        if all(abs(d) < 1e-12 * max(1, abs(x)) for d, x in zip(delta, roots)):
             return roots, res, True, it, "converged"
         lam = 1.0
-        moved = False
         while lam >= 1 / 512:
             trial = [r - lam * d for r, d in zip(roots, delta)]
-            if _min_separation(trial) < 1e-12 or any(abs(complex(x)) < 1e-12 for x in trial):
-                lam /= 2
-                continue
-            rest = _brackets(p, trial)
-            if rest is None:
-                lam /= 2
-                continue
-            errt = max(abs(complex(r)) for r in rest)
-            if errt < err or lam <= 1 / 256:
-                if chord is not None and errt * 10 > err:
-                    chord = None
-                roots, res, err = trial, rest, errt
-                moved = True
-                break
+            crowded = _min_separation(trial) < 1e-12 or any(abs(x) < 1e-12 for x in trial)
+            rest = None if crowded else _brackets(p, trial)
+            if rest is not None:
+                errt = max(abs(r) for r in rest)
+                if errt < err or lam <= 1 / 256:
+                    roots, res, err = trial, rest, errt
+                    break
             lam /= 2
-        if not moved:
+        else:
             return roots, res, False, it + 1, "step stalled (roots colliding or on a pole)"
+
+
+def _refine(p, roots, tol, chord):
+    """Chord steps on the brackets at working precision, on `_Complex`.
+
+    Each step solves the one `chord` Jacobian against the brackets and takes
+    the whole step.  In `solve_bethe` the chord is a central difference in
+    complex doubles at the search's root (step 2^-17 max(1, |u_j|), good to
+    about 1e-10, so two steps reach 2^-96), or `_jacobian` there when a
+    central bump lands on a pole.  Converged means re^2 + im^2 < tol^2 for
+    every bracket, in the carrier.  Regularity is kept as in `_newton`; a
+    step onto a pole ends the run before it.  Returns as `_newton` does.
+    """
+    res = _brackets(p, roots)
+    if res is None:
+        raise ValueError("starting roots sit on a pole of the bracket map")
+    tol2 = tol * tol
+    for it in range(_MAXITER + 1):
+        if not is_regular(p, roots):
+            return roots, res, False, it, "ran off to an irregular set"
+        if all(r.re * r.re + r.im * r.im < tol2 for r in res):
+            return roots, res, True, it, "converged"
+        if it == _MAXITER:
+            return roots, res, False, it, "iteration limit"
+        try:
+            delta = solve_linear(chord, res)
+        except (ZeroDivisionError, ValueError):
+            return roots, res, False, it + 1, "singular jacobian"
+        trial = [r - d for r, d in zip(roots, delta)]
+        rest = _brackets(p, trial)
+        if rest is None:
+            return roots, res, False, it + 1, "step landed on a pole"
+        roots, res = trial, rest
 
 
 def _brackets(p, u):
@@ -298,18 +300,15 @@ def _brackets(p, u):
         return None
 
 
-def _jacobian(p, roots, res, step):
-    """Rows d bracket_i / d u_j by forward differences; a bump onto a pole
-    leaves its column zero."""
-    jac = [[0] * len(roots) for _ in roots]
+def _jacobian(p, roots, res):
+    """Rows d bracket_i / d u_j by forward differences, step 2^-26
+    max(1, |u_j|); a bump onto a pole leaves its column zero."""
+    cols = []
     for jcol, x in enumerate(roots):
-        h = step * max(1, abs(x))
-        bumped = list(roots)
-        bumped[jcol] = x + h
-        resb = _brackets(p, bumped) or res
-        for irow, (b, r) in enumerate(zip(resb, res)):
-            jac[irow][jcol] = (b - r) / h
-    return jac
+        h = 2.0**-26 * max(1, abs(x))
+        bumped = _brackets(p, roots[:jcol] + [x + h] + roots[jcol + 1:]) or res
+        cols.append([(b - r) / h for b, r in zip(bumped, res)])
+    return [list(row) for row in zip(*cols)]
 
 
 def _central_jacobian(p, roots, step):
@@ -329,9 +328,9 @@ def is_regular(p, roots):
     of an excluded point, u_j^2 in {+-1, +-1/q^2}, where the residue vanishes
     through its factor w(u_j^2) w(q^2 u_j^2) and not through the pole bracket.
     The brackets decay as u_j runs off to 0 or infinity, where a set can pass
-    the step test far from any finite root.  `_newton` asks it of its start
-    and of every step it takes.  Runs in complex doubles: the floor sits
-    eight orders above their rounding."""
+    the step test far from any finite root.  `_newton` and `_refine` ask it
+    of their start and of every step they take.  Runs in complex doubles:
+    the floor sits eight orders above their rounding."""
     q = complex(p.q)
     for r in roots:
         r = complex(r)
@@ -342,7 +341,7 @@ def is_regular(p, roots):
 
 
 def _min_separation(roots):
-    return min((abs(complex(a - b)) for a, b in combinations(roots, 2)), default=float("inf"))
+    return min((abs(a - b) for a, b in combinations(roots, 2)), default=float("inf"))
 
 
 # Starting roots as complex doubles, exact whatever mpmath's precision.

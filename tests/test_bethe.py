@@ -332,6 +332,17 @@ class TestSolver:
             assert sol.converged and sol.max_residual() < mp.mpf(2) ** -350
             assert min(abs(sol.roots[0] - root), abs(sol.roots[0] + root)) < mp.mpf(2) ** -330
 
+    def test_convergence_is_tested_below_the_smallest_double(self):
+        # at 2200 bits the default tol 2^-1100 ~ 7e-332 is below the smallest
+        # double; brackets of 5e-331, which a test in doubles reads as 0, are
+        # not converged
+        with mp.workprec(2200):
+            ctx = FieldContext("float", prec=2200)
+            p = ChainParams(3, 1, 1, ctx.embed(2), ctx.embed(-2), ctx)
+            sols = solve_bethe_grid(p)
+            assert len(sols) == 4
+            assert all(s.max_residual() < mp.mpf(2) ** -1100 for s in sols)
+
     def test_records_ignore_process_history(self):
         # a caller's decimal context (5 digits, rounding down) and a wider
         # float context made earlier, which leaves mpmath's global precision
@@ -389,12 +400,37 @@ class TestSolver:
         assert [(s.roots, s.message) for s in solve_bethe_grid(p)] == [((), "nothing to solve")]
 
     def test_singular_jacobian_ends_the_run_at_its_start(self):
-        # a chord Jacobian that solve_linear refuses stops the loop,
+        # a chord Jacobian that solve_linear refuses stops the refinement,
         # unconverged, where it stands
-        double = bethe._stand_in(2, 2 + 0j)
-        start = [0.45 + 0.35j, 0.85 + 0.55j]
-        got = bethe._newton(double, start, 0, 0, 2.0**-26, [[0, 0], [0, 0]])
-        assert got == (start, bethe._brackets(double, start), False, 1, "singular jacobian")
+        with decimal.localcontext(decimal.Context(64)):
+            p = bethe._stand_in(2, bethe._Complex.of(2))
+            start = [bethe._Complex.of(z) for z in (0.45 + 0.35j, 0.85 + 0.55j)]
+            got = bethe._refine(p, start, decimal.Decimal(0), [[0, 0], [0, 0]])
+            assert got == (start, bethe._brackets(p, start), False, 1, "singular jacobian")
+
+    def test_refinement_step_onto_a_pole_ends_the_run_before_it(self, monkeypatch):
+        # the refinement takes whole steps, so a step whose brackets meet a
+        # pole is not shortened: the run stops where it stands
+        with decimal.localcontext(decimal.Context(64)):
+            p = bethe._stand_in(2, bethe._Complex.of(2))
+            start = [bethe._Complex.of(z) for z in (0.45 + 0.35j, 0.85 + 0.55j)]
+            res = bethe._brackets(p, start)
+            answers = iter([res, None])
+            monkeypatch.setattr(bethe, "_brackets", lambda p, u: next(answers))
+            got = bethe._refine(p, start, decimal.Decimal(0), [[1, 0], [0, 1]])
+            assert got == (start, res, False, 1, "step landed on a pole")
+
+    def test_forward_difference_chord_where_a_central_bump_hits_a_pole(self, monkeypatch):
+        # with every central-difference chord refused, the refinement runs on
+        # the search's forward difference in doubles and finds the same sets
+        monkeypatch.setattr(bethe, "_central_jacobian", lambda p, roots, step: None)
+        want = closed_form_single_roots(fparams(3, 1))
+        sols = solve_bethe_grid(fparams(3, 1))
+        assert len(sols) == len(want)
+        for s in sols:
+            assert s.max_residual() < mp.mpf(2) ** -96
+            assert min(min(abs(s.roots[0] - w), abs(s.roots[0] + w)) for w in want) < 1e-25
+        assert len(solve_bethe_grid(fparams(2, 2))) == 61
 
     def test_central_jacobian_is_none_when_a_bump_lands_on_a_pole(self):
         # u_0 = -h bumps up onto u_0 = 0, where pole_brackets names w(u_j);
@@ -481,15 +517,19 @@ class TestRegularity:
             assert 0 < sol.search_iterations < bethe._MAXITER // 2
             assert not is_regular(p, sol.roots)
 
-    @pytest.mark.parametrize("carrier", [complex, bethe._Complex.of])
+    @pytest.mark.parametrize("carrier, run", [
+        (complex, bethe._newton),
+        (bethe._Complex.of, lambda p, u: bethe._refine(p, u, decimal.Decimal(0), None)),
+    ], ids=["complex", "of"])
     @pytest.mark.parametrize("first", [1e-5 + 0j, 1 + 1e-10j])
-    def test_newton_from_an_irregular_start_ends_at_once(self, carrier, first):
+    def test_newton_from_an_irregular_start_ends_at_once(self, carrier, run, first):
         # |u_0^2| = 1e-10 is below the floor, and u_0^2 = 1 + 2e-10 j within
-        # 1e-8 of an excluded point: on either carrier no step is taken
+        # 1e-8 of an excluded point: neither the search in doubles nor the
+        # refinement on the decimal carrier takes a step
         with decimal.localcontext(decimal.Context(64)):
             p = bethe._stand_in(2, carrier(2))
             start = [carrier(first), carrier(0.85 + 0.55j)]
-            got = bethe._newton(p, start, 0, 0, 2.0**-26, None)
+            got = run(p, start)
             assert got == (start, bethe._brackets(p, start), False, 0,
                            "ran off to an irregular set")
 
