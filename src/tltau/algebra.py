@@ -235,7 +235,7 @@ class QuadraticNumber:
         return self.inverse() if o == 1 else self.inverse() * o
 
     def __pow__(self, n):
-        return power(self, n, self) if n else _quad(1, 0, 1, self.d)
+        return power(self, n) if n else _quad(1, 0, 1, self.d)
 
     def __neg__(self):
         return _quad(-self.n, -self.m, self.c, self.d)
@@ -585,13 +585,13 @@ def field_product(factors, ctx):
     return reduce(mul, factors) if factors else ctx.one()
 
 
-def power(x, n, first):
-    """x ** n for an integer n != 0, squaring from the highest bit of |n| on:
-    `first` is x ** 1 as its carrier forms it (x itself, or x rounded), and a
-    negative n gives 1 / x ** -n.  Each carrier's __pow__ gives its own n = 0."""
+def power(x, n):
+    """x ** n for an integer n != 0, squaring from x on at the highest bit of
+    |n|; a negative n gives 1 / x ** -n.  Each carrier's __pow__ gives its
+    own n = 0."""
     if n < 0:
-        return 1 / power(x, -n, first)
-    out = first
+        return 1 / power(x, -n)
+    out = x
     for bit in bin(n)[3:]:
         out = out * out * x if bit == "1" else out * out
     return out
@@ -697,7 +697,7 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return power(self, n, self) if n else LaurentSeries(
+        return power(self, n) if n else LaurentSeries(
             self.ctx, {0: self.ctx.one()}, self.trunc - self.min_exp())
 
     def invert(self):

@@ -7,10 +7,10 @@ is on shell exactly when every bracket vanishes.  The prefactor's zeros,
 u_j^2 in {+-1, +-1/q^2}, are excluded points of the model, and the bracket
 does not vanish there.  The solver drives the brackets to zero in two
 stages, each on a stand-in for the params (`_stand_in`): a damped Newton
-search in complex doubles (`_newton`), then chord steps at working precision
-on `_Complex`, two Decimal parts (`_refine`).  Both keep to the regular set
-(`is_regular`): a run ends where it leaves it, so a converged solution is
-regular.
+search in complex doubles (`_newton`), then chord steps from the search's
+root to brackets below 2^-(prec/2), at working precision on `_Complex`, two
+Decimal parts (`_refine`).  Both keep to the regular set (`is_regular`): a
+run ends where it leaves it, so a converged solution is regular.
 For a single root the condition is solvable in closed form:
 u^2 = (1 - zeta q) / (q (q - zeta)) with zeta any 2N-th root of unity other
 than +-1 (those two make w(u^2 q) vanish and are spurious).
@@ -30,14 +30,14 @@ _MAXITER = 80  # steps allowed to each stage (search, refinement) of a solve
 class BetheSolution:
     """Outcome of a solver run: roots, their pole brackets, and bookkeeping.
 
-    `iterations` counts the working-precision steps, `search_iterations`
-    the complex-double steps before them.
+    `iterations` counts the refinement's steps at working precision,
+    `search_iterations` the search's steps in complex doubles before them.
     """
 
     __slots__ = ("roots", "residuals", "converged", "iterations", "message",
                  "search_iterations")
 
-    def __init__(self, roots, residuals, converged, iterations, message, search_iterations=0):
+    def __init__(self, roots, residuals, converged, iterations, message, search_iterations):
         self.roots = tuple(roots)
         self.residuals = tuple(residuals)
         self.converged = converged
@@ -82,17 +82,15 @@ def closed_form_single_roots(p):
     return out
 
 
-def solve_bethe(p, guess, tol=None, known=()):
+def solve_bethe(p, guess, known=()):
     """Drive the pole brackets to zero from one start, float mode only.
 
     A start whose search (`_newton`) does not converge, or converges within
     1e-9 of a set in `known` (as _canonical_roots gives it), ends there with
-    converged False.  The refinement (`_refine`, tol 2^(-prec/2) by default)
-    starts from the search's root, or from the guess when the search took no
-    step, in a fresh decimal context of ceil(prec log10 2) + 6 digits, and
-    hands each root and bracket back as the nearest mpc of p.ctx.mp.
-    `iterations` counts the refinement's steps and `search_iterations` the
-    search's; the reported roots and brackets are the refinement's.
+    converged False.  The refinement (`_refine`) starts from the search's
+    root, whatever the guess's precision, and stops at 2^-(prec/2), in a
+    fresh decimal context of ceil(prec log10 2) + 6 digits; each root and
+    bracket comes back as the nearest mpc of p.ctx.mp.
     """
     if p.ctx.mode != "float":
         raise ValueError("the root solver runs in float mode")
@@ -103,7 +101,7 @@ def solve_bethe(p, guess, tol=None, known=()):
     if _min_separation(starts) < 1e-12:
         raise ValueError("starting roots must be pairwise distinct")
     if not starts:
-        return BetheSolution([], [], True, 0, "nothing to solve")
+        return BetheSolution([], [], True, 0, "nothing to solve", 0)
     double = _stand_in(p.N, complex(p.q))
     found, res, converged, steps, message = _newton(double, starts)
     canon = _canonical_roots(found)
@@ -115,8 +113,7 @@ def solve_bethe(p, guess, tol=None, known=()):
     with localcontext(Context(math.ceil(p.ctx.prec * math.log10(2)) + 6, ROUND_HALF_EVEN)):
         roots, res, converged, iterations, message = _refine(
             _stand_in(p.N, _Complex.of(p.q)),
-            [_Complex.of(x) for x in (found if steps else map(m.mpc, guess))],
-            Decimal(2) ** -(p.ctx.prec // 2) if tol is None else _Complex.of(m.mpf(tol)).re,
+            [_Complex.of(x) for x in found], Decimal(2) ** -(p.ctx.prec // 2),
             [[_Complex.of(x) for x in row] for row in chord])
     return BetheSolution((_mpc(z, m) for z in roots), (_mpc(z, m) for z in res), converged,
                          iterations, message, steps)
@@ -198,8 +195,7 @@ class _Complex:
         return _Complex(-self.re, -self.im)
 
     def __pow__(self, n):
-        # x ** 1 is x rounded to the decimal context, as 1 * 1 * x would be
-        return power(self, n, _Complex(+self.re, +self.im)) if n else _Complex(Decimal(1))
+        return power(self, n) if n else _Complex(Decimal(1))
 
     def __eq__(self, o):
         o = o if type(o) is _Complex else _Complex(Decimal(o))
@@ -263,12 +259,13 @@ def _refine(p, roots, tol, chord):
     """Chord steps on the brackets at working precision, on `_Complex`.
 
     Each step solves the one `chord` Jacobian against the brackets and takes
-    the whole step.  In `solve_bethe` the chord is a central difference in
-    complex doubles at the search's root (step 2^-17 max(1, |u_j|), good to
-    about 1e-10, so two steps reach 2^-96), or `_jacobian` there when a
-    central bump lands on a pole.  Converged means re^2 + im^2 < tol^2 for
-    every bracket, in the carrier.  Regularity is kept as in `_newton`; a
-    step onto a pole ends the run before it.  Returns as `_newton` does.
+    the whole step.  In `solve_bethe` the run starts at the search's root,
+    tol is 2^-(prec/2), and the chord is a central difference in complex
+    doubles at that root (step 2^-17 max(1, |u_j|), good to about 1e-10, so
+    two steps reach 2^-96), or `_jacobian` there when a central bump lands on
+    a pole.  Converged means re^2 + im^2 < tol^2 for every bracket, in the
+    carrier.  Regularity is kept as in `_newton`; a step onto a pole ends
+    the run before it.  Returns as `_newton` does.
     """
     res = _brackets(p, roots)
     if res is None:
@@ -349,14 +346,14 @@ _PALETTE = (0.45 + 0.35j, 0.85 + 0.55j, 1.25 + 0.2j, 0.3 - 0.85j, 1.6 + 0.75j, 0
             0.7 - 0.3j, 1.1 - 0.9j, 0.55 + 0.95j, 1.45 - 0.4j, 0.35 + 0.6j, 0.95 + 0.15j)
 
 
-def solve_bethe_grid(p, tol=None):
+def solve_bethe_grid(p):
     """Run the solver from the first 64 M-subsets of a 12-start palette and
     return the distinct converged, hence regular, solutions (roots in the
     right half-plane, sets deduplicated); M = 0 gives the empty solution."""
     known, found = [], []
     for g in islice(combinations(_PALETTE, p.M), 64):
         try:
-            sol = solve_bethe(p, g, tol=tol, known=known)
+            sol = solve_bethe(p, g, known=known)
         except ValueError:
             continue
         if sol.converged:

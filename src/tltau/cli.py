@@ -309,7 +309,7 @@ def check_diagram_counts(cfg, p, seed):
     M = max(p.M, 1)
     lam1 = cfg.get("lambda1_max")
     if lam1 is None:
-        lam1 = {1: 12, 2: 13, 3: 12}.get(M, 11 + (M % 2))
+        lam1 = 13 if M == 2 else 11 + M % 2
     lam = (M + 1) % 2
     if lam1 < lam:
         yield ({"M": M, "lambda1_max": lam1}, seed, None, False,

@@ -215,9 +215,9 @@ class TestDecimalCarrier:
                 x * a
 
     def test_power_matches_the_ladder_from_one(self):
-        # x ** n starts from +x, which rounds x as 1 * 1 * x did; the parts
-        # agree with the ladder from 1 on a base held at 64 digits and on an
-        # unrounded one (192-bit parts have up to 192 decimal digits)
+        # x ** n starts its ladder at x; on a base whose parts fit the 64-digit
+        # context, as every base the refinement hands it does, the parts agree
+        # with the ladder from 1
         def ladder(x, n):
             out = bethe._Complex(decimal.Decimal(1))
             for bit in bin(abs(n))[2:]:
@@ -228,7 +228,8 @@ class TestDecimalCarrier:
             third = bethe._Complex.of(mp.mpc(mp.mpf(1) / 3, -mp.mpf(2) / 7))
         assert len(str(third.re)) > 64
         with decimal.localcontext(decimal.Context(prec=64)):
-            for x in (bethe._Complex.of(mp.mpc(1.25, -0.75)), third, bethe._Complex.of(third.re)):
+            for x in (bethe._Complex.of(mp.mpc(1.25, -0.75)), bethe._Complex(+third.re, +third.im),
+                      bethe._Complex(+third.re)):
                 for n in range(-3, 10):
                     got, want = x ** n, ladder(x, n)
                     assert (got.re, got.im) == (want.re, want.im), n
@@ -292,10 +293,12 @@ class TestClosedForm:
 
 class TestSolver:
     def test_newton_converges_from_perturbed_start(self):
-        p = fparams(2, 1)
+        # the refinement stops at 2^-(prec/2): 2^-136 ~ 1.1e-41 at 272 bits
+        ctx = FieldContext("float", prec=272)
+        p = ChainParams(2, 1, 1, ctx.embed(2), ctx.embed(-2), ctx)
         root = closed_form_single_roots(p)[0]
         start = root * (1 + mp.mpf("1e-3"))
-        sol = solve_bethe(p, [start], tol=mp.mpf("1e-40"))
+        sol = solve_bethe(p, [start])
         assert sol.converged
         assert sol.max_residual() < mp.mpf("1e-40")
         assert abs(sol.roots[0] - root) < mp.mpf("1e-25") or abs(
@@ -303,16 +306,43 @@ class TestSolver:
         ) < mp.mpf("1e-25")
 
     def test_reconverge_is_instant(self):
+        # the search takes no step from a root; the refinement starts from
+        # the root rounded to doubles, as it does after any search
         p = fparams(2, 1)
         root = closed_form_single_roots(p)[0]
         sol = solve_bethe(p, [root])
         assert sol.converged
-        assert sol.iterations == 0
+        assert (sol.search_iterations, sol.iterations) == (0, 2)
+
+    def test_search_root_is_the_only_start_of_the_refinement(self):
+        # a root at 192 bits and the same root as a complex double give the
+        # refinement one start, so the two solutions agree in every field
+        p = ChainParams.from_boundary(3, 1, 1, F(-2), "float", prec=192)
+        r = closed_form_single_roots(p)[0]
+        sols = [solve_bethe(p, [r]), solve_bethe(p, [complex(r)])]
+        a, b = ((s.roots, s.residuals, s.iterations, s.search_iterations) for s in sols)
+        assert a == b and sols[0].converged
+
+    def test_power_bases_in_the_refinement_are_rounded(self, monkeypatch):
+        # every base the grid refinement raises to a power is already rounded
+        # to its decimal context, so the ladder may start at the base itself
+        bases, pow_ = [], bethe._Complex.__pow__
+
+        def recorded(x, n):
+            bases.append(tuple(d.as_tuple() for d in (x.re, x.im, +x.re, +x.im)))
+            return pow_(x, n)
+
+        monkeypatch.setattr(bethe._Complex, "__pow__", recorded)
+        for bits in (128, 192):
+            ctx = FieldContext("float", prec=bits)
+            for N, M in ((2, 2), (4, 2)):
+                assert solve_bethe_grid(ChainParams(N, M, 1, ctx.embed(2), ctx.embed(-2), ctx))
+        assert bases and all(b[:2] == b[2:] for b in bases)
 
     def test_refinement_digits_follow_the_precision(self):
         # the decimal context holds ceil(prec log10 2) + 6 digits, so at 400
-        # bits the default tol 2^-200 is met, and a tol of 2^-350, beyond
-        # what 192 bits could resolve, is met too
+        # bits the target 2^-200 is met, and at 700 bits 2^-350, beyond what
+        # 192 bits could resolve
         for bits in (128, 400):
             with mp.workprec(bits):
                 ctx = FieldContext("float", prec=bits)
@@ -324,11 +354,11 @@ class TestSolver:
                 for s in sols:
                     assert s.max_residual() < mp.mpf(2) ** -(bits // 2)
                     assert min(min(abs(s.roots[0] - w), abs(s.roots[0] + w)) for w in want) < close
-        with mp.workprec(400):
-            ctx = FieldContext("float", prec=400)
+        with mp.workprec(700):
+            ctx = FieldContext("float", prec=700)
             p = ChainParams(3, 1, 1, ctx.embed(2), ctx.embed(-2), ctx)
             root = closed_form_single_roots(p)[0]
-            sol = solve_bethe(p, [root * (1 + mp.mpf("1e-3"))], tol=mp.mpf(2) ** -350)
+            sol = solve_bethe(p, [root * (1 + mp.mpf("1e-3"))])
             assert sol.converged and sol.max_residual() < mp.mpf(2) ** -350
             assert min(abs(sol.roots[0] - root), abs(sol.roots[0] + root)) < mp.mpf(2) ** -330
 
@@ -441,7 +471,7 @@ class TestSolver:
         assert len(jac) == 2 and all(len(row) == 2 and all(row) for row in jac)
 
     def test_solution_repr(self):
-        sol = BetheSolution((mp.mpf(1),), (mp.mpf(0),), True, 3, "converged")
+        sol = BetheSolution((mp.mpf(1),), (mp.mpf(0),), True, 3, "converged", 5)
         assert "converged=True" in repr(sol)
         assert sol.max_residual() == 0
 
@@ -544,10 +574,13 @@ class TestRegularity:
 
 class TestGrid:
     def test_grid_matches_closed_form(self):
+        # at 272 bits the refinement stops at 2^-136 ~ 1.1e-41
+        ctx = FieldContext("float", prec=272)
         for N in (2, 3):
-            p = fparams(N, 1)
+            p = ChainParams(N, 1, 1, ctx.embed(2), ctx.embed(-2), ctx)
             want = closed_form_single_roots(p)
-            sols = solve_bethe_grid(p, tol=mp.mpf("1e-40"))
+            sols = solve_bethe_grid(p)
+            assert all(s.max_residual() < mp.mpf("1e-40") for s in sols)
             got = []
             for s in sols:
                 r = s.roots[0]

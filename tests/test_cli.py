@@ -142,7 +142,7 @@ class TestSuite:
     def test_bethe_at_one_root_fails_when_expected_roots_are_missing(self, monkeypatch):
         # at M = 1 no record of its own marks an empty grid: the closed-form
         # match fails on the four roots it expects at N = 3
-        monkeypatch.setattr(bethe, "solve_bethe_grid", lambda p, tol=None: [])
+        monkeypatch.setattr(bethe, "solve_bethe_grid", lambda p: [])
         recs = run_suite(validate_config({"checks": ["bethe"], "N": 3, "M": 1}))["records"]
         want = {"N": 3, "M": 1, "part": "closed-form-match", "found": 0, "expected": 4}
         assert [(r["params"], r["pass"]) for r in recs] == [(want, False)]
